@@ -71,13 +71,9 @@ class SpanningTreeProtocol(Protocol):
             counter_field("d", lambda n: n.n_bound),
         ])
 
-    def fast_step(self, net: Network, config, me: int, nbr_rows) -> dict | None:
-        """The transition rule on raw engine state (see Protocol.fast_step).
-
-        This is the single implementation of the rule; :meth:`step` is a
-        thin NodeView adapter over it, so the engine's fast path and the
-        from-scratch rescan cannot disagree.
-        """
+    def step(self, view: NodeView) -> dict | None:
+        """The transition rule over a NodeView (the rescan reference)."""
+        net, config, me = view.net, view._config, view.node
         own = config[me]
         # all reachable claims: my own candidacy plus every neighbor claim
         # strictly better than my identity, with room left in the distance
@@ -87,6 +83,7 @@ class SpanningTreeProtocol(Protocol):
             self._bound_net = net
             self._bound1 = net.n_bound - 1
         bound1 = self._bound1  # d_u + 1 < bound  <=>  d_u < bound - 1
+        nbr_rows = view.nbr_states()
         for _, st in nbr_rows:
             rid_u, d_u = st["rid"], st["d"]
             # junk values are skipped: incomparable ones raise out of the
@@ -148,14 +145,10 @@ class SpanningTreeProtocol(Protocol):
             delta["d"] = best_d
         return delta or None
 
-    def step(self, view: NodeView) -> dict | None:
-        return self.fast_step(view.net, view._config, view.node,
-                              view.nbr_states())
-
     def fast_step_slots(self, schema):
         """The same rule compiled to slot indices (Protocol.fast_step_slots).
 
-        A line-by-line transliteration of :meth:`fast_step` with field
+        A line-by-line transliteration of :meth:`step` with field
         names resolved to row positions once, here; the golden suite and
         the incremental-vs-rescan cross-check pin the two paths to each
         other at every scheduler selection.

@@ -81,8 +81,8 @@ class MalleableTreeProtocol(Protocol):
     """Tree maintenance + the Section IV switch, as one guarded-rule layer."""
 
     name = "malleable-tree"
-    #: fast_step filters every field against the current register before
-    #: returning, so the engine's per-proposal no-op scan is redundant
+    #: step and fast_step_slots filter every field against the current
+    #: register before returning, so the engine's no-op scan is redundant
     exact_deltas = True
 
     def __init__(self) -> None:
@@ -106,22 +106,13 @@ class MalleableTreeProtocol(Protocol):
     # the transition function
     # ------------------------------------------------------------------
 
-    def fast_step(self, net: Network, config, me: int,
-                  nbr_rows) -> dict | None:
-        """The transition rule on raw engine state (see Protocol.fast_step).
-
-        This is the single implementation of the rule; :meth:`step` is a
-        thin NodeView adapter over it, so the engine's fast path and the
-        from-scratch rescan cannot disagree.
-        """
-        own = config[me]
-        intended = self._intended(net, config, me, nbr_rows)
+    def step(self, view: NodeView) -> dict | None:
+        """The transition rule over a NodeView (the rescan reference)."""
+        own = view.state
+        intended = self._intended(view.net, view._config, view.node,
+                                  view.nbr_states())
         delta = {k: v for k, v in intended.items() if own[k] != v}
         return delta or None
-
-    def step(self, view: NodeView) -> dict | None:
-        return self.fast_step(view.net, view._config, view.node,
-                              view.nbr_states())
 
     def fast_step_slots(self, schema):
         """The same rule compiled to slot indices (Protocol.fast_step_slots).

@@ -118,11 +118,11 @@ class TraceRecorder:
         if self._potential_on:
             probes.append("potential")
         engine = {
-            "slot": sim._slot_rule is not None,
+            # every binding runs on a slot rule; the key stays so that
+            # trace headers keep their shape
+            "slot": True,
             "vector": sim._vector_rule is not None,
-            "fused_capable": (sim._slot_rule is not None
-                              and not sim._global_reads
-                              and sim._notify is None),
+            "fused_capable": not sim._global_reads and sim._notify is None,
         }
         extra = dict(self._header_extra)
         extra["enabled_initial"] = len(sim.enabled_set())

@@ -272,19 +272,7 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     # recompile the engine path for the new binding.  Survivor rows are
     # the same list objects, so rebuilt neighbor tables alias live state
     # exactly as construction did.
-    if sim._slot_rule is not None:
-        sim._slot_rule = protocol.fast_step_slots(new_schema)
-        sim._nbr_rows = {
-            v: tuple((u, rows[u]) for u in new_net.neighbors(v))
-            for v in new_net.nodes}
-        sim._view_rows = None
-    else:
-        sim._nbr_rows = None
-        sim._view_rows = {
-            v: tuple((u, config[u]) for u in new_net.neighbors(v))
-            for v in new_net.nodes}
-    if not sim._global_reads:
-        sim._write_impact = protocol.fast_write_impact(new_schema)
+    sim._bind_rules()
     if sim._vector_rule is not None:
         store = ColumnStore(new_schema, new_net, rows,
                             backend=sim._columns.backend)

@@ -30,7 +30,7 @@ __all__ = ["NodeView", "Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
 #: :meth:`Protocol.rule_contract` reports which of them a class actually
 #: overrides — one definition of "the rule surface" shared by the
 #: runtime, the analyzer, and the docs.
-RULE_ENTRYPOINTS: tuple[str, ...] = ("step", "fast_step", "fast_step_slots",
+RULE_ENTRYPOINTS: tuple[str, ...] = ("step", "fast_step_slots",
                                      "vector_step", "shard_step",
                                      "interrupt_step")
 
@@ -72,19 +72,13 @@ class NodeView:
     against this interface cannot cheat by peeking at global state.
     """
 
-    __slots__ = ("net", "node", "_config", "_rows")
+    __slots__ = ("net", "node", "_config")
 
     def __init__(self, net: Network, node: int,
-                 config: Mapping[int, Mapping[str, object]],
-                 rows: Mapping[int, tuple] | None = None) -> None:
+                 config: Mapping[int, Mapping[str, object]]) -> None:
         self.net = net
         self.node = node
         self._config = config
-        # engine-provided precomputed (neighbor, register) pair tuples per
-        # node, valid only when ``config`` is the engine's live configuration
-        # (register dicts are mutated in place, never replaced); lets
-        # :meth:`nbr_states` skip rebuilding the pair list on the hot path
-        self._rows = rows
 
     # -- incorruptible constants --------------------------------------
 
@@ -157,9 +151,6 @@ class NodeView:
 
     def nbr_states(self) -> Sequence[tuple[int, Mapping[str, object]]]:
         """``(neighbor_id, register)`` pairs in ascending neighbor order."""
-        rows = self._rows
-        if rows is not None:
-            return rows[self.node]
         config = self._config
         return [(u, config[u]) for u in self.net.neighbors(self.node)]
 
@@ -185,18 +176,6 @@ class Protocol(ABC):
 
     #: Short name used in reports.
     name: str = "protocol"
-
-    #: Optional engine fast path.  A protocol may override this with a
-    #: method ``fast_step(net, config, node, nbr_rows) -> delta | None``
-    #: computing *exactly* what :meth:`step` computes; ``nbr_rows`` is the
-    #: ascending ``(neighbor, register)`` pair sequence for ``node``.  The
-    #: simulator's re-proposal loop calls it directly when present, skipping
-    #: NodeView dispatch on the hottest path.  Correct protocols implement
-    #: the rule once in ``fast_step`` and delegate ``step`` to it, so the
-    #: two paths cannot drift (see :class:`repro.core.sst`).
-    #: Superseded on the hottest path by :meth:`fast_step_slots`; kept as
-    #: the name-keyed compatibility contract.
-    fast_step: object = None
 
     def fast_step_slots(self, schema):
         """Compile the slot-indexed engine fast path, or return ``None``.
@@ -224,8 +203,8 @@ class Protocol(ABC):
         ``config[node]`` (neighbors are always read unpatched, as the
         state model prescribes).
 
-        Default: ``None`` — the engine falls back to :attr:`fast_step`
-        or :meth:`step` over the Mapping-compatible views.
+        Default: ``None`` — the engine runs :meth:`step` through
+        :func:`adapt_step_to_slots` over the Mapping-compatible views.
         """
         return None
 
@@ -301,7 +280,7 @@ class Protocol(ABC):
             return None
         return self.fast_step_slots(schema) or adapt_step_to_slots(self, schema)
 
-    #: Set to True when :meth:`step` (and :attr:`fast_step`) only ever
+    #: Set to True when :meth:`step` (and :meth:`fast_step_slots`) only ever
     #: return *effective* writes — every returned field differs from the
     #: register's current value.  The engine then skips its per-proposal
     #: no-op filter.  Leave False (the default) when in doubt: returning a
@@ -660,11 +639,12 @@ def _safe_legal(layer: Protocol, net: Network, config) -> bool:
 def adapt_step_to_slots(protocol: Protocol, schema):
     """Wrap a name-keyed :meth:`Protocol.step` as a slot-indexed rule.
 
-    The bridge :class:`ComposedProtocol` uses for layers that have no
-    hand-compiled ``fast_step_slots``: the layer's ``step`` runs over a
-    NodeView whose own-register entry is the (possibly patched) slot row
-    handed down by the composition, and the returned name-keyed delta is
-    re-keyed to slot indices.  Exactly as fast as ``step`` — the adapter
+    The bridge the simulator (and :class:`ComposedProtocol`, layer by
+    layer) uses for protocols that have no hand-compiled
+    ``fast_step_slots``: ``step`` runs over a NodeView whose own-register
+    entry is the (possibly patched) slot row handed down by the
+    composition, and the returned name-keyed delta is re-keyed to slot
+    indices.  Exactly as fast as ``step`` — the adapter
     exists for semantic uniformity of the engine's slot plane, not for
     speed.
 

@@ -45,11 +45,14 @@ Node registers are stored as **slot rows** — plain lists indexed by the
 exposes the same storage as zero-copy
 :class:`~repro.runtime.schema.SlotState` Mapping views, so name-keyed
 callers (legality predicates, verifiers, metrics, tests) are unaffected.
-Protocols with a compiled :meth:`Protocol.fast_step_slots` rule run
-index-first on the raw rows; everything else falls back to the
-name-keyed ``fast_step``/``step`` contracts over the views.
-Configurations cross the boundary as plain dicts in both directions
-(``config=`` input, traces, :func:`random_configuration`).
+Every protocol runs on the raw rows through one slot rule per binding:
+its compiled :meth:`Protocol.fast_step_slots` rule, or else its
+name-keyed ``step`` bridged by :func:`adapt_step_to_slots` (the same
+resolution :meth:`Protocol.shard_step` uses).  ``step`` over a
+:class:`NodeView` stays the first-principles reference that
+:meth:`Simulator.rescan_enabled` evaluates.  Configurations cross the
+boundary as plain dicts in both directions (``config=`` input, traces,
+:func:`random_configuration`).
 """
 
 from __future__ import annotations
@@ -61,12 +64,35 @@ from dataclasses import dataclass, field
 
 from repro.graphs.network import Network
 from repro.runtime.columns import ColumnStore
-from repro.runtime.protocol import NodeView, Protocol, effective_delta
+from repro.runtime.protocol import (
+    NodeView,
+    Protocol,
+    adapt_step_to_slots,
+    effective_delta,
+)
 from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 
 __all__ = ["Simulator", "RunResult", "random_configuration"]
 
 Config = dict[int, Mapping[str, object]]
+
+
+def _effective(own: list, delta: dict[int, object]) -> dict[int, object] | None:
+    """The slots of ``delta`` that change the row ``own``, or None.
+
+    Enabledness is defined on effective writes, so proposals that restate
+    current values are filtered here.  A new dict is allocated only when
+    the delta mixes no-op and effective slots.
+    """
+    eff = 0
+    for s, val in delta.items():
+        if own[s] != val:
+            eff += 1
+    if eff == 0:
+        return None
+    if eff != len(delta):
+        return {s: val for s, val in delta.items() if own[s] != val}
+    return delta
 
 
 @dataclass(slots=True)
@@ -135,7 +161,6 @@ class Simulator:
         invariant: Callable[[Network, Config], bool] | None = None,
         record_trace: bool = False,
         rng: random.Random | None = None,
-        use_slot_rules: bool = True,
         use_vector_rules: bool = True,
         recorder: object | None = None,
     ) -> None:
@@ -201,32 +226,6 @@ class Simulator:
         self._bulk_dirty = max(4, net.n // 4)
         self._pending: set[int] | None = None  # the active round's pending set
         self._sched_synced = False
-        # resolve the engine path once: a compiled slot rule when the
-        # protocol provides one (``use_slot_rules=False`` is the testing
-        # escape that forces the name-keyed path, so the dual-view suite
-        # can prove both planes bit-identical), else the name-keyed
-        # fast_step, else step over NodeView.
-        self._slot_rule = (protocol.fast_step_slots(self.schema)
-                           if use_slot_rules else None)
-        # prebuilt per-node neighbor row table for the resolved path.  Slot
-        # rows are mutated in place (never replaced) by _apply_batch and
-        # overwrite, so these references stay valid for the simulator's
-        # lifetime: raw (neighbor, row) pairs for a compiled slot rule,
-        # (neighbor, SlotState) pairs for the name-keyed fallback — only
-        # the table the path actually reads is built.
-        self._nbr_rows: dict[int, tuple[tuple[int, list], ...]] | None = None
-        self._view_rows: dict[int, tuple] | None = None
-        if self._slot_rule is not None:
-            self._nbr_rows = {
-                v: tuple((u, rows[u]) for u in net.neighbors(v))
-                for v in net.nodes}
-        else:
-            config_views = self.config
-            self._view_rows = {
-                v: tuple((u, config_views[u]) for u in net.neighbors(v))
-                for v in net.nodes}
-        self._fast_step = protocol.fast_step if callable(
-            getattr(protocol, "fast_step", None)) else None
         # protocols declaring exact deltas skip the engine's no-op filter
         self._exact_deltas = bool(getattr(protocol, "exact_deltas", False))
         self._index = self.schema.index
@@ -242,22 +241,20 @@ class Simulator:
         # fast_write_impact): movers that provably land disabled retire
         # from the enabled set at apply time, and a compiled impact filter
         # narrows which neighbors a write re-dirties.  Both are soundness
-        # claims about the rule itself, so they hold on every engine path;
-        # global readers go through the all-dirty flag instead.
+        # claims about the rule itself; global readers go through the
+        # all-dirty flag instead.
         self._settles = (not self._global_reads
                          and bool(getattr(protocol,
                                           "settles_after_move", False)))
-        self._write_impact = (None if self._global_reads
-                              else protocol.fast_write_impact(self.schema))
+        self._bind_rules()
         # columnar bulk-evaluation plane: built only when the protocol
-        # compiles a vector rule for this binding (Protocol.vector_step)
-        # and the slot plane is active; _refresh engages it on all-dirty
-        # passes, everything else stays on the scalar paths.
-        # ``use_vector_rules=False`` is the testing escape hatch that
-        # forces those scalar paths, mirroring ``use_slot_rules``.
+        # compiles a vector rule for this binding (Protocol.vector_step);
+        # _refresh engages it on all-dirty passes, everything else stays
+        # on the scalar slot rule.  ``use_vector_rules=False`` is the
+        # testing escape hatch that forces the scalar path.
         self._columns: ColumnStore | None = None
         self._vector_rule = None
-        if (use_vector_rules and self._slot_rule is not None
+        if (use_vector_rules
                 and type(protocol).vector_step is not Protocol.vector_step):
             store = ColumnStore(self.schema, net, rows)
             vrule = protocol.vector_step(self.schema, store)
@@ -280,121 +277,103 @@ class Simulator:
     # proposals and enabledness
     # ------------------------------------------------------------------
 
+    def _bind_rules(self) -> None:
+        """Compile the scalar rule path for the current binding.
+
+        Runs at construction and again when the dynamics engine rebinds
+        ``net``/``schema`` after a topology event.  Resolves the slot
+        rule (the protocol's ``fast_step_slots``, else its ``step``
+        through :func:`adapt_step_to_slots`), the per-node neighbor row
+        table, the write-impact filter, and :attr:`_repropose` — the one
+        per-node re-proposal kernel, bound here once so the hot paths pay
+        one call per refresh or per fused move, not one per node.
+        """
+        protocol, net, schema = self.protocol, self.net, self.schema
+        rows = self._state
+        rule = (protocol.fast_step_slots(schema)
+                or adapt_step_to_slots(protocol, schema))
+        self._slot_rule = rule
+        # slot rows are mutated in place (never replaced) by _apply_batch
+        # and overwrite, so these references stay valid for the binding
+        nbr_rows = {v: tuple((u, rows[u]) for u in net.neighbors(v))
+                    for v in net.nodes}
+        self._nbr_rows = nbr_rows
+        self._write_impact = (None if self._global_reads
+                              else protocol.fast_write_impact(schema))
+        config = self.config
+        proposal = self._proposal
+        dirty = self._dirty
+        notify = self._notify
+        effective = None if self._exact_deltas else _effective
+        # engine-owned EnabledSet internals, updated in place (the
+        # method-call indirection is measurable at this call rate)
+        eset = self._enabled._set
+        elist = self._enabled._list
+
+        def repropose(items: Sequence[int]) -> None:
+            """Re-propose ``items`` in order; feed the enabled-set deltas
+            to the round's pending set and the scheduler."""
+            added: list[int] = []
+            removed: list[int] = []
+            i = 0
+            try:
+                for i, v in enumerate(items):
+                    # deltas are slot-keyed, so everything downstream
+                    # (_apply_batch, the fused move) is index-only
+                    own = rows[v]
+                    delta = rule(net, config, v, own, nbr_rows[v])
+                    if delta and effective is not None:
+                        delta = effective(own, delta)
+                    if delta:
+                        proposal[v] = delta
+                        if v not in eset:
+                            eset.add(v)
+                            insort(elist, v)
+                            added.append(v)
+                    else:
+                        proposal[v] = None
+                        if v in eset:
+                            eset.remove(v)
+                            del elist[bisect_left(elist, v)]
+                            removed.append(v)
+            except BaseException:
+                # a raising rule must not desynchronize the engine: the
+                # node that failed and everything unprocessed stay dirty,
+                # while the transitions already made are delivered below
+                # so mirror-keeping daemons stay coherent
+                dirty.update(items[i:])
+                raise
+            finally:
+                if removed and self._pending is not None:
+                    self._pending.difference_update(removed)
+                if ((added or removed) and notify is not None
+                        and self._sched_synced):
+                    notify(added, removed)
+
+        self._repropose = repropose
+
     def _refresh(self) -> None:
         """Re-propose every dirty node, settling the incremental state.
 
         Cost is O(|dirty|) transition evaluations — O(deg) per write applied
         since the last refresh, or one O(n) pass when a bulk batch raised
-        the all-dirty flag.  Feeds the resulting enabled-set deltas to the
-        scheduler's incremental hooks and prunes the active round's pending
-        set, replacing the old per-step ``pending &= rescan``.
+        the all-dirty flag.  The kernel feeds the resulting enabled-set
+        deltas to the scheduler's incremental hooks and prunes the active
+        round's pending set.
 
         All-dirty passes of vectorized protocols go through the columnar
-        plane (:meth:`_vector_refresh`) instead of the per-node loop; a
+        plane (:meth:`_vector_refresh`) instead of the per-node kernel; a
         declined vector evaluation falls through to the scalar pass.
         """
-        if self._dirty_all and self._vector_rule is not None:
-            if self._vector_refresh():
-                if not self._sched_synced:
-                    self.scheduler.reset(self._enabled)
-                    self._sched_synced = True
-                return
         if self._dirty_all:
-            items = self._all_nodes
-            self._dirty_all = False
-            self._dirty.clear()
+            if self._vector_rule is None or not self._vector_refresh():
+                self._dirty_all = False
+                self._dirty.clear()
+                self._repropose(self._all_nodes)
         elif self._dirty:
             items = sorted(self._dirty)
             self._dirty.clear()
-        else:
-            items = None
-        if items:
-            added: list[int] = []
-            removed: list[int] = []
-            net, config = self.net, self.config
-            rows = self._state
-            slot_rule = self._slot_rule
-            step = self.protocol.step
-            fast_step = self._fast_step
-            exact = self._exact_deltas
-            index = self._index
-            nbr_rows = self._nbr_rows
-            view_rows = self._view_rows
-            proposal = self._proposal
-            # engine-owned EnabledSet internals, updated in place (the
-            # method-call indirection is measurable at this call rate)
-            eset = self._enabled._set
-            elist = self._enabled._list
-            # one view object reused across the fallback loop: step() must
-            # not retain it (it is only valid for the duration of the
-            # atomic step); the slot path never needs it
-            view = (NodeView(net, 0, config, view_rows)
-                    if slot_rule is None else None)
-            i = 0
-            try:
-                for i, v in enumerate(items):
-                    # inlined effective_delta (this loop dominates stepping
-                    # cost).  Deltas are canonicalized to slot keys here, so
-                    # everything downstream (_apply_batch) is index-only.
-                    own = rows[v]
-                    if slot_rule is not None:
-                        delta = slot_rule(net, config, v, own, nbr_rows[v])
-                        if not delta:
-                            delta = None
-                        elif not exact:
-                            # count effective writes; allocate a filtered
-                            # dict only when the proposal mixes no-op and
-                            # effective slots
-                            eff = 0
-                            for k, val in delta.items():
-                                if own[k] != val:
-                                    eff += 1
-                            if eff == 0:
-                                delta = None
-                            elif eff != len(delta):
-                                delta = {k: val for k, val in delta.items()
-                                         if own[k] != val}
-                    else:
-                        if fast_step is not None:
-                            delta = fast_step(net, config, v, view_rows[v])
-                        else:
-                            view.node = v
-                            delta = step(view)
-                        if not delta:
-                            delta = None
-                        elif exact:
-                            delta = {index[k]: val
-                                     for k, val in delta.items()}
-                        else:
-                            eff = {}
-                            for k, val in delta.items():
-                                s = index[k]
-                                if own[s] != val:
-                                    eff[s] = val
-                            delta = eff or None
-                    proposal[v] = delta
-                    if delta is not None:
-                        if v not in eset:
-                            eset.add(v)
-                            insort(elist, v)
-                            added.append(v)
-                    elif v in eset:
-                        eset.remove(v)
-                        del elist[bisect_left(elist, v)]
-                        removed.append(v)
-            except BaseException:
-                # a raising step() must not desynchronize the engine: the
-                # node that failed and everything unprocessed stay dirty,
-                # while the transitions already applied are delivered to the
-                # scheduler below so mirror-keeping daemons stay coherent
-                self._dirty.update(items[i:])
-                raise
-            finally:
-                if self._pending is not None:
-                    self._pending.difference_update(removed)
-                if (self._sched_synced and (added or removed)
-                        and self._notify is not None):
-                    self._notify(added, removed)
+            self._repropose(items)
         if not self._sched_synced:
             self.scheduler.reset(self._enabled)
             self._sched_synced = True
@@ -419,22 +398,14 @@ class Simulator:
         # (only after success — a decline must leave them raised)
         self._dirty_all = False
         self._dirty.clear()
-        if not self._exact_deltas and delta_map:
-            # same no-op filter as the scalar pass: enabledness is
-            # defined on effective writes
+        if not self._exact_deltas:
             rows = self._state
             for v in list(delta_map):
-                delta = delta_map[v]
-                own = rows[v]
-                eff = 0
-                for s, val in delta.items():
-                    if own[s] != val:
-                        eff += 1
-                if eff == 0:
+                delta = _effective(rows[v], delta_map[v])
+                if delta is None:
                     del delta_map[v]
-                elif eff != len(delta):
-                    delta_map[v] = {s: val for s, val in delta.items()
-                                    if own[s] != val}
+                else:
+                    delta_map[v] = delta
         proposal = self._proposal
         proposal.update(dict.fromkeys(self._all_nodes))
         proposal.update(delta_map)
@@ -625,42 +596,47 @@ class Simulator:
         self._refresh()
         if not self._enabled:
             return False
+        # fused single-mover stepping is off for global readers
+        # (all-dirty semantics) and mirror-keeping daemons (their notify
+        # contract is the general path's)
+        self._round_loop(max_moves, self.scheduler.select, self._refresh,
+                         not self._global_reads and self._notify is None)
+        return True
+
+    def _round_loop(self, max_moves: int | None, select, refresh,
+                    fuse: bool) -> None:
+        """The select loop of one round that has enabled nodes.
+
+        ``select`` and ``refresh`` are the daemon's ``select`` and
+        :meth:`_refresh`, or the observed round's counting wrappers.
+        With ``fuse`` the central-daemon common case (one write, a
+        handful of neighborhood re-proposals) is applied inline and
+        re-proposed through the kernel, skipping the _apply_batch and
+        _refresh frames and the dirty-set round trip.  State evolution is
+        identical either way: same writes, same proposals, same
+        enabled-set contents at every select.
+        """
         if max_moves is None:
             max_moves = 200 * self.net.n * self.net.n_bound + 10_000
         budget = max_moves
         pending = set(self._enabled)
-        self._pending = pending  # _refresh prunes nodes that become disabled
-        refresh = self._refresh
-        select = self.scheduler.select
+        self._pending = pending  # the kernel prunes nodes that become disabled
         validate = self._validate_selection
         apply_batch = self._apply_batch
         enabled = self._enabled
         eset = enabled._set
         elist = enabled._list
-        # fused single-mover stepping: the central-daemon common case
-        # (one write, a handful of neighborhood re-proposals) is applied
-        # and re-proposed inline, skipping the _apply_batch/_refresh
-        # frames and the dirty-set round trip entirely.  Disabled for
-        # global readers (all-dirty semantics), the name-keyed fallback
-        # path, and mirror-keeping daemons (their notify contract is the
-        # general path's).  State evolution is identical: same writes,
-        # same proposals, same enabled-set contents at every select.
-        fused = (self._slot_rule is not None and not self._global_reads
-                 and self._notify is None)
         pick = None
-        if fused:
+        if fuse:
             net = self.net
             config = self.config
             rows = self._state
-            slot_rule = self._slot_rule
-            nbr_rows = self._nbr_rows
             proposal = self._proposal
             adjacency = net.adjacency
             impact = self._write_impact
             settles = self._settles
-            exact = self._exact_deltas
             store = self._columns
-            dirty = self._dirty
+            repropose = self._repropose
             # latched for the round (reassigning them mid-round from an
             # invariant callback is not a supported pattern)
             invariant = self.invariant
@@ -680,25 +656,16 @@ class Simulator:
                     v = pick(enabled)
                 else:
                     chosen = select(enabled)
-                    if len(chosen) != 1:
-                        validate(chosen)
-                        apply_batch(chosen)
-                        pending.difference_update(chosen)
-                        budget -= len(chosen)
-                        if budget <= 0:
-                            raise RuntimeError(
-                                f"round exceeded {max_moves} moves "
-                                f"(protocol={self.protocol.name}, "
-                                f"n={self.net.n})"
-                            )
-                        continue
-                    v = chosen[0]
-                    if v not in eset:
-                        validate(chosen)  # raises with the full diagnosis
-                if fused:
+                    if len(chosen) != 1 or chosen[0] not in eset:
+                        validate(chosen)  # raises unless a valid batch
+                    v = chosen[0] if len(chosen) == 1 else None
+                if v is None or not fuse:
+                    apply_batch(chosen)
+                    pending.difference_update(chosen)
+                    budget -= len(chosen)
+                else:
                     delta = proposal[v]
                     row = rows[v]
-                    old = None
                     if impact is not None:
                         # capture + write in one pass (the filter
                         # compares against the displaced values)
@@ -724,56 +691,13 @@ class Simulator:
                         targets = adjacency[v]
                     if not settles:
                         targets = [*targets, v]
-                    i = 0
-                    try:
-                        for i, u in enumerate(targets):
-                            own = rows[u]
-                            d_u = slot_rule(net, config, u, own,
-                                            nbr_rows[u])
-                            if not d_u:
-                                d_u = None
-                            elif not exact:
-                                eff = 0
-                                for k, val in d_u.items():
-                                    if own[k] != val:
-                                        eff += 1
-                                if eff == 0:
-                                    d_u = None
-                                elif eff != len(d_u):
-                                    d_u = {k: val
-                                           for k, val in d_u.items()
-                                           if own[k] != val}
-                            proposal[u] = d_u
-                            if d_u is not None:
-                                if u not in eset:
-                                    eset.add(u)
-                                    insort(elist, u)
-                            elif u in eset:
-                                eset.remove(u)
-                                del elist[bisect_left(elist, u)]
-                                pending.discard(u)
-                    except BaseException:
-                        # same coherence contract as _refresh: the
-                        # failing node and everything unprocessed
-                        # stay dirty for the next settle
-                        dirty.update(targets[i:])
-                        raise
+                    repropose(targets)
                     pending.discard(v)
                     if invariant is not None and not invariant(net, config):
                         self._invariant_violations += 1
                     if record:
                         self._snapshot()
                     budget -= 1
-                    if budget <= 0:
-                        raise RuntimeError(
-                            f"round exceeded {max_moves} moves "
-                            f"(protocol={self.protocol.name}, "
-                            f"n={self.net.n})"
-                        )
-                    continue
-                apply_batch(chosen)
-                pending.discard(v)
-                budget -= 1
                 if budget <= 0:
                     raise RuntimeError(
                         f"round exceeded {max_moves} moves "
@@ -782,91 +706,45 @@ class Simulator:
         finally:
             self._pending = None
         self.rounds += 1
-        return True
 
     def _run_round_observed(self, max_moves: int | None = None) -> bool:
         """``run_round`` with per-round telemetry — the recorder's loop.
 
-        Installed as this instance's ``run_round`` at construction when
-        a recorder is attached (see ``__init__``); the plain class
-        method above is never patched, so unobserved simulators keep
-        the exact pre-telemetry byte path.
-
-        Mirrors the *general* (``select``-based, unfused) path of
-        :meth:`run_round` exactly.  State evolution is bit-identical to
-        the fused path by construction: single-selection daemons'
-        ``pick`` draws from the same RNG stream as ``select`` (that
-        equivalence is what the dual-path engine tests pin), so an
-        observed run replays the same moves in the same order and a
-        trace is a faithful record of the unobserved execution.
+        Installed as this instance's ``run_round`` at construction when a
+        recorder is attached (see ``__init__``).  Runs :meth:`_round_loop`
+        with counting ``select``/``refresh`` wrappers and unfused, so every
+        move goes through :meth:`_apply_batch`, whose settle retirements
+        the row counts.  Single-selection daemons' ``pick`` draws from the
+        same RNG stream as ``select``, so an observed run replays the
+        unobserved moves in the same order.
         """
         self._refresh()
         enabled_start = len(self._enabled)
-        if not self._enabled:
+        if not enabled_start:
             return False
-        if max_moves is None:
-            max_moves = 200 * self.net.n * self.net.n_bound + 10_000
-        budget = max_moves
-        pending = set(self._enabled)
-        self._pending = pending
-        refresh = self._refresh
-        select = self.scheduler.select
-        validate = self._validate_selection
-        apply_batch = self._apply_batch
-        enabled = self._enabled
-        eset = enabled._set
-        n = self.net.n
-        moves_before = self.moves
-        vector_before = self.stat_vector_refreshes
-        settled_before = self.stat_settle_retired
-        selections = 0
-        dirty_peak = 0
-        try:
-            while pending:
-                if self._dirty_all or self._dirty:
-                    d = n if self._dirty_all else len(self._dirty)
-                    if d > dirty_peak:
-                        dirty_peak = d
-                    refresh()
-                    if not pending:
-                        break
-                chosen = select(enabled)
-                selections += 1
-                if len(chosen) != 1:
-                    validate(chosen)
-                    apply_batch(chosen)
-                    pending.difference_update(chosen)
-                    budget -= len(chosen)
-                else:
-                    v = chosen[0]
-                    if v not in eset:
-                        validate(chosen)  # raises with the full diagnosis
-                    apply_batch(chosen)
-                    pending.discard(v)
-                    budget -= 1
-                if budget <= 0:
-                    raise RuntimeError(
-                        f"round exceeded {max_moves} moves "
-                        f"(protocol={self.protocol.name}, n={self.net.n})"
-                    )
-        finally:
-            self._pending = None
-        self.rounds += 1
-        # settle the incremental state so the row reports the round-edge
-        # enabled count (idempotent; the next round's opening refresh
-        # becomes a no-op, and the potential probe reads a consistent
-        # configuration)
+        moves, vector, settled = (self.moves, self.stat_vector_refreshes,
+                                  self.stat_settle_retired)
+        select, refresh = self.scheduler.select, self._refresh
+        counts = [0, 0]  # selections, dirty peak
+
+        def counted_select(enabled):
+            counts[0] += 1
+            return select(enabled)
+
+        def counted_refresh():
+            d = self.net.n if self._dirty_all else len(self._dirty)
+            counts[1] = max(counts[1], d)
+            refresh()
+
+        self._round_loop(max_moves, counted_select, counted_refresh, False)
+        # settle so the row reports the round-edge enabled count (the next
+        # round's opening refresh becomes a no-op)
         self._refresh()
         self._obs.on_round(
-            self,
-            moves=self.moves - moves_before,
-            enabled_start=enabled_start,
-            enabled_end=len(self._enabled),
-            selections=selections,
-            dirty_peak=dirty_peak,
-            vector=self.stat_vector_refreshes - vector_before,
-            settled=self.stat_settle_retired - settled_before,
-        )
+            self, moves=self.moves - moves, enabled_start=enabled_start,
+            enabled_end=len(self._enabled), selections=counts[0],
+            dirty_peak=counts[1], vector=self.stat_vector_refreshes - vector,
+            settled=self.stat_settle_retired - settled)
         return True
 
     def run_steps(self, max_moves: int) -> int:
@@ -902,10 +780,9 @@ class Simulator:
     ) -> RunResult:
         """Run until silence, the predicate, or the round budget.
 
-        Raises RuntimeError if ``max_rounds`` is exhausted before silence
-        (or before ``stop_when`` holds, when provided): a self-stabilizing
-        run that does not converge within its budget is a failure, not a
-        result.
+        Raises RuntimeError if ``max_rounds`` rounds end neither silent
+        nor with ``stop_when`` holding: a self-stabilizing run that does
+        not converge within its budget is a failure, not a result.
         """
         stopped = False
         for _ in range(max_rounds):
@@ -916,14 +793,16 @@ class Simulator:
             if not progressed:
                 break
         else:
-            if stop_when is None or not stop_when(self.net, self.config):
+            # the budget ran out: fine if its last round reached the goal
+            if stop_when is not None and stop_when(self.net, self.config):
+                stopped = True
+            elif not self.is_silent():
                 raise RuntimeError(
                     f"no convergence within {max_rounds} rounds "
                     f"(protocol={self.protocol.name}, n={self.net.n}, "
                     f"scheduler={self.scheduler.name}, "
                     f"enabled={len(self.enabled_nodes())})"
                 )
-            stopped = True
         return RunResult(
             rounds=self.rounds,
             moves=self.moves,

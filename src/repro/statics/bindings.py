@@ -5,11 +5,10 @@ The rule series need to know, for an arbitrary expression inside a rule,
 node's register (own or a neighbor's), a local scratch dict, a compiled
 slot index, an unordered set.  Full dataflow analysis is out of scope —
 instead this module exploits the repo's rigid rule-surface calling
-conventions (``step(self, view)``, ``fast_step(self, net, config, me,
-nbr_rows)``, ``rule(net, config, node, own, nbr_rows)``,
-``fast_step_slots(self, schema)``, ``vector_step(self, schema, cols)``
-with its compiled ``rule(store, active, patch)``) to seed parameter tags
-by name, then
+conventions (``step(self, view)``, ``fast_step_slots(self, schema)``
+with its compiled ``rule(net, config, node, own, nbr_rows)``,
+``vector_step(self, schema, cols)`` with its compiled
+``rule(store, active, patch)``) to seed parameter tags by name, then
 propagates tags through the straight-line assignments, loop targets and
 comprehension generators of each function scope.
 

@@ -71,7 +71,7 @@ class Finding:
     rule: str               #: rule id, e.g. ``"L001"``
     protocol: str           #: registry name of the analyzed protocol
     layer: str              #: class name of the layer owning the surface
-    path: str               #: rule path: step / fast_step / fast_step_slots
+    path: str               #: rule path: step / fast_step_slots / ...
     function: str           #: qualname of the function holding the issue
     site: Site              #: where the violating expression sits
     message: str            #: human-readable description

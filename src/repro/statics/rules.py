@@ -15,7 +15,7 @@ class; the registry at the bottom is what the analyzer runs):
 * **D (determinism)** — no ambient randomness or clocks, no iteration
   over unordered sets feeding a proposal.
 * **C (path consistency)** — the literal read/write field sets of
-  ``step`` / ``fast_step`` / ``fast_step_slots`` / ``vector_step`` agree
+  ``step`` / ``fast_step_slots`` / ``vector_step`` agree
   field-for-field.
 """
 
@@ -390,14 +390,14 @@ class DeterminismRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# C-series: triple-path consistency
+# C-series: rule-path consistency
 # ----------------------------------------------------------------------
 
 class PathConsistencyRule(Rule):
     rule_id = "C001"
     series = "C"
-    title = ("step / fast_step / fast_step_slots / vector_step read "
-             "and write the same fields")
+    title = ("step / fast_step_slots / vector_step read and write the "
+             "same fields")
 
     def check_layer(self, ctx: LayerContext, paths: list[RulePath],
                     scopes: dict[int, ScopeMap]) -> list[Finding]:

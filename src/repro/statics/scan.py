@@ -1,8 +1,8 @@
 """Rule-surface extraction: from live protocol layers to analyzable ASTs.
 
 The analyzer works on *instances*, not on import paths: given a layer it
-resolves each rule entrypoint (``step`` / ``fast_step`` /
-``fast_step_slots``) through the class MRO, parses the defining module's
+resolves each rule entrypoint (``step`` / ``fast_step_slots`` /
+``vector_step`` / ...) through the class MRO, parses the defining module's
 source once, and locates the matching ``ast.FunctionDef`` by name and
 first line.  From each entrypoint it then walks the call graph —
 ``self.helper()`` through the MRO of the *concrete* class (so hook
@@ -151,7 +151,7 @@ class FuncUnit:
 class RulePath:
     """One rule implementation path of one layer, transitively closed."""
 
-    path: str                   #: "step" | "fast_step" | "fast_step_slots"
+    path: str                   #: a RULE_ENTRYPOINTS name, e.g. "step"
     layer: object
     units: list[FuncUnit]
 

@@ -1,0 +1,53 @@
+"""The shared engine referee: a daemon wrapper checking first principles.
+
+Before every selection :class:`CrossCheckingScheduler` asserts that the
+simulator's incrementally maintained state equals a from-scratch
+evaluation of the name-keyed :meth:`Protocol.step` reference:
+
+* the enabled set equals :meth:`Simulator.rescan_enabled`;
+* every enabled node's cached proposal equals ``effective_delta`` over
+  a fresh :class:`NodeView`, re-keyed to slot indices.
+
+The engine proposes through one slot rule per binding (a compiled
+``fast_step_slots`` rule, the ``adapt_step_to_slots`` bridge, or the
+columnar ``vector_step`` plane on all-dirty refreshes), so the second
+assertion pins each of those planes to ``step`` at every selection.
+The wrapper forwards the incremental ``reset``/``notify`` hooks, so
+mirror-keeping daemons stay exercised too.
+"""
+
+from repro.runtime import EnabledSet, Scheduler, Simulator
+from repro.runtime.protocol import NodeView, effective_delta
+
+
+class CrossCheckingScheduler(Scheduler):
+    """Wraps a daemon; cross-checks the engine before each selection."""
+
+    def __init__(self, inner: Scheduler) -> None:
+        self.inner = inner
+        self.name = f"xcheck({inner.name})"
+        self.sim: Simulator | None = None
+        self.checks = 0
+
+    def reset(self, enabled: EnabledSet) -> None:
+        self.inner.reset(enabled)
+
+    def notify(self, added, removed) -> None:
+        self.inner.notify(added, removed)
+
+    def select(self, enabled):
+        sim = self.sim
+        assert isinstance(enabled, EnabledSet)
+        assert list(enabled) == sim.rescan_enabled(), (
+            "incrementally maintained enabled set diverged from a "
+            "from-scratch rescan")
+        index = sim.schema.index
+        for v in enabled:
+            want = effective_delta(sim.protocol,
+                                   NodeView(sim.net, v, sim.config))
+            want = {index[k]: val for k, val in want.items()}
+            assert sim._proposal[v] == want, (
+                f"node {v}: cached proposal {sim._proposal[v]} != "
+                f"step's effective delta {want}")
+        self.checks += 1
+        return self.inner.select(enabled)

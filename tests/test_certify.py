@@ -196,29 +196,36 @@ class TestCertifiedOracle:
 
 
 class TestEngineFastPaths:
-    def test_fast_step_and_exact_deltas_declared(self):
+    def test_slot_rule_and_exact_deltas_declared(self):
         from repro.baselines.dim_bfs import AdHocBFSProtocol
         from repro.core.swap import MalleableTreeProtocol
         for proto in (AdHocBFSProtocol(), MalleableTreeProtocol()):
-            assert callable(proto.fast_step)
+            assert (type(proto).fast_step_slots
+                    is not Protocol.fast_step_slots)
             assert proto.exact_deltas is True
 
     @pytest.mark.parametrize("factory", ["adhoc-bfs", "malleable-tree"])
-    def test_fast_step_equals_step(self, factory):
+    def test_fast_step_slots_equals_step(self, factory):
         from repro.baselines.dim_bfs import AdHocBFSProtocol
         from repro.core.swap import MalleableTreeProtocol
         from repro.runtime.protocol import NodeView
         proto = (AdHocBFSProtocol() if factory == "adhoc-bfs"
                  else MalleableTreeProtocol())
         net = random_connected_graph(12, seed=13)
+        schema = proto.register_spec(net).schema()
+        rule = proto.fast_step_slots(schema)
         for seed in range(4):
             cfg = random_configuration(net, proto, seed=seed)
-            rows = {v: tuple((u, cfg[u]) for u in net.neighbors(v))
+            rows = {v: [cfg[v][name] for name in schema.names]
                     for v in net.nodes}
+            views = {v: schema.view(rows[v]) for v in net.nodes}
             for v in net.nodes:
-                view = NodeView(net, v, cfg)
-                assert proto.fast_step(net, cfg, v, rows[v]) == \
-                    proto.step(view)
+                nbr_rows = tuple((u, rows[u]) for u in net.neighbors(v))
+                want = proto.step(NodeView(net, v, cfg))
+                want = {schema.index[k]: val
+                        for k, val in want.items()} if want else None
+                assert (rule(net, views, v, rows[v], nbr_rows)
+                        or None) == want
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,14 @@ Three pillars, mirroring ``test_state_schema``'s structure one plane up:
 * **Backend equality**: the numpy backend and the stdlib ``array('q')``
   fallback (the ``REPRO_NO_NUMPY`` CI gate) encode identical columns and
   drive bit-identical executions.
-* **Column path ≡ slot path ≡ dict path, golden**: entire executions of
+* **Column path ≡ slot path ≡ step, golden**: entire executions of
   every vectorized protocol — ``sst``, its ``adhoc-bfs`` alias, and the
   ``sst``+``cert-digest`` composition — produce bit-identical
   ``(rounds, moves, final configuration)`` across the full daemon grid
   whether the engine vectorizes all-dirty refreshes
-  (``use_vector_rules=True``), stays on the compiled slot rules, or is
-  forced onto the name-keyed fallback.
+  (``use_vector_rules=True``) or stays on the compiled slot rules, with
+  and without the cross-checking referee comparing every cached
+  proposal with the name-keyed ``step`` at every selection.
 """
 
 import hashlib
@@ -37,6 +38,8 @@ from repro.runtime import (
     random_configuration,
 )
 from repro.runtime.columns import NONE_SENTINEL, ColumnStore, numpy_or_none
+
+from crosscheck import CrossCheckingScheduler
 
 #: every protocol family that compiles a vector rule
 VECTOR_PROTOCOLS = {
@@ -214,27 +217,32 @@ class TestBackendEquality:
 
 
 class TestColumnPathEqualsScalarPaths:
-    """Golden bit-identity over the protocol × daemon grid, three engines
-    deep: vectorized, slot-scalar, and the name-keyed fallback."""
+    """Golden bit-identity over the protocol × daemon grid: vectorized and
+    slot-scalar runs, each plain and under the cross-checking referee
+    (every cached proposal compared with ``step`` at every selection)."""
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("proto_name", sorted(VECTOR_PROTOCOLS))
     def test_full_run_bit_identity(self, proto_name, sched_name):
         net = random_connected_graph(10, seed=29)
         outcomes = []
-        for vector, slots in ((True, True), (False, True), (False, False)):
+        for vector, xcheck in ((True, False), (False, False),
+                               (True, True), (False, True)):
             proto = VECTOR_PROTOCOLS[proto_name]()
             cfg = random_configuration(net, proto, seed=31)
-            sim = Simulator(net, proto,
-                            ALL_SCHEDULER_FACTORIES[sched_name](37),
-                            config=cfg, use_slot_rules=slots,
+            sched = ALL_SCHEDULER_FACTORIES[sched_name](37)
+            if xcheck:
+                sched = CrossCheckingScheduler(sched)
+            sim = Simulator(net, proto, sched, config=cfg,
                             use_vector_rules=vector)
+            if xcheck:
+                sched.sim = sim
             assert (sim._vector_rule is not None) == vector
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
-        assert outcomes[0] == outcomes[1] == outcomes[2], (
-            f"{proto_name} under {sched_name}: the three engine planes "
+        assert len(set(outcomes)) == 1, (
+            f"{proto_name} under {sched_name}: the engine planes "
             f"diverged: {outcomes}")
 
     def test_synchronous_rounds_actually_vectorize(self):

@@ -12,11 +12,13 @@ Five pillars:
   cut-vertex crashes, ``n_bound`` exhaustion) with a clear
   :class:`EventError`, and the engine refuses sharded simulators and
   mid-round application up front.
-* **Incremental ≡ rescan across topology events** — the heart of the
-  PR: after every applied event (``check=True``) and at every subsequent
-  scheduler selection, the incrementally maintained enabled set must
-  equal a from-scratch rescan — for five protocol families under every
-  daemon, on the dict, slot, and columnar engine paths.
+* **Incremental ≡ rescan across topology events** — after every
+  applied event (``check=True``) the incrementally maintained enabled
+  set must equal a from-scratch rescan, and at every subsequent
+  scheduler selection the cross-checking referee also compares each
+  cached proposal with ``step`` — for five protocol families under
+  every daemon, on the adapter, compiled-slot and columnar engine
+  paths.
 * **Churn phase integration** — ``execute()`` runs the churn phase with
   super-stabilization metrics, traces carry schema-v2 event rows
   byte-identically across repeats, and the fault-injection field
@@ -36,8 +38,6 @@ from repro.graphs import random_connected_graph
 from repro.graphs.network import Network
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
-    EnabledSet,
-    Scheduler,
     Simulator,
     random_configuration,
 )
@@ -60,6 +60,8 @@ from repro.runtime.dynamics import (
 from repro.runtime.dynamics.schedules import SCHEDULE_KINDS
 from repro.runtime.faults import corrupt_nodes, inject_faults
 
+from crosscheck import CrossCheckingScheduler
+
 # name -> (factory, weighted network needed)
 FAMILIES = {
     "sst": (SpanningTreeProtocol, False),
@@ -68,6 +70,19 @@ FAMILIES = {
     "guided-bfs": (guided_bfs_protocol, False),
     "guided-mst": (guided_mst_protocol, True),
 }
+
+
+class StepOnlySST(SpanningTreeProtocol):
+    """SST without its compiled slot rule: every binding, including the
+    rebinding after a topology event, runs ``step`` through the
+    ``adapt_step_to_slots`` bridge."""
+
+    def fast_step_slots(self, schema):
+        return None
+
+
+# FAMILIES plus the SST variant that pins the adapter engine path
+PATH_FAMILIES = {**FAMILIES, "sst-step-only": (StepOnlySST, False)}
 
 
 def _headroom_net(n=8, seed=21, weighted=False, headroom=3):
@@ -297,32 +312,8 @@ class TestApplyGuards:
 # ----------------------------------------------------------------------
 
 
-class CrossCheckingScheduler(Scheduler):
-    """Asserts incremental enabled set == full rescan before every
-    selection, then delegates (see test_engine_incremental)."""
-
-    def __init__(self, inner: Scheduler) -> None:
-        self.inner = inner
-        self.name = f"xcheck({inner.name})"
-        self.sim: Simulator | None = None
-        self.checks = 0
-
-    def reset(self, enabled: EnabledSet) -> None:
-        self.inner.reset(enabled)
-
-    def notify(self, added, removed) -> None:
-        self.inner.notify(added, removed)
-
-    def select(self, enabled):
-        assert list(enabled) == self.sim.rescan_enabled(), (
-            "incrementally maintained enabled set diverged from a "
-            "from-scratch rescan after a topology event")
-        self.checks += 1
-        return self.inner.select(enabled)
-
-
 def _churn_grid_run(proto_name, sched_name, kind, **sim_kwargs):
-    factory, weighted = FAMILIES[proto_name]
+    factory, weighted = PATH_FAMILIES[proto_name]
     net = _headroom_net(n=8, seed=21, weighted=weighted, headroom=3)
     proto = factory()
     cfg = random_configuration(net, proto, seed=22)
@@ -348,21 +339,25 @@ class TestIncrementalAcrossEvents:
         _churn_grid_run(proto_name, sched_name, kind)
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
-    @pytest.mark.parametrize("paths", [
-        pytest.param(dict(use_slot_rules=False, use_vector_rules=False),
-                     id="dict-path"),
-        pytest.param(dict(use_vector_rules=False), id="slot-path"),
-        pytest.param(dict(), id="columnar-path"),
+    @pytest.mark.parametrize("proto_name,paths", [
+        pytest.param("sst-step-only", dict(use_vector_rules=False),
+                     id="adapter-path"),
+        pytest.param("sst", dict(use_vector_rules=False), id="slot-path"),
+        pytest.param("sst", dict(), id="columnar-path"),
     ])
-    def test_engine_paths(self, sched_name, paths):
-        _churn_grid_run("sst", sched_name, "mixed", **paths)
+    def test_engine_paths(self, sched_name, proto_name, paths):
+        _churn_grid_run(proto_name, sched_name, "mixed", **paths)
 
     def test_engine_paths_agree_on_moves(self):
-        # the three compiled paths must execute the identical churn run
+        # the adapter, compiled-slot and columnar paths must execute the
+        # identical churn run
         outcomes = set()
-        for paths in (dict(use_slot_rules=False, use_vector_rules=False),
-                      dict(use_vector_rules=False), dict()):
-            m = _churn_grid_run("sst", "central-random", "mixed", **paths)
+        for proto_name, paths in (("sst-step-only",
+                                   dict(use_vector_rules=False)),
+                                  ("sst", dict(use_vector_rules=False)),
+                                  ("sst", dict())):
+            m = _churn_grid_run(proto_name, "central-random", "mixed",
+                                **paths)
             outcomes.add((m["resilience_rounds_total"],
                           m["resilience_moves_total"],
                           json.dumps(m["event_kinds"], sort_keys=True)))

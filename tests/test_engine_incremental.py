@@ -4,8 +4,9 @@ Three pillars:
 
 * **Incremental ≡ rescan**: before *every* scheduler selection (and across
   mid-run fault injections) the engine's incrementally maintained enabled
-  set must equal a from-scratch, cache-free rescan of the whole network —
-  for every protocol family of the tier-1 suite under every daemon.
+  set and cached proposals must equal a from-scratch, cache-free
+  evaluation of ``step`` over the whole network — for every protocol
+  family of the tier-1 suite under every daemon.
 * **Golden determinism**: seeded runs must reproduce the exact
   (rounds, moves, final configuration) triples recorded with the
   pre-refactor full-rescan engine, pinning down that the rewrite changed
@@ -33,12 +34,13 @@ from repro.graphs import random_connected_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
     EnabledSet,
-    Scheduler,
     Simulator,
     StarvingScheduler,
     inject_random_faults,
     random_configuration,
 )
+
+from crosscheck import CrossCheckingScheduler
 
 # name -> (factory, weighted network needed, silent protocol)
 PROTOCOLS = {
@@ -60,32 +62,6 @@ PROTOCOLS = {
 #: protocol now stabilizes under the max-id adversary too.)
 EXCLUDED = {("compact-mst", "central-max-id"),
             ("compact-mst", "central-min-id")}
-
-
-class CrossCheckingScheduler(Scheduler):
-    """Wraps a daemon; asserts incremental enabled set == full rescan
-    before every selection, then delegates (forwarding the incremental
-    hooks, so mirror-keeping schedulers stay exercised too)."""
-
-    def __init__(self, inner: Scheduler) -> None:
-        self.inner = inner
-        self.name = f"xcheck({inner.name})"
-        self.sim: Simulator | None = None
-        self.checks = 0
-
-    def reset(self, enabled: EnabledSet) -> None:
-        self.inner.reset(enabled)
-
-    def notify(self, added, removed) -> None:
-        self.inner.notify(added, removed)
-
-    def select(self, enabled):
-        assert isinstance(enabled, EnabledSet)
-        assert list(enabled) == self.sim.rescan_enabled(), (
-            "incrementally maintained enabled set diverged from a "
-            "from-scratch rescan")
-        self.checks += 1
-        return self.inner.select(enabled)
 
 
 class TestIncrementalEqualsRescan:

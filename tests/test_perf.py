@@ -257,6 +257,8 @@ class TestBenchCLI:
         assert json.loads(out.stdout) == report
 
     def test_baseline_gate_passes_against_itself(self, tmp_path):
+        # the workload takes ~2 ms, so one cold run spreads ~3x between
+        # processes; warmup + median-of-5 keeps the 2.5x gate meaningful
         args = [
             sys.executable,
             "-m",
@@ -265,8 +267,7 @@ class TestBenchCLI:
             "--workload",
             "smoke-bfs-48",
             "--repeats",
-            "1",
-            "--no-warmup",
+            "5",
             "--out",
             str(tmp_path),
             "--quiet",

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.sst import SpanningTreeProtocol
 from repro.graphs import path_graph, random_connected_graph, ring, star_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
@@ -163,6 +164,18 @@ class TestSimulatorBasics:
         sim = Simulator(net, ModuloClock())
         with pytest.raises(RuntimeError, match="no convergence"):
             sim.run(max_rounds=10)
+
+    def test_silence_in_the_last_budgeted_round_converges(self):
+        # regression: run(max_rounds=k) raised "no convergence" when the
+        # run fell silent in exactly round k
+        net = random_connected_graph(12, seed=3)
+        proto = SpanningTreeProtocol()
+        cfg = random_configuration(net, proto, seed=5)
+        assert Simulator(net, proto, config=cfg).run(max_rounds=100).rounds == 13
+        result = Simulator(net, proto, config=cfg).run(max_rounds=13)
+        assert result.silent
+        assert result.rounds == 13
+        assert not result.stopped_by_predicate
 
     def test_stop_when_predicate(self):
         net = ring(5, seed=5)

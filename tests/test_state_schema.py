@@ -1,4 +1,4 @@
-"""The slot-indexed state plane, pinned to the dict plane.
+"""The slot-indexed state plane, pinned to the name-keyed views and step.
 
 Three pillars:
 
@@ -11,11 +11,13 @@ Three pillars:
   configurations, encoding through the schema and reading back through
   the Mapping views reproduces the boundary dicts exactly — before,
   during, and after execution.
-* **Dict-path ≡ slot-path, golden**: entire executions — every protocol
-  family of the tier-1 suite under every daemon — produce bit-identical
-  ``(rounds, moves, final configuration)`` whether the engine runs the
-  compiled ``fast_step_slots`` rules or is forced onto the name-keyed
-  ``fast_step``/``step`` fallback (``use_slot_rules=False``).
+* **Slot rule ≡ step, per selection**: entire executions — every
+  protocol family of the tier-1 suite under every daemon — run under the
+  cross-checking referee, which compares each cached slot-rule proposal
+  with the name-keyed ``step`` before every selection, and reproduce the
+  plain run's ``(rounds, moves, final configuration)`` bit-for-bit.
+  Protocols without a compiled ``fast_step_slots`` run through the
+  ``adapt_step_to_slots`` bridge.
 """
 
 import hashlib
@@ -38,9 +40,12 @@ from repro.runtime import (
     RegisterSpec,
     Simulator,
     SlotState,
+    adapt_step_to_slots,
     counter_field,
     random_configuration,
 )
+
+from crosscheck import CrossCheckingScheduler
 
 PROTOCOLS = {
     "sst": (SpanningTreeProtocol, False),
@@ -193,55 +198,66 @@ class TestSlotViewEqualsDictView:
         assert sim.enabled_nodes() == sim.rescan_enabled()
 
 
-class TestDictPathEqualsSlotPath:
-    """Golden bit-identity: full executions on the compiled slot rules
-    reproduce the name-keyed fallback engine, over the whole
-    protocol × daemon grid."""
+class TestSlotRuleEqualsStep:
+    """Every protocol × daemon pair runs under the cross-checking referee,
+    which compares the engine's slot-rule proposals with ``step`` at every
+    selection — and the refereed (unfused) run reproduces the plain run
+    bit-for-bit."""
+
+    @staticmethod
+    def _run(factory, net, sched_name, xcheck, drive):
+        proto = factory()  # fresh instance: oracle memos are per-run
+        cfg = random_configuration(net, proto, seed=22)
+        sched = ALL_SCHEDULER_FACTORIES[sched_name](23)
+        if xcheck:
+            sched = CrossCheckingScheduler(sched)
+        sim = Simulator(net, proto, sched, config=cfg)
+        if xcheck:
+            sched.sim = sim
+        outcome = drive(sim)
+        if xcheck:
+            assert sched.checks > 0
+        return outcome
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("proto_name", sorted(PROTOCOLS))
     def test_full_run_bit_identity(self, proto_name, sched_name):
         factory, weighted = PROTOCOLS[proto_name]
         net = random_connected_graph(8, seed=21, weighted=weighted)
-        outcomes = []
-        for use_slots in (True, False):
-            proto = factory()  # fresh instance: oracle memos are per-run
-            cfg = random_configuration(net, proto, seed=22)
-            sim = Simulator(net, proto,
-                            ALL_SCHEDULER_FACTORIES[sched_name](23),
-                            config=cfg, use_slot_rules=use_slots)
-            assert (sim._slot_rule is not None) == use_slots
+
+        def drive(sim):
             result = sim.run(max_rounds=50_000)
             assert result.silent
-            outcomes.append((result.rounds, result.moves, _hash(sim.config)))
+            return result.rounds, result.moves, _hash(sim.config)
+
+        outcomes = [self._run(factory, net, sched_name, xcheck, drive)
+                    for xcheck in (False, True)]
         assert outcomes[0] == outcomes[1], (
-            f"{proto_name} under {sched_name}: slot path diverged from "
-            f"the dict path")
+            f"{proto_name} under {sched_name}: the refereed run diverged "
+            f"from the plain run")
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     def test_compact_mst_slot_rule_bit_identity(self, sched_name):
         """The non-silent baseline never reaches silence (and unfair
-        central daemons can even starve its rounds), so its golden
-        comparison pins a fixed *move*-budget prefix of the execution."""
+        central daemons can even starve its rounds), so the referee runs
+        a fixed *move*-budget prefix of the execution."""
         net = random_connected_graph(8, seed=21, weighted=True)
-        outcomes = []
-        for use_slots in (True, False):
-            proto = CompactNonSilentMST()
-            cfg = random_configuration(net, proto, seed=22)
-            sim = Simulator(net, proto,
-                            ALL_SCHEDULER_FACTORIES[sched_name](23),
-                            config=cfg, use_slot_rules=use_slots)
-            assert (sim._slot_rule is not None) == use_slots
+
+        def drive(sim):
             moved = sim.run_steps(max_moves=256)
             assert moved >= 256  # perpetual motion, by design
-            outcomes.append((sim.moves, _hash(sim.config)))
-        assert outcomes[0] == outcomes[1], (
-            f"compact-mst under {sched_name}: slot path diverged from "
-            f"the dict path")
+            return sim.moves, _hash(sim.config)
 
-    def test_protocols_without_slot_rules_fall_back(self):
+        outcomes = [self._run(CompactNonSilentMST, net, sched_name, xcheck,
+                              drive)
+                    for xcheck in (False, True)]
+        assert outcomes[0] == outcomes[1], (
+            f"compact-mst under {sched_name}: the refereed run diverged "
+            f"from the plain run")
+
+    def test_protocols_without_slot_rules_run_through_the_adapter(self):
         class DictOnlyUnison(Protocol):
-            """Implements only ``step`` — exercises the fallback plane."""
+            """Implements only ``step`` — runs through the adapter."""
 
             name = "dict-only-unison"
 
@@ -255,9 +271,16 @@ class TestDictPathEqualsSlotPath:
                 return {"tok": (my + 1) % 3}
 
         net = random_connected_graph(8, seed=21, weighted=True)
-        sim = Simulator(net, DictOnlyUnison())
-        assert sim._slot_rule is None  # default fast_step_slots → None
-        sim.run_round()
+        proto = DictOnlyUnison()
+        sched = CrossCheckingScheduler(
+            ALL_SCHEDULER_FACTORIES["central-random"](23))
+        sim = Simulator(net, proto, sched)
+        sched.sim = sim
+        assert proto.fast_step_slots(sim.schema) is None
+        assert sim._slot_rule.__qualname__ == (
+            adapt_step_to_slots.__qualname__ + ".<locals>.rule")
+        assert sim.run_round()
+        assert sched.checks > 0
         assert sim.enabled_nodes() == sim.rescan_enabled()
 
 

@@ -406,6 +406,9 @@ def test_json_report_schema():
 
 
 def test_rule_contract_metadata():
+    # one name-keyed reference (step) plus the compiled planes
+    assert RULE_ENTRYPOINTS == ("step", "fast_step_slots", "vector_step",
+                                "shard_step", "interrupt_step")
     contract = SpanningTreeProtocol().rule_contract()
     assert contract["read_locality"] == "neighborhood"
     assert set(contract["entrypoints"]) == set(RULE_ENTRYPOINTS)
