@@ -128,21 +128,24 @@ class DigestLayer(Protocol):
             return {"ver": want}
         return None
 
-    def fast_step_slots(self, schema):
-        """The digest fixpoint compiled to slot indices.
+    def slot_expected(self, schema):
+        """:meth:`expected` compiled to slot indices:
+        ``expected(me, own, nbr_rows) -> int``.
 
-        Mirrors :meth:`expected`/:meth:`step` exactly — the three digest
-        sites (runtime rule, assigner, verifier) still share
+        Mirrors :meth:`expected` exactly — the three digest sites
+        (runtime rule, assigner, verifier) still share
         :func:`node_digest`, and covered fields absent from the schema
         contribute ``repr(None)`` just as ``state.get`` does.  Reads its
         own (possibly composition-patched) register only through ``own``.
+        Compiled once by :meth:`fast_step_slots` and by the oracle
+        consumers keying their consults on it.
         """
         index = schema.index
         VER = index["ver"]
         PARF = index.get(self.parent_field)
         field_slots = tuple(index.get(f) for f in self.fields)
 
-        def rule(net, config, me, own, nbr_rows) -> dict | None:
+        def expected(me, own, nbr_rows) -> int:
             content = tuple(
                 repr(own[i]) if i is not None else "None"
                 for i in field_slots)
@@ -151,7 +154,18 @@ class DigestLayer(Protocol):
             else:
                 kids = tuple(sorted(
                     (u, st[VER]) for u, st in nbr_rows if st[PARF] == me))
-            want = node_digest(me, content, kids)
+            return node_digest(me, content, kids)
+
+        return expected
+
+    def fast_step_slots(self, schema):
+        """The digest fixpoint compiled to slot indices (mirrors
+        :meth:`step` over :meth:`slot_expected`)."""
+        VER = schema.index["ver"]
+        expected = self.slot_expected(schema)
+
+        def rule(net, config, me, own, nbr_rows) -> dict | None:
+            want = expected(me, own, nbr_rows)
             if own[VER] != want:
                 return {VER: want}
             return None

@@ -35,12 +35,20 @@ digest-keyed write-once memo — so the compositions run with
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import NamedTuple
+
 from repro.certify.oracle import CertifiedOracle, DigestLayer
 from repro.core.swap import MalleableTreeProtocol, tree_of_config
 from repro.core.trees import RootedTree
 from repro.graphs.network import Network
 from repro.labeling.nca import NCALabel, label_is_ancestor
-from repro.runtime.protocol import ComposedProtocol, NodeView, Protocol
+from repro.runtime.protocol import (
+    ComposedProtocol,
+    NodeView,
+    Protocol,
+    patched_config,
+)
 from repro.runtime.registers import (
     NONE,
     RegisterSpec,
@@ -51,6 +59,7 @@ from repro.runtime.registers import (
 
 __all__ = [
     "PhaseLayer",
+    "SlotHooks",
     "GuidedBFS",
     "GuidedMST",
     "GuidedMDST",
@@ -94,6 +103,41 @@ def _label_bits(net, value) -> int:
     return 2 * net.id_bits()
 
 
+class SlotHooks(NamedTuple):
+    """The task hooks of a :class:`PhaseLayer`, compiled to slot indices.
+
+    Each mirrors its NodeView hook, reading the node's own register
+    only through ``own`` and its neighbors through ``nbr_rows``:
+
+    * ``candidate(me, own, nbr_rows)`` — :meth:`PhaseLayer.own_candidate`
+      (called only when the tree is sound); ``None``: always ``NONE``;
+    * ``settled(me, own, nbr_rows)`` — :meth:`PhaseLayer.labels_settled`;
+      ``None``: always True;
+    * ``role(net, config, me, own, nbr_rows, bc)`` — what the SWAP
+      command ``bc`` asks of this node.  The compiled rule computes it
+      once per evaluation and payload and hands it to the next two;
+    * ``done(net, config, me, own, nbr_rows, bc, role)`` —
+      :meth:`PhaseLayer.phase_done` in the SWAP phase (every other phase
+      is done: the tasks' hooks return True outside SWAP);
+    * ``request(net, config, me, own, nbr_rows, bc, role)`` — the
+      tree-layer switch target :meth:`PhaseLayer.extra_rules` writes to
+      ``swt`` in the SWAP phase, or ``None``;
+    * ``transition(net, config, me, own, nbr_rows, phase, cand)`` —
+      :meth:`PhaseLayer.next_phase`, side effects included.
+    """
+
+    candidate: Callable | None
+    settled: Callable | None
+    role: Callable
+    done: Callable
+    request: Callable
+    transition: Callable
+
+
+#: "role not computed yet" in the compiled rule (roles may be None)
+_UNSET = object()
+
+
 class PhaseLayer(Protocol):
     """Shared phase/ack machinery.  Subclasses define the task hooks.
 
@@ -104,6 +148,12 @@ class PhaseLayer(Protocol):
     :class:`repro.certify.oracle.CertifiedOracle` (digest-keyed, write-once
     memo), so the whole family runs with the default
     ``read_locality = "neighborhood"`` on the incremental engine.
+
+    :meth:`step` is the reference the rescan, the cross-checking referee
+    and the model checker evaluate.  The engine runs
+    :meth:`fast_step_slots`, the same machinery compiled to slot indices
+    over the subclass's :meth:`slot_hooks`; a subclass that compiles no
+    hooks runs ``step`` through the slot adapter instead.
     """
 
     name = "phase-layer"
@@ -215,6 +265,98 @@ class PhaseLayer(Protocol):
         delta = {k: v for k, v in intended.items() if cur.get(k) != v}
         return delta or None
 
+    def slot_hooks(self, schema) -> SlotHooks | None:
+        """The task hooks compiled to slot indices, or ``None`` (then
+        :meth:`fast_step_slots` declines and ``step`` runs through the
+        slot adapter).  A subclass overriding a NodeView hook must
+        override this too, or return ``None``."""
+        return None
+
+    def fast_step_slots(self, schema):
+        """:meth:`step` compiled to slot indices over :meth:`slot_hooks`.
+
+        Mirrors ``step`` exactly, in its order: phase copy-down,
+        candidate aggregation, acknowledgement, the root transition (with
+        the hook's side effects), then the switch request.  The SWAP
+        role is computed once per evaluation: ``phase_done`` asks it of
+        the register's own ``bc``, the switch request of the command in
+        force, and the two are the same object unless the parent's
+        broadcast or the root's transition just replaced it (copy-down
+        hands the parent's payload object itself).  The parent row is
+        found by scanning ``nbr_rows``, the ``par in view.neighbors``
+        containment of ``step``.
+        """
+        hooks = self.slot_hooks(schema)
+        if hooks is None:
+            return None
+        candidate, settled, role_of, done, request, transition = hooks
+        PH, ACK, CAND, BC = schema.slots("ph", "ack", "cand", "bc")
+        PAR, D, S = schema.slots("par", "d", "s")
+        MARK, SWT = schema.slots("mark", "swt")
+
+        def rule(net, config, me, own, nbr_rows) -> dict | None:
+            par = own[PAR]
+            own_bc = own[BC]
+            children = [(u, st) for u, st in nbr_rows if st[PAR] == me]
+
+            # ---- phase / broadcast copy-down ----------------------------
+            ph, bc = own[PH], own_bc
+            if par is not NONE:
+                for u, st in nbr_rows:
+                    if u == par:
+                        ph, bc = st[PH], st[BC]
+                        break
+
+            # ---- candidate aggregation ----------------------------------
+            sound = (own[D] is not NONE and own[S] is not NONE
+                     and not own[MARK] and own[SWT] is NONE)
+            best = NONE
+            if sound and candidate is not None:
+                best = candidate(me, own, nbr_rows)
+            for _, kst in children:
+                cc = kst[CAND]
+                if cc is not NONE and (best is NONE or cc < best):
+                    best = cc
+
+            # ---- acknowledgement ----------------------------------------
+            kids_ok = all(kst[ACK] and kst[PH] == ph for _, kst in children)
+            role = _UNSET
+            ok = sound and (ph != WORK or settled is None
+                            or settled(me, own, nbr_rows))
+            if ok and ph == SWAP:
+                role = role_of(net, config, me, own, nbr_rows, own_bc)
+                ok = done(net, config, me, own, nbr_rows, own_bc, role)
+            ack = bool(kids_ok and ok and own[CAND] == best)
+
+            # ---- root transition ----------------------------------------
+            if par is NONE and ack:
+                move = transition(net, config, me, own, nbr_rows, ph, best)
+                if move is not None:
+                    ph, bc = move
+                    ack = False
+
+            # ---- the SWAP phase's switch request ------------------------
+            swt = None
+            if ph == SWAP:
+                if role is _UNSET or bc is not own_bc:
+                    role = role_of(net, config, me, own, nbr_rows, bc)
+                swt = request(net, config, me, own, nbr_rows, bc, role)
+
+            delta = {}
+            if own[PH] != ph:
+                delta[PH] = ph
+            if own_bc != bc:
+                delta[BC] = bc
+            if own[CAND] != best:
+                delta[CAND] = best
+            if own[ACK] != ack:
+                delta[ACK] = ack
+            if swt is not None and own[SWT] != swt:
+                delta[SWT] = swt
+            return delta or None
+
+        return rule
+
 
 class GuidedBFS(PhaseLayer):
     """The Section III task, end to end distributed.
@@ -246,14 +388,7 @@ class GuidedBFS(PhaseLayer):
         return best
 
     def next_phase(self, view: NodeView, phase: str, cand):
-        if phase == WORK:
-            # malformed candidates (corruption) are flushed by the
-            # aggregation fixpoint within a step; never act on them
-            if cand is NONE or not (isinstance(cand, tuple) and len(cand) == 3):
-                return None  # legal: stay silent
-            _, u, v = cand
-            return SWAP, (u, v)
-        return WORK, NONE  # SWAP acked -> back to work
+        return _bfs_next_phase(phase, cand)
 
     @staticmethod
     def _commanded_switch(view: NodeView, bc):
@@ -299,6 +434,62 @@ class GuidedBFS(PhaseLayer):
             return
         intended["swt"] = cmd[1]
 
+    def slot_hooks(self, schema) -> SlotHooks:
+        """The hooks above compiled to slot indices; the SWAP role is
+        the :meth:`_commanded_switch` result."""
+        RID, PAR, D, SWT = schema.slots("rid", "par", "d", "swt")
+
+        def candidate(me, own, nbr_rows):
+            # mirrors own_candidate
+            if own[PAR] is NONE:
+                return NONE
+            du = own[D]
+            best = NONE
+            for v, st in nbr_rows:
+                dv = st[D]
+                if dv is NONE or st[RID] != own[RID]:
+                    continue
+                if isinstance(dv, int) and dv + 1 < du:
+                    cand = (-(du - dv - 1), me, v)
+                    if best is NONE or cand < best:
+                        best = cand
+            return best
+
+        def role(net, config, me, own, nbr_rows, bc):
+            # mirrors _commanded_switch (nbr_or_none: junk-tolerant
+            # membership)
+            if bc is NONE or not (isinstance(bc, tuple) and len(bc) == 2):
+                return None
+            u, v = bc
+            if me != u or own[PAR] == v:
+                return None
+            try:
+                if v not in net.neighbor_set(me):
+                    return None
+            except TypeError:
+                return None
+            st = config[v].row
+            if st[RID] != own[RID]:
+                return None
+            du, dv = own[D], st[D]
+            if not (isinstance(du, int) and isinstance(dv, int)
+                    and dv + 1 < du):
+                return None
+            return u, v
+
+        def done(net, config, me, own, nbr_rows, bc, cmd):
+            return cmd is None
+
+        def request(net, config, me, own, nbr_rows, bc, cmd):
+            if cmd is None or own[SWT] is not NONE or own[PAR] is NONE:
+                return None
+            return cmd[1]
+
+        def transition(net, config, me, own, nbr_rows, phase, cand):
+            return _bfs_next_phase(phase, cand)
+
+        return SlotHooks(candidate, None, role, done, request, transition)
+
     # ------------------------------------------------------------------
 
     def is_legal(self, net: Network, config) -> bool:
@@ -308,6 +499,19 @@ class GuidedBFS(PhaseLayer):
             return False
         dist = net.bfs_distances(tree.root)
         return all(tree.depth(v) == dist[v] for v in net.nodes)
+
+
+def _bfs_next_phase(phase: str, cand):
+    """GuidedBFS's root transition (a function of the phase and the
+    aggregated candidate alone)."""
+    if phase == WORK:
+        # malformed candidates (corruption) are flushed by the
+        # aggregation fixpoint within a step; never act on them
+        if cand is NONE or not (isinstance(cand, tuple) and len(cand) == 3):
+            return None  # legal: stay silent
+        _, u, v = cand
+        return SWAP, (u, v)
+    return WORK, NONE  # SWAP acked -> back to work
 
 
 def guided_bfs_protocol() -> ComposedProtocol:
@@ -350,7 +554,7 @@ class NCALabelLayer(Protocol):
         hv = NONE
         sizes = [(view.nbr(c)["s"], c) for c in children]
         if children and all(s is not NONE for s, _ in sizes):
-            hv = min(sizes, key=lambda sc: (-sc[0], sc[1]))[1]
+            hv = _heavy_child(sizes)
         # label derivation from the parent
         lam = NONE
         if view["par"] is NONE:
@@ -358,12 +562,7 @@ class NCALabelLayer(Protocol):
         else:
             pst = view.nbr(view["par"]) if view["par"] in view.neighbors else None
             if pst is not None and pst.get("lam") not in (None, NONE):
-                plam = pst["lam"]
-                if pst.get("hv") == me:
-                    apex, depth = plam[-1]
-                    lam = plam[:-1] + ((apex, depth + 1),)
-                else:
-                    lam = plam + ((me, 0),)
+                lam = _child_label(pst["lam"], pst.get("hv") == me, me)
         delta = {}
         if cur["hv"] != hv:
             delta["hv"] = hv
@@ -399,7 +598,7 @@ class NCALabelLayer(Protocol):
             sizes = [(st[S], u) for u, st in nbr_rows if st[PAR] == me]
             hv = NONE
             if sizes and all(s is not NONE for s, _ in sizes):
-                hv = min(sizes, key=lambda sc: (-sc[0], sc[1]))[1]
+                hv = _heavy_child(sizes)
             # label derivation from the parent
             lam = NONE
             par = own[PAR]
@@ -412,12 +611,7 @@ class NCALabelLayer(Protocol):
                         pst = st
                         break
                 if pst is not None and pst[LAM] not in (None, NONE):
-                    plam = pst[LAM]
-                    if pst[HV] == me:
-                        apex, depth = plam[-1]
-                        lam = plam[:-1] + ((apex, depth + 1),)
-                    else:
-                        lam = plam + ((me, 0),)
+                    lam = _child_label(pst[LAM], pst[HV] == me, me)
             delta = {}
             if own[HV] != hv:
                 delta[HV] = hv
@@ -436,6 +630,24 @@ class NCALabelLayer(Protocol):
                    for v in net.nodes)
 
 
+def _heavy_child(sizes) -> int:
+    """The heavy child among ``(size, child)`` pairs (Section V): the
+    largest subtree, ties to the smallest identity."""
+    return min(sizes, key=lambda sc: (-sc[0], sc[1]))[1]
+
+
+def _child_label(plam: tuple, heavy: bool, me: int) -> tuple:
+    """The NCA label node ``me`` derives from its parent's label
+    ``plam`` (Section V): the heavy child extends the parent's last
+    heavy-path segment by one hop, a light child opens a segment of its
+    own.  The one definition behind :class:`NCALabelLayer` and the
+    guided tasks' settledness checks."""
+    if heavy:
+        apex, depth = plam[-1]
+        return plam[:-1] + ((apex, depth + 1),)
+    return plam + ((me, 0),)
+
+
 def _lam_depth(segments) -> int:
     """Tree depth encoded by an NCA label (heavy hops + light edges)."""
     return sum(d for _, d in segments) + len(segments) - 1
@@ -449,21 +661,44 @@ def _nca_settled_at(view: NodeView) -> bool:
     sizes = [(view.nbr(c)["s"], c) for c in children]
     if any(s is NONE for s, _ in sizes):
         return False
-    hv = min(sizes, key=lambda sc: (-sc[0], sc[1]))[1] if children else NONE
+    hv = _heavy_child(sizes) if children else NONE
     if view["hv"] != hv:
         return False
     if view["par"] is NONE:
         return view["lam"] == ((me, 0),)
-    pst = view.nbr(view["par"])
+    pst = view.nbr_or_none(view["par"])
+    if pst is None:
+        return False
     plam = pst.get("lam")
     if plam in (None, NONE):
         return False
-    if pst.get("hv") == me:
-        apex, depth = plam[-1]
-        want = plam[:-1] + ((apex, depth + 1),)
-    else:
-        want = plam + ((me, 0),)
-    return view["lam"] == want
+    return view["lam"] == _child_label(plam, pst.get("hv") == me, me)
+
+
+def _nca_settled_slots(schema):
+    """:func:`_nca_settled_at` compiled to slot indices:
+    ``settled(me, own, nbr_rows) -> bool``."""
+    PAR, S, HV, LAM = schema.slots("par", "s", "hv", "lam")
+
+    def settled(me, own, nbr_rows) -> bool:
+        sizes = [(st[S], u) for u, st in nbr_rows if st[PAR] == me]
+        if any(s is NONE for s, _ in sizes):
+            return False
+        hv = _heavy_child(sizes) if sizes else NONE
+        if own[HV] != hv:
+            return False
+        par = own[PAR]
+        if par is NONE:
+            return own[LAM] == ((me, 0),)
+        for u, pst in nbr_rows:
+            if u == par:
+                plam = pst[LAM]
+                if plam in (None, NONE):
+                    return False
+                return own[LAM] == _child_label(plam, pst[HV] == me, me)
+        return False
+
+    return settled
 
 
 class ChainSwapMixin:
@@ -481,45 +716,9 @@ class ChainSwapMixin:
     @staticmethod
     def _chain_role(view: NodeView, bc):
         """(on_chain, target_id) for this node, or (False, None)."""
-        if bc is NONE or not (isinstance(bc, tuple) and len(bc) == 5):
-            return False, None
-        a, b, x, lam_a_raw, lam_x_raw = bc
-        lam_raw = view["lam"]
-        if lam_raw in (None, NONE):
-            return False, None
-        try:
-            lam = NCALabel(tuple(lam_raw))
-            lam_a = NCALabel(tuple(lam_a_raw))
-            lam_x = NCALabel(tuple(lam_x_raw))
-        except (TypeError, ValueError):
-            return False, None
-        if view.id == a:
-            return True, b
-        # label comparisons may raise on corrupted labels (e.g. two labels
-        # claiming different root apexes); any such junk simply means this
-        # node is not on the chain
-        try:
-            if not (label_is_ancestor(lam, lam_a)
-                    and label_is_ancestor(lam_x, lam)):
-                return False, None
-        except (TypeError, ValueError):
-            return False, None
-        # my former chain child: the unique neighbor strictly below me on
-        # the path toward a (frozen pre-swap labels)
-        my_depth = _lam_depth(lam.segments)
-        for z in view.neighbors:
-            zlam_raw = view.nbr(z).get("lam")
-            if zlam_raw in (None, NONE):
-                continue
-            try:
-                zlam = NCALabel(tuple(zlam_raw))
-                if (label_is_ancestor(lam, zlam)
-                        and label_is_ancestor(zlam, lam_a)
-                        and _lam_depth(zlam.segments) == my_depth + 1):
-                    return True, z
-            except (TypeError, ValueError):
-                continue
-        return False, None
+        return _chain_role_of(
+            view.id, view["lam"], bc,
+            ((z, view.nbr(z).get("lam")) for z in view.neighbors))
 
     @staticmethod
     def _endpoint_feasible(view: NodeView, bc) -> bool:
@@ -543,20 +742,8 @@ class ChainSwapMixin:
         st = view.nbr_or_none(bc[1])
         if st is None:
             return False
-        if st.get("par") == view.id:
-            return False  # the target is currently my own child
-        lam_b_raw = st.get("lam")
-        own_lam = view["lam"]
-        if lam_b_raw in (None, NONE) or own_lam in (None, NONE):
-            return False
-        try:
-            if tuple(own_lam) != tuple(bc[3]):
-                return False  # stale: I am no longer the decided endpoint
-            lam_a = NCALabel(tuple(bc[3]))
-            lam_b = NCALabel(tuple(lam_b_raw))
-            return not label_is_ancestor(lam_a, lam_b)
-        except (TypeError, ValueError):
-            return False
+        return _endpoint_feasible_of(view.id, view["lam"], bc,
+                                     st.get("par"), st.get("lam"))
 
     def chain_phase_done(self, view: NodeView, bc) -> bool:
         on_chain, target = self._chain_role(view, bc)
@@ -611,6 +798,128 @@ class ChainSwapMixin:
             if tst["par"] != view.id and tst["swt"] is NONE:
                 intended["swt"] = target
 
+    def chain_slot_hooks(self, schema):
+        """``(role, done, request)`` of :class:`SlotHooks` for the chain
+        swap: :meth:`_chain_role`, :meth:`chain_phase_done` and
+        :meth:`chain_extra_rules` compiled to slot indices.  The role is
+        computed by the same :func:`_chain_role_of` as the NodeView
+        path, so the label checks (and their abort branches) are one
+        definition."""
+        RID, PAR, SWT = schema.slots("rid", "par", "swt")
+        LAM, ACK, PH = schema.slots("lam", "ack", "ph")
+
+        def role(net, config, me, own, nbr_rows, bc):
+            return _chain_role_of(
+                me, own[LAM], bc, ((z, st[LAM]) for z, st in nbr_rows))
+
+        def target_row(net, config, me, target):
+            # view.nbr_or_none: junk-tolerant membership
+            try:
+                if target in net.neighbor_set(me):
+                    return config[target].row
+            except TypeError:
+                pass
+            return None
+
+        def done(net, config, me, own, nbr_rows, bc, chain_role):
+            # mirrors chain_phase_done
+            on_chain, target = chain_role
+            if not on_chain:
+                return True
+            if own[PAR] == target:
+                return True
+            tst = target_row(net, config, me, target)
+            if tst is None or tst[RID] != own[RID]:
+                return True
+            if me == bc[0]:
+                return not _endpoint_feasible_of(me, own[LAM], bc,
+                                                 tst[PAR], tst[LAM])
+            return bool(tst[PAR] == me and tst[ACK] and tst[PH] == SWAP)
+
+        def request(net, config, me, own, nbr_rows, bc, chain_role):
+            # mirrors chain_extra_rules
+            on_chain, target = chain_role
+            if not on_chain or target is None:
+                return None
+            if own[PAR] == target or own[SWT] is not NONE:
+                return None
+            tst = target_row(net, config, me, target)
+            if tst is None or tst[RID] != own[RID]:
+                return None
+            if me == bc[0]:
+                if _endpoint_feasible_of(me, own[LAM], bc,
+                                         tst[PAR], tst[LAM]):
+                    return target
+                return None
+            if tst[PAR] != me and tst[SWT] is NONE:
+                return target
+            return None
+
+        return role, done, request
+
+
+def _chain_role_of(me: int, lam_raw, bc, nbr_lams):
+    """(on_chain, target_id) for node ``me`` holding label ``lam_raw``
+    under the SWAP payload ``bc``, or (False, None); ``nbr_lams`` yields
+    ``(neighbor, label)`` pairs in ascending neighbor order.  Shared by
+    the NodeView and slot paths of :class:`ChainSwapMixin`."""
+    if bc is NONE or not (isinstance(bc, tuple) and len(bc) == 5):
+        return False, None
+    a, b, x, lam_a_raw, lam_x_raw = bc
+    if lam_raw in (None, NONE):
+        return False, None
+    try:
+        lam = NCALabel(tuple(lam_raw))
+        lam_a = NCALabel(tuple(lam_a_raw))
+        lam_x = NCALabel(tuple(lam_x_raw))
+    except (TypeError, ValueError):
+        return False, None
+    if me == a:
+        return True, b
+    # label comparisons may raise on corrupted labels (e.g. two labels
+    # claiming different root apexes); any such junk simply means this
+    # node is not on the chain
+    try:
+        if not (label_is_ancestor(lam, lam_a)
+                and label_is_ancestor(lam_x, lam)):
+            return False, None
+    except (TypeError, ValueError):
+        return False, None
+    # my former chain child: the unique neighbor strictly below me on
+    # the path toward a (frozen pre-swap labels)
+    my_depth = _lam_depth(lam.segments)
+    for z, zlam_raw in nbr_lams:
+        if zlam_raw in (None, NONE):
+            continue
+        try:
+            zlam = NCALabel(tuple(zlam_raw))
+            if (label_is_ancestor(lam, zlam)
+                    and label_is_ancestor(zlam, lam_a)
+                    and _lam_depth(zlam.segments) == my_depth + 1):
+                return True, z
+        except (TypeError, ValueError):
+            continue
+    return False, None
+
+
+def _endpoint_feasible_of(me: int, own_lam, bc, target_par,
+                          lam_b_raw) -> bool:
+    """:meth:`ChainSwapMixin._endpoint_feasible` over plain values: the
+    endpoint ``me`` with label ``own_lam``, and the commanded target's
+    ``par`` and ``lam`` registers."""
+    if target_par == me:
+        return False  # the target is currently my own child
+    if lam_b_raw in (None, NONE) or own_lam in (None, NONE):
+        return False
+    try:
+        if tuple(own_lam) != tuple(bc[3]):
+            return False  # stale: I am no longer the decided endpoint
+        lam_a = NCALabel(tuple(bc[3]))
+        lam_b = NCALabel(tuple(lam_b_raw))
+        return not label_is_ancestor(lam_a, lam_b)
+    except (TypeError, ValueError):
+        return False
+
 
 #: register fields the MST/MDST detectors read: the tree structure and
 #: the NCA labels carried in the SWAP payloads.  The subtree digests of
@@ -641,6 +950,11 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
     writes.  The root's rule is therefore a pure function of its 1-hop
     view (plus the write-once memo shared by every evaluation path), and
     the composition runs with ``read_locality = "neighborhood"``.
+
+    Both evaluation paths share that memo and the issued-key latch: the
+    engine's compiled rule (:meth:`slot_hooks`) and ``step`` (the
+    rescan, the referee, the model checker) consult, retire and latch in
+    the same order, so a retirement performed by either is seen by both.
     """
 
     phases = (WORK, SWAP)
@@ -755,6 +1069,35 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
         # result, so cached proposals and rescans stay in agreement
         self._issued_key = key
         return SWAP, payload
+
+    def slot_hooks(self, schema) -> SlotHooks:
+        """The hooks compiled to slot indices: the NCA settledness check,
+        the chain swap (:meth:`ChainSwapMixin.chain_slot_hooks`) and the
+        root transition with :meth:`next_phase`'s oracle side effects in
+        its order — the digest key from the (patched) own row, the
+        one-shot retirement and the issued-key latch on the SWAP flush,
+        and a consult whose thunk hands :meth:`_decide` the
+        configuration ``step`` would see (:func:`patched_config`)."""
+        role, done, request = self.chain_slot_hooks(schema)
+        expected = self._digest.slot_expected(schema)
+
+        def transition(net, config, me, own, nbr_rows, phase, cand):
+            key = expected(me, own, nbr_rows)
+            if phase == SWAP:
+                # the flush of next_phase (one-shot retirement per key)
+                if self._issued_key is not None and key == self._issued_key:
+                    self._oracle.retire(key)
+                self._issued_key = None
+                return WORK, NONE
+            payload = self._oracle.consult(key, lambda: self._decide(
+                net, patched_config(schema, config, me, own)))
+            if payload is None:
+                return None
+            self._issued_key = key
+            return SWAP, payload
+
+        return SlotHooks(None, _nca_settled_slots(schema), role, done,
+                         request, transition)
 
 
 class GuidedMST(_OracleGuidedTask):

@@ -22,7 +22,8 @@ from repro.runtime.registers import RegisterSpec
 from repro.runtime.schema import SlotState
 
 __all__ = ["NodeView", "Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
-           "OBS_ENTRYPOINTS", "effective_delta", "adapt_step_to_slots"]
+           "OBS_ENTRYPOINTS", "effective_delta", "adapt_step_to_slots",
+           "patched_config"]
 
 #: The rule surface of a protocol, in evaluation-preference order: the
 #: names a subclass may implement to define its transition function.
@@ -511,12 +512,11 @@ class ComposedProtocol(Protocol):
         Delegates to each layer's own compiled ``fast_step_slots`` rule
         when the layer provides one; layers that do not are adapted
         through :func:`adapt_step_to_slots`, so a composition always has
-        a slot path and hand-ported layers (the tree layer, the digest
-        layer, the NCA labels) run index-first even when sibling layers
-        still step through NodeView.  Semantics mirror :meth:`step`
-        exactly: each layer sees this node's register patched with the
-        updates of the layers below it, while neighbor registers are
-        read as they currently are.
+        a slot path and compiled layers run index-first even beside a
+        sibling layer that steps through NodeView.  Semantics mirror
+        :meth:`step` exactly: each layer sees this node's register
+        patched with the updates of the layers below it, while neighbor
+        registers are read as they currently are.
         """
         rules = [layer.fast_step_slots(schema) or
                  adapt_step_to_slots(layer, schema)
@@ -660,18 +660,29 @@ def adapt_step_to_slots(protocol: Protocol, schema):
     index = schema.index
 
     def rule(net, config, node, own, nbr_rows):
-        base = config[node]
-        if base.row is own:
-            view = NodeView(net, node, config)
-        else:  # composition overlay: this node's register is patched
-            view = NodeView(net, node,
-                            _Overlay(config, node, SlotState(schema, own)))
-        delta = step(view)
+        delta = step(NodeView(net, node,
+                              patched_config(schema, config, node, own)))
         if not delta:
             return None
         return {index[k]: v for k, v in delta.items()}
 
     return rule
+
+
+def patched_config(schema, config, node: int, own: list):
+    """The configuration a name-keyed ``step`` sees at ``node`` when a
+    slot rule is handed the row ``own``.
+
+    ``config`` itself when ``own`` is the node's live row; otherwise
+    (a composition overlay: the layers below patched this node's
+    register) a view with ``own`` patched in through a
+    :class:`SlotState`.  Shared by :func:`adapt_step_to_slots` and by
+    compiled rules that hand a configuration to name-keyed code (the
+    guided tasks' oracle thunk), so both see the register ``step`` does.
+    """
+    if config[node].row is own:
+        return config
+    return _Overlay(config, node, SlotState(schema, own))
 
 
 class _Overlay:

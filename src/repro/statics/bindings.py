@@ -10,7 +10,12 @@ with its compiled ``rule(net, config, node, own, nbr_rows)``,
 ``vector_step(self, schema, cols)`` with its compiled
 ``rule(store, active, patch)``) to seed parameter tags by name, then
 propagates tags through the straight-line assignments, loop targets and
-comprehension generators of each function scope.
+comprehension generators of each function scope.  Two derived shapes
+keep their register tag: a comprehension re-packing ``(id, register)``
+pairs (``children = [(u, st) for u, st in nbr_rows if ...]``) is itself
+a neighbor-row sequence, and a call to a nested helper ``def`` carries
+the merged tag of the helper's ``return`` values (a local
+``row_of(u)`` returning a neighbor's row is a register).
 
 Known limitation (documented, deliberate): a name is tagged with its
 *final* binding in the scope — ``cur = own`` rebound to ``cur =
@@ -24,6 +29,7 @@ exercises those dynamically.
 from __future__ import annotations
 
 import ast
+from collections.abc import Sequence
 from typing import Optional
 
 __all__ = ["Tag", "ScopeEnv", "ScopeMap", "build_scopes"]
@@ -103,6 +109,12 @@ class ScopeEnv:
         self.node = node
         self.parent = parent
         self.names: dict[str, str] = {}
+        #: directly nested scopes (defs and lambdas)
+        self.sub_scopes: list[ast.AST] = []
+        #: nested helper defs of this scope, by name
+        self.defs: dict[str, ast.AST] = {}
+        #: helper def (by id) -> merged tag of its return values
+        self._returns: dict[int, str] = {}
 
     def lookup(self, name: str) -> str:
         env: Optional[ScopeEnv] = self
@@ -139,7 +151,41 @@ class ScopeEnv:
             return out
         if isinstance(node, ast.NamedExpr):
             return self.tag(node.value)
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            return self._tag_comprehension(node)
         return Tag.OTHER
+
+    def _tag_comprehension(self, node: ast.ListComp | ast.GeneratorExp
+                           ) -> str:
+        """``(id, register)`` pairs re-packed from a row sequence (a
+        filtered children list) are neighbor rows themselves."""
+        elt = node.elt
+        if not (isinstance(elt, ast.Tuple) and len(elt.elts) == 2):
+            return Tag.OTHER
+        env = ScopeEnv(node, self)
+        env.process_assignments(node.generators)
+        return Tag.NBR_ROWS if env.tag(elt.elts[1]) == Tag.ROW else Tag.OTHER
+
+    def _return_tag(self, name: str) -> str:
+        """The merged tag of the ``return`` values of the nested helper
+        ``name`` visible from this scope (OTHER when there is none)."""
+        env: Optional[ScopeEnv] = self
+        while env is not None and name not in env.defs:
+            env = env.parent
+        if env is None:
+            return Tag.OTHER
+        fn = env.defs[name]
+        cached = env._returns.get(id(fn))
+        if cached is not None:
+            return cached
+        env._returns[id(fn)] = Tag.OTHER  # recursion guard
+        body_env = _scope_env(fn, env)
+        out = Tag.OTHER
+        for stmt in _scope_body(fn)[0]:
+            if isinstance(stmt, ast.Return) and stmt.value is not None:
+                out = self._prefer(out, body_env.tag(stmt.value))
+        env._returns[id(fn)] = out
+        return out
 
     @staticmethod
     def _prefer(a: str, b: str) -> str:
@@ -182,7 +228,7 @@ class ScopeEnv:
                 return Tag.SETVAL
             if func.id == "dict":
                 return Tag.LOCALDICT
-            return Tag.OTHER
+            return self._return_tag(func.id)
         if not isinstance(func, ast.Attribute):
             return Tag.OTHER
         base = self.tag(func.value)
@@ -249,7 +295,7 @@ class ScopeEnv:
             fields.append(arg.value)
         return fields
 
-    def process_assignments(self, stmts: list[ast.AST]) -> None:
+    def process_assignments(self, stmts: Sequence[ast.AST]) -> None:
         """Seed bindings from the scope's assignments in source order."""
         for node in stmts:
             if isinstance(node, ast.Assign):
@@ -281,6 +327,44 @@ def _is_scope(node: ast.AST) -> bool:
                              ast.Lambda))
 
 
+def _source_pos(node: ast.AST) -> tuple[int, int]:
+    # comprehension generators carry no position: use their target's,
+    # so they bind in source order like every other statement
+    if isinstance(node, ast.comprehension):
+        node = node.target
+    return getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
+
+
+def _scope_body(scope_node: ast.AST) -> tuple[list[ast.AST], list[ast.AST]]:
+    """A scope's own nodes in source order (not descending into nested
+    scopes) and its directly nested scopes."""
+    own_stmts: list[ast.AST] = []
+    sub_scopes: list[ast.AST] = []
+    stack = list(ast.iter_child_nodes(scope_node))
+    while stack:
+        node = stack.pop(0)
+        if _is_scope(node):
+            sub_scopes.append(node)
+            continue
+        own_stmts.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    own_stmts.sort(key=_source_pos)
+    return own_stmts, sub_scopes
+
+
+def _scope_env(scope_node: ast.AST, parent: Optional[ScopeEnv]) -> ScopeEnv:
+    """The bindings of one scope: parameter seeds, nested helper defs,
+    then its assignments in source order."""
+    env = ScopeEnv(scope_node, parent)
+    _seed_params(env, scope_node)
+    own_stmts, env.sub_scopes = _scope_body(scope_node)
+    for sub in env.sub_scopes:
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            env.defs[sub.name] = sub
+    env.process_assignments(own_stmts)
+    return env
+
+
 def _seed_params(env: ScopeEnv, node: ast.AST) -> None:
     args = getattr(node, "args", None)
     if args is None:
@@ -306,25 +390,9 @@ class ScopeMap:
         self._build(root, None)
 
     def _build(self, scope_node: ast.AST, parent: Optional[ScopeEnv]) -> None:
-        env = ScopeEnv(scope_node, parent)
+        env = _scope_env(scope_node, parent)
         self.envs[id(scope_node)] = env
-        _seed_params(env, scope_node)
-        # collect this scope's statements (not descending into sub-scopes),
-        # then recurse into the sub-scopes with this env as parent
-        own_stmts: list[ast.AST] = []
-        sub_scopes: list[ast.AST] = []
-        stack = list(ast.iter_child_nodes(scope_node))
-        while stack:
-            node = stack.pop(0)
-            if _is_scope(node):
-                sub_scopes.append(node)
-                continue
-            own_stmts.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        own_stmts.sort(key=lambda n: (getattr(n, "lineno", 0),
-                                      getattr(n, "col_offset", 0)))
-        env.process_assignments(own_stmts)
-        for sub in sub_scopes:
+        for sub in env.sub_scopes:
             self._build(sub, env)
 
     def scope_of(self, node: ast.AST) -> ScopeEnv:

@@ -33,10 +33,22 @@ from repro.certify.schemes import (
     single_register_corruptions,
 )
 from repro.certify.space import measure_task, space_rows
-from repro.core.tasks import ORACLE_DIGEST_FIELDS, guided_mst_protocol
+from repro.baselines.dim_bfs import AdHocBFSProtocol
+from repro.core.swap import MalleableTreeProtocol
+from repro.core.tasks import (
+    ORACLE_DIGEST_FIELDS,
+    SWAP,
+    WORK,
+    GuidedMDST,
+    GuidedMST,
+    NCALabelLayer,
+    guided_bfs_protocol,
+    guided_mdst_protocol,
+    guided_mst_protocol,
+)
 from repro.graphs import random_connected_graph, ring
 from repro.runtime import Simulator, random_configuration
-from repro.runtime.protocol import Protocol
+from repro.runtime.protocol import ComposedProtocol, Protocol
 from repro.runtime.registers import NONE, RegisterSpec, flag_field
 
 TASKS = sorted(CERTIFIERS)
@@ -191,41 +203,240 @@ class TestCertifiedOracle:
 
 
 # ----------------------------------------------------------------------
-# fast paths (adhoc-bfs / malleable-tree)
+# fast paths (adhoc-bfs / malleable-tree / the guided compositions)
 # ----------------------------------------------------------------------
+
+
+def _guided(task_cls, name: str) -> ComposedProtocol:
+    digest = DigestLayer(fields=ORACLE_DIGEST_FIELDS)
+    return ComposedProtocol(
+        [MalleableTreeProtocol(), NCALabelLayer(), digest, task_cls(digest)],
+        name=name)
+
+
+class _StepOnlyMST(GuidedMST):
+    """GuidedMST without its compiled rule: the engine runs ``step``
+    through the slot adapter."""
+
+    def fast_step_slots(self, schema):
+        return None
+
+
+class _StepOnlyMDST(GuidedMDST):
+    def fast_step_slots(self, schema):
+        return None
+
+
+_FAST_PATH_FACTORIES = {
+    "adhoc-bfs": AdHocBFSProtocol,
+    "malleable-tree": MalleableTreeProtocol,
+    "guided-bfs": guided_bfs_protocol,
+    "guided-mst": guided_mst_protocol,
+    "guided-mdst": guided_mdst_protocol,
+}
+
+#: SWAP-payload NCA labels that are not labels: non-iterables, the empty
+#: label, malformed segments, a foreign root apex
+_JUNK_LABELS = ("junk", 5, (), ((99, 0),), ((3,),), ((1, 2, 3),),
+                (("x", 0),), ((1, 0), (2, "d")))
+
+
+def _snapshot_after(factory: str, net, seed: int, rounds: int):
+    """The registers ``rounds`` rounds into a run from a random start:
+    reachable states with SWAP chains in flight and roots about to
+    consult."""
+    proto = _FAST_PATH_FACTORIES[factory]()
+    sim = Simulator(net, proto,
+                    config=random_configuration(net, proto, seed=seed))
+    for _ in range(rounds):
+        if not sim.run_round():
+            break
+    return {v: dict(sim.config[v]) for v in net.nodes}
+
+
+def _corrupt_guided(net, cfg, base, rng) -> None:
+    """``base`` registers with random ones mixed in (junk labels and
+    distances included), a mostly uniform phase, and SWAP payloads built
+    around real edges — genuine, junk-labelled and malformed, per node
+    or one shared broadcast."""
+    nodes = list(net.nodes)
+    phase = rng.choice((WORK, SWAP))
+    for v in nodes:
+        if rng.random() < 0.8:
+            for f, val in base[v].items():
+                if f not in ("ph", "ack", "bc") and rng.random() < 0.9:
+                    cfg[v][f] = val
+        if "lam" in cfg[v] and rng.random() < 0.05:
+            cfg[v]["lam"] = rng.choice(_JUNK_LABELS)
+        if rng.random() < 0.1:
+            cfg[v]["d"] = rng.randint(0, 5)
+        cfg[v]["ph"] = phase if rng.random() < 0.8 else rng.choice(
+            (WORK, SWAP))
+        cfg[v]["ack"] = rng.random() < 0.7
+
+    def label(v):
+        lam = cfg[v].get("lam", NONE)
+        if lam is NONE or rng.random() < 0.3:
+            return rng.choice(_JUNK_LABELS)
+        return lam
+
+    def payload(v):
+        # the subtree endpoint a: v itself, a random node, or (so that v
+        # sits inside the chain) one of v's descendants
+        a = v if rng.random() < 0.7 else rng.choice(nodes)
+        while rng.random() < 0.5:
+            kids = [u for u in net.neighbors(a) if base[u]["par"] == a]
+            if not kids:
+                break
+            a = rng.choice(kids)
+        b = rng.choice(net.neighbors(a))
+        x = a  # the removed edge's child side: a or one of its ancestors
+        while rng.random() < 0.6 and base[x]["par"] in base:
+            x = base[x]["par"]
+        if "lam" not in cfg[v]:  # guided-bfs: (u, v) commands
+            return rng.choice(((a, b), (a, b), (a, rng.choice(nodes)),
+                               (a, [b]), (a, b, x), NONE))
+        return rng.choice((
+            NONE, (a, b), (a, [b], x, label(a), label(x)), "junk",
+            (a, b, x, label(a), label(x)),
+            (a, b, x, label(a), label(x)),
+            (a, b, x, label(a), label(x))))
+
+    shared = payload(rng.choice(nodes)) if rng.random() < 0.4 else None
+    for v in nodes:
+        cfg[v]["bc"] = shared if shared is not None else payload(v)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s result, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc)
+
+
+def _oracle_state(proto):
+    task = getattr(proto, "layers", [proto])[-1]
+    oracle = getattr(task, "_oracle", None)
+    if oracle is None:
+        return None
+    return (oracle.consults, oracle.misses, oracle.retired,
+            dict(oracle._memo), task._issued_key)
 
 
 class TestEngineFastPaths:
     def test_slot_rule_and_exact_deltas_declared(self):
-        from repro.baselines.dim_bfs import AdHocBFSProtocol
-        from repro.core.swap import MalleableTreeProtocol
         for proto in (AdHocBFSProtocol(), MalleableTreeProtocol()):
             assert (type(proto).fast_step_slots
                     is not Protocol.fast_step_slots)
             assert proto.exact_deltas is True
+        # no guided layer still steps through adapt_step_to_slots
+        net = random_connected_graph(8, seed=1, weighted=True)
+        for factory in (guided_bfs_protocol, guided_mst_protocol,
+                        guided_mdst_protocol):
+            proto = factory()
+            schema = proto.register_spec(net).schema()
+            for layer in proto.layers:
+                assert layer.fast_step_slots(schema) is not None, (
+                    proto.name, layer.name)
 
-    @pytest.mark.parametrize("factory", ["adhoc-bfs", "malleable-tree"])
+    @pytest.mark.parametrize("factory", sorted(_FAST_PATH_FACTORIES))
     def test_fast_step_slots_equals_step(self, factory):
-        from repro.baselines.dim_bfs import AdHocBFSProtocol
-        from repro.core.swap import MalleableTreeProtocol
+        """Compiled rule ≡ ``step`` node by node, on corrupted states.
+
+        Each path gets its own protocol instance, so the oracle side
+        effects (consults, the issued-key latch, retirements) are
+        compared too rather than shared."""
         from repro.runtime.protocol import NodeView
-        proto = (AdHocBFSProtocol() if factory == "adhoc-bfs"
-                 else MalleableTreeProtocol())
-        net = random_connected_graph(12, seed=13)
-        schema = proto.register_spec(net).schema()
-        rule = proto.fast_step_slots(schema)
-        for seed in range(4):
-            cfg = random_configuration(net, proto, seed=seed)
+        guided = factory.startswith("guided")
+        fast_proto = _FAST_PATH_FACTORIES[factory]()
+        step_proto = _FAST_PATH_FACTORIES[factory]()
+        net = random_connected_graph(12, seed=13, weighted=guided)
+        schema = fast_proto.register_spec(net).schema()
+        rule = fast_proto.fast_step_slots(schema)
+        legit = get_certifier(factory).legitimate(net) if guided else None
+        for seed in range(40 if guided else 4):
+            cfg = random_configuration(net, fast_proto, seed=seed)
+            if guided:
+                rng = random.Random(seed)
+                base = (legit if seed % 4 == 0 else _snapshot_after(
+                    factory, net, seed, rng.choice((2, 4, 8, 16, 32))))
+                _corrupt_guided(net, cfg, base, rng)
             rows = {v: [cfg[v][name] for name in schema.names]
                     for v in net.nodes}
             views = {v: schema.view(rows[v]) for v in net.nodes}
             for v in net.nodes:
                 nbr_rows = tuple((u, rows[u]) for u in net.neighbors(v))
-                want = proto.step(NodeView(net, v, cfg))
-                want = {schema.index[k]: val
-                        for k, val in want.items()} if want else None
-                assert (rule(net, views, v, rows[v], nbr_rows)
-                        or None) == want
+                want = _outcome(step_proto.step, NodeView(net, v, cfg))
+                if isinstance(want, dict):
+                    want = {schema.index[k]: val for k, val in want.items()}
+                got = _outcome(rule, net, views, v, rows[v], nbr_rows)
+                assert (got or None) == want, (seed, v)
+            assert _oracle_state(fast_proto) == _oracle_state(step_proto)
+
+    def test_swap_flush_retires_the_issued_decision(self):
+        """The one-shot retirement on both evaluation paths: a root whose
+        acked SWAP phase left the digest it was issued under unchanged
+        retires that decision and clears the issued-key latch."""
+        from repro.runtime.protocol import NodeView
+        cert = get_certifier("guided-mst")
+        net = cert.build_network(8, seed=2)
+        cfg = cert.legitimate(net)
+        for v in net.nodes:
+            cfg[v].update(ph=SWAP, ack=True, bc=NONE)
+        for path in ("slot", "step"):
+            proto = cert.protocol()
+            task = proto.layers[-1]
+            sim = Simulator(net, proto, config=cfg)
+            root = next(v for v in net.nodes
+                        if sim.config[v]["par"] is NONE)
+            key = task._digest.expected(NodeView(net, root, sim.config))
+            task._oracle._memo[key] = ("stale", "decision")
+            task._issued_key = key
+            if path == "slot":
+                delta = sim._slot_rule(net, sim.config, root,
+                                       sim._state[root], sim._nbr_rows[root])
+                delta = {sim.schema.names[i]: val
+                         for i, val in delta.items()}
+            else:
+                delta = proto.step(NodeView(net, root, sim.config))
+            assert delta == {"ph": WORK, "ack": False}, path
+            assert task._oracle.retired == 1, path
+            assert task._oracle._memo[key] is None, path
+            assert task._issued_key is None, path
+
+    @pytest.mark.parametrize("task_cls,step_only", [
+        (GuidedMST, _StepOnlyMST), (GuidedMDST, _StepOnlyMDST)])
+    def test_compiled_rule_matches_step_adapter_on_the_engine(
+            self, task_cls, step_only):
+        """The compiled rule and the ``step`` adapter drive the plain
+        engine (no referee, whose own ``step`` calls would perform the
+        oracle side effects) to the same configuration and the same
+        oracle counters.  A junk broadcast overwritten just after the
+        root issues makes some runs flush a SWAP that moved nothing, so
+        the one-shot retirement is exercised."""
+        retired = 0
+        for seed in range(6):
+            outcomes = []
+            for cls in (task_cls, step_only):
+                net = random_connected_graph(8, seed=seed, weighted=True)
+                proto = _guided(cls, "guided")
+                task = proto.layers[-1]
+                sim = Simulator(net, proto, config=random_configuration(
+                    net, proto, seed=seed))
+                sim.run(max_rounds=5000 * net.n,
+                        stop_when=lambda *_, t=task: t._issued_key is not None)
+                for v in net.nodes:
+                    sim.overwrite(v, {"bc": (1, 2, 3, ((99, 0),), "junk")})
+                result = sim.run(max_rounds=5000 * net.n)
+                oracle = task._oracle
+                outcomes.append((
+                    result.moves, result.silent,
+                    {v: dict(sim.config[v]) for v in net.nodes},
+                    (oracle.consults, oracle.misses, oracle.retired)))
+            assert outcomes[0] == outcomes[1], seed
+            retired += outcomes[0][3][2]
+        assert retired >= 1
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.certify.oracle import DigestLayer
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
@@ -155,6 +157,66 @@ class DriftingPort(_TwoField):
         def rule(net, config, node, own, nbr_rows):
             if own[x] != own[y]:
                 return {x: own[y]}
+            return None
+
+        return rule
+
+
+class FilteredChildrenPort(_TwoField):
+    """A faithful port reading its children's ``y`` only through a
+    derived ``(u, st)`` list — still a register read (C001 must not
+    fire)."""
+
+    name = "fixture-filtered-children"
+
+    def step(self, view):
+        me = view.id
+        kids = [u for u in view.neighbors if view.nbr(u)["x"] == me]
+        ok = all(view.nbr(c)["y"] for c in kids)
+        if view["x"] != int(ok):
+            return {"x": int(ok)}
+        return None
+
+    def fast_step_slots(self, schema):
+        x, y = schema.slot("x"), schema.slot("y")
+
+        def rule(net, config, node, own, nbr_rows):
+            children = [(u, st) for u, st in nbr_rows if st[x] == node]
+            ok = all(kst[y] for _, kst in children)
+            if own[x] != int(ok):
+                return {x: int(ok)}
+            return None
+
+        return rule
+
+
+class HelperRowPort(_TwoField):
+    """A faithful port reading its parent's ``y`` through a row returned
+    by a local helper — still a register read (C001 must not fire)."""
+
+    name = "fixture-helper-row"
+
+    def step(self, view):
+        pst = view.nbr_or_none(view["x"])
+        want = pst["y"] if pst is not None else 0
+        if view["x"] != want:
+            return {"x": want}
+        return None
+
+    def fast_step_slots(self, schema):
+        x, y = schema.slot("x"), schema.slot("y")
+
+        def rule(net, config, node, own, nbr_rows):
+            def row_of(target):
+                for u, ust in nbr_rows:
+                    if u == target:
+                        return ust
+                return None
+
+            pst = row_of(own[x])
+            want = pst[y] if pst is not None else 0
+            if own[x] != want:
+                return {x: want}
             return None
 
         return rule
@@ -307,6 +369,14 @@ def test_consistency_fixture_fires_c002():
 
 def test_clean_fixture_is_silent():
     assert _analyze(CleanPair) == []
+
+
+@pytest.mark.parametrize("fixture", [FilteredChildrenPort, HelperRowPort])
+def test_derived_rows_are_register_reads(fixture):
+    """Neighbor rows re-packed by a filtered comprehension or returned by
+    a local helper keep their register tag, so a faithful port is not
+    reported as dropping the field it reads through them."""
+    assert _analyze(fixture) == []
 
 
 def test_probe_outside_rule_surface_is_silent():
