@@ -21,7 +21,7 @@ self-stabilization plus the certification contract:
 
 Oracle-state semantics, recorded here once.  The guided tasks keep
 detector bookkeeping as protocol-instance state (the digest-keyed memo,
-the issued-key retirement, guided-mdst's improvement plan — DESIGN.md,
+the issued-decision latch, guided-mdst's improvement plan — DESIGN.md,
 substitution 6).  :func:`explore` therefore supports two modes:
 
 * **shared instance** (default): one protocol object serves every

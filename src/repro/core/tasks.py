@@ -951,8 +951,8 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
     view (plus the write-once memo shared by every evaluation path), and
     the composition runs with ``read_locality = "neighborhood"``.
 
-    Both evaluation paths share that memo and the issued-key latch: the
-    engine's compiled rule (:meth:`slot_hooks`) and ``step`` (the
+    Both evaluation paths share that memo and the issued-decision latch:
+    the engine's compiled rule (:meth:`slot_hooks`) and ``step`` (the
     rescan, the referee, the model checker) consult, retire and latch in
     the same order, so a retirement performed by either is seen by both.
     """
@@ -969,9 +969,9 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
     def __init__(self, digest: DigestLayer) -> None:
         self._digest = digest
         self._oracle = CertifiedOracle()
-        #: the digest key the outstanding SWAP payload was issued under;
-        #: compared at flush time to retire decisions that moved nothing
-        self._issued_key: int | None = None
+        #: ``(key, payload)`` of the outstanding SWAP decision; compared
+        #: at flush time to retire a decision that moved nothing
+        self._issued: tuple[int, object] | None = None
 
     def own_candidate(self, view: NodeView):
         return NONE
@@ -984,12 +984,12 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
         network (the decision thunk closes over the consult-time
         topology), so a digest key that recurs after the event would
         replay a decision about edges that may no longer exist.  Drop
-        the memo and the issued-key latch wholesale and invalidate every
-        cached proposal: the consulting root's enabledness is a function
-        of the memo, not only of its 1-hop registers.
+        the memo and the issued-decision latch wholesale and invalidate
+        every cached proposal: the consulting root's enabledness is a
+        function of the memo, not only of its 1-hop registers.
         """
         self._oracle = CertifiedOracle()
-        self._issued_key = None
+        self._issued = None
         return True
 
     def labels_settled(self, view: NodeView) -> bool:
@@ -999,7 +999,7 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
         # — acked children always carry their current subtree digest,
         # which is what keys the root's consult.  Residual staleness
         # windows (an ack bit written before a later remote change) are
-        # bounded by the one-shot retirement in :meth:`next_phase`: a
+        # bounded by the one-shot retirement in :meth:`_flush`: a
         # decision whose SWAP moved nothing is never replayed under the
         # same key.  (A register-vs-expected comparison here would be
         # tautological for exactly the layer-ordering reason above.)
@@ -1046,54 +1046,61 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
             return None  # labels not ready; the next label write re-keys
         return (a, b, x, tuple(lam_a), tuple(lam_x))
 
+    def _flush(self, key: int, bc) -> tuple[str, object]:
+        """The SWAP flush back to WORK, shared by both evaluation paths.
+
+        A completed SWAP that left the digest unchanged moved none of
+        the registers the decision was about — the payload was stale or
+        infeasible, and replaying it on the next recurrence of the same
+        key would be a livelock, so it is retired (one shot per key).
+        Only the decision that actually ran is retired: when the root's
+        flushed ``bc`` is not the payload issued under ``key`` (a
+        transient fault replaced it), the decision never executed, and
+        retiring it would silence the root on an illegal tree.
+        """
+        if self._issued == (key, bc):
+            self._oracle.retire(key)
+        self._issued = None
+        return WORK, NONE
+
     def next_phase(self, view: NodeView, phase: str, cand):
         key = self._digest.expected(view)
         if phase == SWAP:
-            # flush back to WORK; a completed SWAP that left the digest
-            # unchanged moved none of the registers the decision was
-            # about — the payload was stale or infeasible, and replaying
-            # it on the next recurrence of the same key would be a
-            # livelock.  Retire it (one shot per key).
-            if self._issued_key is not None and key == self._issued_key:
-                self._oracle.retire(key)
-            self._issued_key = None
-            return WORK, NONE
+            return self._flush(key, view["bc"])
         net = view.net
         config = view._config
         payload = self._oracle.consult(
             key, lambda: self._decide(net, config))
         if payload is None:
             return None
-        # recording the issuance key is idempotent across re-evaluations
-        # of this same guard state and does not affect this evaluation's
-        # result, so cached proposals and rescans stay in agreement
-        self._issued_key = key
+        # recording the issued decision is idempotent across
+        # re-evaluations of this same guard state and does not affect
+        # this evaluation's result, so cached proposals and rescans stay
+        # in agreement
+        self._issued = (key, payload)
         return SWAP, payload
 
     def slot_hooks(self, schema) -> SlotHooks:
         """The hooks compiled to slot indices: the NCA settledness check,
         the chain swap (:meth:`ChainSwapMixin.chain_slot_hooks`) and the
         root transition with :meth:`next_phase`'s oracle side effects in
-        its order — the digest key from the (patched) own row, the
-        one-shot retirement and the issued-key latch on the SWAP flush,
-        and a consult whose thunk hands :meth:`_decide` the
-        configuration ``step`` would see (:func:`patched_config`)."""
+        its order — the digest key from the (patched) own row, the SWAP
+        flush (:meth:`_flush`) with the register's own ``bc``, and a
+        consult whose thunk hands :meth:`_decide` the configuration
+        ``step`` would see (:func:`patched_config`)."""
         role, done, request = self.chain_slot_hooks(schema)
         expected = self._digest.slot_expected(schema)
+        BC = schema.slot("bc")
 
         def transition(net, config, me, own, nbr_rows, phase, cand):
             key = expected(me, own, nbr_rows)
             if phase == SWAP:
-                # the flush of next_phase (one-shot retirement per key)
-                if self._issued_key is not None and key == self._issued_key:
-                    self._oracle.retire(key)
-                self._issued_key = None
-                return WORK, NONE
+                return self._flush(key, own[BC])
             payload = self._oracle.consult(key, lambda: self._decide(
                 net, patched_config(schema, config, me, own)))
             if payload is None:
                 return None
-            self._issued_key = key
+            self._issued = (key, payload)
             return SWAP, payload
 
         return SlotHooks(None, _nca_settled_slots(schema), role, done,

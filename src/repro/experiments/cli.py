@@ -7,8 +7,6 @@
     python -m repro campaign run --campaign mst --store results/mst.jsonl
     python -m repro campaign status --campaign mst
     python -m repro campaign report --campaign mst --format markdown
-    python -m repro bench --smoke --json
-    python -m repro bench --list
 
 ``run`` is resumable: rerunning against the same store skips completed
 runs (``0 executed`` on a finished campaign), and the records are
@@ -158,13 +156,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="experiment campaigns and performance benchmarks "
-                    "for the ICDCS'15 reproduction")
+        description="experiment campaigns, certification, telemetry and "
+                    "sharded runs for the ICDCS'15 reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the perf subsystem registers `python -m repro bench`
-    from repro.perf.cli import register_bench
-    register_bench(sub)
 
     # the certification subsystem registers `python -m repro certify`
     from repro.certify.cli import register_certify

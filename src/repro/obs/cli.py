@@ -8,11 +8,10 @@
     python -m repro obs validate trace.jsonl other.jsonl
     python -m repro obs overhead
 
-``record`` replays a pinned benchmark workload once with a
-:class:`~repro.obs.probes.TraceRecorder` attached, so the trace
-describes exactly the execution the perf numbers are quoted on —
-including sharded workloads, which stream per-round frames from the
-worker processes.  ``report`` renders a finished trace (sparklines +
+``record`` replays a pinned workload (:mod:`repro.obs.workloads`) once
+with a :class:`~repro.obs.probes.TraceRecorder` attached — including
+sharded workloads, which stream per-round frames from the worker
+processes.  ``report`` renders a finished trace (sparklines +
 per-round table); ``tail`` follows a live capture line by line.
 ``overhead`` is the CI gate for the zero-overhead claim: it asserts
 *structurally* that a recorder-less simulator runs the exact
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import statistics
 import sys
 import time
@@ -34,7 +32,7 @@ __all__ = ["register_obs"]
 
 
 def _workload(name: str):
-    from repro.perf.workloads import WORKLOADS
+    from repro.obs.workloads import WORKLOADS
     if name not in WORKLOADS:
         raise SystemExit(f"error: unknown workload {name!r}; "
                          f"known: {', '.join(sorted(WORKLOADS))}")
@@ -44,14 +42,13 @@ def _workload(name: str):
 def _cmd_record(args: argparse.Namespace) -> int:
     from repro.obs.probes import TraceRecorder
     from repro.obs.trace import validate_trace
-    from repro.perf.harness import _one_execution
+    from repro.obs.workloads import execute
 
     workload = _workload(args.workload)
     out = Path(args.out)
     recorder = TraceRecorder(out, header_extra={"workload": workload.name})
     try:
-        _, moves, rounds, silent, n, m = _one_execution(
-            workload, recorder=recorder)
+        _, moves, rounds, silent, n, m = execute(workload, recorder=recorder)
     except BaseException:
         recorder.abort()
         raise
@@ -148,27 +145,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-_OMIT = object()  # sentinel: build without passing the recorder kwarg
-
-
-def _build_sim(workload, recorder=_OMIT):
-    from repro.experiments.registry import (
-        SCHEDULERS,
-        build_config,
-        build_network,
-        build_protocol,
-    )
-    from repro.runtime.simulator import Simulator
-    net = build_network(workload.topology, workload.topo, random.Random(0))
-    proto, _ = build_protocol(workload.protocol)
-    config, _ = build_config(workload.init, net, proto, random.Random(1),
-                             workload.init_args)
-    scheduler = SCHEDULERS[workload.scheduler](workload.scheduler_seed)
-    if recorder is _OMIT:
-        return Simulator(net, proto, scheduler, config=config)
-    return Simulator(net, proto, scheduler, config=config, recorder=recorder)
-
-
 def _timed_to_silence(sim) -> tuple[float, int]:
     t0 = time.perf_counter()
     while sim.run_round(max_moves=10_000_000):
@@ -176,16 +152,18 @@ def _timed_to_silence(sim) -> tuple[float, int]:
     return time.perf_counter() - t0, sim.moves
 
 
-def _timed_sample(workload, inner: int, recorder=_OMIT) -> tuple[float, int]:
+def _timed_sample(workload, inner: int, **sim_kwargs) -> tuple[float, int]:
     """One timed sample: ``inner`` consecutive build+run-to-silence
     executions.  A single acceptance run lasts ~0.1s — short enough
     that one scheduler hiccup skews it by several percent; aggregating
-    stretches the sample past the noise scale."""
+    stretches the sample past the noise scale.  ``sim_kwargs`` go to
+    the simulator (the timed A/B passes ``recorder=None`` or nothing)."""
+    from repro.obs.workloads import build_simulator
     total = 0.0
     moves = 0
     for _ in range(inner):
-        sec, moves = _timed_to_silence(_build_sim(workload,
-                                                  recorder=recorder))
+        sec, moves = _timed_to_silence(build_simulator(workload,
+                                                       **sim_kwargs))
         total += sec
     return total, moves
 
@@ -203,13 +181,13 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     ``recorder=None``) is the tripwire behind the proof: the two sides
     run identical code, so its median within-pair ratio should sit at
     1.0 up to scheduler noise, and a breach of the (deliberately
-    noise-sized, like the bench gate's 2.5x) tolerance means someone
-    re-engaged the observed loop on the disabled path — a ~2x shift,
-    unmistakable at any tolerance.
+    noise-sized) tolerance means someone re-engaged the observed loop
+    on the disabled path — a ~2x shift, unmistakable at any tolerance.
     """
     import tempfile
 
     from repro.obs.probes import TraceRecorder
+    from repro.obs.workloads import build_simulator, execute
     from repro.runtime.simulator import Simulator
 
     workload = _workload(args.workload)
@@ -218,7 +196,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
                          "pick an unsharded workload")
 
     # -- structural: the disabled path leaves run_round unshadowed
-    sim = _build_sim(workload, recorder=None)
+    sim = build_simulator(workload, recorder=None)
     if "run_round" in vars(sim):
         raise SystemExit(
             "FAIL: recorder=None shadowed run_round on the instance — "
@@ -226,7 +204,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     assert type(sim).run_round is Simulator.run_round
     with tempfile.TemporaryDirectory() as tmp:
         recorder = TraceRecorder(Path(tmp) / "probe.jsonl")
-        sim_obs = _build_sim(workload, recorder=recorder)
+        sim_obs = build_simulator(workload, recorder=recorder)
         if "run_round" not in vars(sim_obs):
             raise SystemExit(
                 "FAIL: attaching a recorder did not engage the observed "
@@ -241,7 +219,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     # 2%.  Adjacent runs barely drift — so each pair is timed
     # back-to-back, the order alternates pair to pair (drift bias flips
     # sign), and the gate is on the *median of within-pair ratios*.
-    _timed_to_silence(_build_sim(workload))  # warmup, discarded
+    _timed_to_silence(build_simulator(workload))  # warmup, discarded
     ratios: list[float] = []
     moves = 0
     for i in range(args.repeats):
@@ -268,10 +246,8 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
     # -- informational: what enabling the probes costs (not gated)
     with tempfile.TemporaryDirectory() as tmp:
-        rec = TraceRecorder(Path(tmp) / "enabled.jsonl")
-        sim_on = _build_sim(workload, recorder=rec)
-        sec_on, moves_on = _timed_to_silence(sim_on)
-        rec.finalize(silent=sim_on.is_silent())
+        on = execute(workload, recorder=TraceRecorder(Path(tmp) / "on.jsonl"))
+    sec_on, moves_on = on.seconds, on.moves
     print(f"  probes enabled (info)  {sec_on:.4f}s "
           f"({moves_on / sec_on:,.0f} moves/s) — traces and timings are "
           f"recorded in separate runs by design")
@@ -288,8 +264,9 @@ def register_obs(subparsers) -> None:
     p_record = osub.add_parser(
         "record", help="record a convergence trace of a pinned workload")
     p_record.add_argument("--workload", required=True,
-                          help="a repro.perf workload name "
-                               "(see `python -m repro bench --list`)")
+                          help="a pinned workload name (see "
+                               "repro.obs.workloads; an unknown name "
+                               "lists them)")
     p_record.add_argument("--out", required=True, metavar="PATH",
                           help="where the JSONL trace lands")
     p_record.set_defaults(fn=_cmd_record)

@@ -5,46 +5,23 @@ A :class:`TraceRecorder` is handed to a simulator at *construction*
 observed round loop once, at setup.  With no recorder the engine byte
 path is exactly the pre-telemetry one — hook selection happens at
 construction, never per move, which is what keeps the disabled-path
-overhead inside the CI perf gate's envelope *structurally*.
+overhead at zero *structurally* (``repro obs overhead`` gates it).
 
 Probe callbacks run **between** atomic steps, never from inside one:
 they read the whole configuration by design and live outside the rule
 contract (see ``OBS_ENTRYPOINTS`` in :mod:`repro.runtime.protocol` —
 the statics analyzer treats them as an observer boundary, like the
 certification oracle).
-
-The module also tracks whether any capture is live in this process
-(:func:`capture_active`): the perf harness refuses to record timings
-while a recorder is attached anywhere, because probe work inside the
-measured loop would silently poison the throughput numbers.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.trace import dump_line, make_end, make_event, make_header
 
-__all__ = ["TraceRecorder", "capture_active"]
-
-#: Live recorders in this process (attach increments, finalize/abort
-#: decrements).  The perf harness consults this through
-#: :func:`capture_active` before trusting any timing.
-_ACTIVE = 0
-
-
-def capture_active() -> bool:
-    """Whether any trace capture is live in this process.
-
-    ``REPRO_OBS_CAPTURE=1`` forces the answer to True — the escape used
-    by sharded workers (which capture on the parent's behalf) and by the
-    tests of the harness refusal path.
-    """
-    if os.environ.get("REPRO_OBS_CAPTURE", "") not in ("", "0"):
-        return True
-    return _ACTIVE > 0
+__all__ = ["TraceRecorder"]
 
 
 class TraceRecorder:
@@ -90,7 +67,6 @@ class TraceRecorder:
 
     def open(self, header: dict[str, Any]) -> None:
         """Write the header and go live (the engine calls this via attach)."""
-        global _ACTIVE
         if self._fh is not None:
             raise RuntimeError(
                 f"recorder for {self.path} already attached; one recorder "
@@ -99,7 +75,6 @@ class TraceRecorder:
         self._fh = self.path.open("w")
         self._fh.write(dump_line(header))
         self._fh.flush()
-        _ACTIVE += 1
 
     def attach(self, sim: Any) -> None:
         """Bind to a single-process :class:`~repro.runtime.simulator.Simulator`.
@@ -156,7 +131,6 @@ class TraceRecorder:
 
     def finalize(self, *, silent: bool) -> None:
         """Write the ``end`` totals and close (idempotent)."""
-        global _ACTIVE
         if self._finalized or self._fh is None:
             return
         self._fh.write(dump_line(make_end(
@@ -164,15 +138,12 @@ class TraceRecorder:
         self._fh.close()
         self._fh = None
         self._finalized = True
-        _ACTIVE -= 1
 
     def abort(self) -> None:
         """Close without an ``end`` record — the honest crash shape."""
-        global _ACTIVE
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-            _ACTIVE -= 1
 
     def __enter__(self) -> "TraceRecorder":
         return self

@@ -4,17 +4,16 @@ A trace is one JSONL file per execution — a ``header`` line describing
 the workload and the engine configuration that produced it, one
 ``round`` line per executed round, optional ``event`` lines marking
 topology events between rounds (schema v2, the dynamics engine), and an
-``end`` line carrying the final totals.  The format is the observability twin of the
-``BENCH_*.json`` perf reports (:mod:`repro.perf.emitter`): schema
-versioned, self-describing, validated before anything consumes it.
+``end`` line carrying the final totals.  The format is schema
+versioned, self-describing, and validated before anything consumes it.
 
 Two properties are load-bearing:
 
 * **Byte determinism.**  Lines are canonical JSON (sorted keys, no
   whitespace) and carry *no* wall-clock fields — two runs of the same
   pinned workload produce byte-identical traces, which is what the
-  determinism tests diff.  Timing lives in the perf reports; traces
-  record only the convergence trajectory.
+  determinism tests diff.  Timing lives in the benchmark
+  (``perfbench/``); traces record only the convergence trajectory.
 * **Torn-tail honesty.**  A trace being written when the process dies
   ends mid-line.  Like the campaign result store, validation treats a
   torn *final* line as a distinct, recognizable condition (the file is
@@ -118,8 +117,7 @@ def validate_trace(path: str | Path) -> list[str]:
 
     Checks the header, row shape, round numbering (consecutive from 1),
     and that the end line's totals equal the per-round sums exactly —
-    a trace whose footer disagrees with its own rows is rejected, the
-    same way the perf emitter refuses to write an invalid report.
+    a trace whose footer disagrees with its own rows is rejected.
     """
     p = Path(path)
     try:

@@ -38,8 +38,8 @@ from repro.runtime.sharding.partition import (
 __all__ = ["register_shard", "build_topology_spec", "parse_topology_spec"]
 
 #: the pinned verify workload: the acceptance topology (the 512-node
-#: random graph every perf PR quotes) under the synchronous daemon with
-#: per-node arbitrary initialization
+#: random graph of ``acceptance-sst-512``) under the synchronous daemon
+#: with per-node arbitrary initialization
 _PINNED_TOPOLOGY = "random:n=512,seed=42"
 _PINNED_INIT_SEED = 7
 

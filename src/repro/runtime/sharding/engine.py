@@ -141,7 +141,7 @@ def per_node_configuration(net, spec, seed: int, nodes=None):
 
 def _peak_rss_kb() -> int:
     """This process's peak resident set, in KiB (ru_maxrss is bytes on
-    macOS, KiB on Linux; normalized the same way the perf harness does)."""
+    macOS, KiB on Linux; normalized here)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         peak //= 1024

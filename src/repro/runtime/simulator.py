@@ -751,8 +751,8 @@ class Simulator:
         """Execute daemon steps until silence or ``max_moves`` moves.
 
         Sub-round granularity for callers that need a *move* budget on
-        protocols whose rounds are huge (the perf harness budgets the
-        slow-stepping baselines this way).  Does not advance the round
+        protocols whose rounds are huge (a pinned workload with only a
+        move budget runs this way, see :mod:`repro.obs.workloads`).  Does not advance the round
         counter — rounds are a property of complete-round executions.
         The budget is checked between daemon steps, so a multi-node
         selection may overshoot it by at most one batch.

@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one rule violation at one source location, tagged
 with the protocol and layer whose rule surface it was discovered on.  Two
-suppression mechanisms exist, mirroring the perf-gate's philosophy that
-every exception must be *visible in the diff*:
+suppression mechanisms exist, both following the rule that every
+exception must be *visible in the diff*:
 
 * an inline waiver comment ``# statics: ignore[RULE]`` on the finding's
   line (or the line above it, or any call site of the chain that reached

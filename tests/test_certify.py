@@ -321,7 +321,7 @@ def _oracle_state(proto):
     if oracle is None:
         return None
     return (oracle.consults, oracle.misses, oracle.retired,
-            dict(oracle._memo), task._issued_key)
+            dict(oracle._memo), task._issued)
 
 
 class TestEngineFastPaths:
@@ -374,16 +374,24 @@ class TestEngineFastPaths:
                 assert (got or None) == want, (seed, v)
             assert _oracle_state(fast_proto) == _oracle_state(step_proto)
 
-    def test_swap_flush_retires_the_issued_decision(self):
+    @pytest.mark.parametrize("flushed,retires", [
+        (("stale", "decision"), True), (("junk", "payload"), False)],
+        ids=["issued-payload", "junk-payload"])
+    def test_swap_flush_retires_only_the_issued_decision(self, flushed,
+                                                        retires):
         """The one-shot retirement on both evaluation paths: a root whose
         acked SWAP phase left the digest it was issued under unchanged
-        retires that decision and clears the issued-key latch."""
+        retires that decision when its flushed ``bc`` is the issued
+        payload (a genuine stale decision), and keeps it when a junk
+        ``bc`` replaced the payload (the decision never ran).  Either
+        way the flush clears the issued-decision latch."""
         from repro.runtime.protocol import NodeView
         cert = get_certifier("guided-mst")
         net = cert.build_network(8, seed=2)
         cfg = cert.legitimate(net)
+        issued = ("stale", "decision")
         for v in net.nodes:
-            cfg[v].update(ph=SWAP, ack=True, bc=NONE)
+            cfg[v].update(ph=SWAP, ack=True, bc=flushed)
         for path in ("slot", "step"):
             proto = cert.protocol()
             task = proto.layers[-1]
@@ -391,8 +399,8 @@ class TestEngineFastPaths:
             root = next(v for v in net.nodes
                         if sim.config[v]["par"] is NONE)
             key = task._digest.expected(NodeView(net, root, sim.config))
-            task._oracle._memo[key] = ("stale", "decision")
-            task._issued_key = key
+            task._oracle._memo[key] = issued
+            task._issued = (key, issued)
             if path == "slot":
                 delta = sim._slot_rule(net, sim.config, root,
                                        sim._state[root], sim._nbr_rows[root])
@@ -400,10 +408,11 @@ class TestEngineFastPaths:
                          for i, val in delta.items()}
             else:
                 delta = proto.step(NodeView(net, root, sim.config))
-            assert delta == {"ph": WORK, "ack": False}, path
-            assert task._oracle.retired == 1, path
-            assert task._oracle._memo[key] is None, path
-            assert task._issued_key is None, path
+            assert delta == {"ph": WORK, "ack": False, "bc": NONE}, path
+            assert task._oracle.retired == int(retires), path
+            assert task._oracle._memo[key] == (None if retires
+                                               else issued), path
+            assert task._issued is None, path
 
     @pytest.mark.parametrize("task_cls,step_only", [
         (GuidedMST, _StepOnlyMST), (GuidedMDST, _StepOnlyMDST)])
@@ -412,9 +421,11 @@ class TestEngineFastPaths:
         """The compiled rule and the ``step`` adapter drive the plain
         engine (no referee, whose own ``step`` calls would perform the
         oracle side effects) to the same configuration and the same
-        oracle counters.  A junk broadcast overwritten just after the
-        root issues makes some runs flush a SWAP that moved nothing, so
-        the one-shot retirement is exercised."""
+        oracle counters.  Just after the root issues, the test issues a
+        junk decision in its place — memo entry, latch and every ``bc`` —
+        so some runs flush a SWAP that moved nothing and the one-shot
+        retirement is exercised."""
+        junk = (1, 2, 3, ((99, 0),), "junk")
         retired = 0
         for seed in range(6):
             outcomes = []
@@ -425,9 +436,12 @@ class TestEngineFastPaths:
                 sim = Simulator(net, proto, config=random_configuration(
                     net, proto, seed=seed))
                 sim.run(max_rounds=5000 * net.n,
-                        stop_when=lambda *_, t=task: t._issued_key is not None)
+                        stop_when=lambda *_, t=task: t._issued is not None)
+                key = task._issued[0]
+                task._oracle._memo[key] = junk
+                task._issued = (key, junk)
                 for v in net.nodes:
-                    sim.overwrite(v, {"bc": (1, 2, 3, ((99, 0),), "junk")})
+                    sim.overwrite(v, {"bc": junk})
                 result = sim.run(max_rounds=5000 * net.n)
                 oracle = task._oracle
                 outcomes.append((
@@ -550,21 +564,16 @@ class TestIntegration:
         assert record["metrics"]["locally_certified"] is True
 
     def test_guided_workloads_registered(self):
-        from repro.perf.workloads import WORKLOADS, select_workloads
-        for name in ("guided-bfs-128", "guided-bfs-512", "guided-mst-128",
-                     "guided-mst-512", "guided-mdst-128", "guided-mdst-512"):
-            assert name in WORKLOADS
-            assert "full" in WORKLOADS[name].tags
-        smoke = {w.name for w in select_workloads(smoke=True)}
-        assert {"smoke-guided-bfs-48", "smoke-guided-mst-48",
-                "smoke-guided-mdst-48"} <= smoke
+        from repro.obs.workloads import WORKLOADS
+        for task in ("guided-bfs", "guided-mst", "guided-mdst"):
+            for n in (48, 128, 512):
+                name = f"smoke-{task}-{n}" if n == 48 else f"{task}-{n}"
+                assert WORKLOADS[name].protocol == task
 
     def test_guided_smoke_workload_measures(self):
-        from repro.perf.harness import run_workload
-        from repro.perf.workloads import WORKLOADS
-        record = run_workload(WORKLOADS["smoke-guided-bfs-48"], repeats=1,
-                              warmup=False)
-        assert record["moves"] > 0 and record["moves_per_sec"] > 0
+        from repro.obs.workloads import WORKLOADS, execute
+        run = execute(WORKLOADS["smoke-guided-bfs-48"])
+        assert run.moves > 0 and run.seconds > 0
 
     def test_cli_certify_check_smoke(self):
         proc = subprocess.run(
@@ -791,18 +800,3 @@ class TestModelCheckerFoundRegressions:
                       protocol_factory=guided_mst_protocol)
         assert res.cycle is None, "junk-label payload livelock regression"
         assert not res.illegal_silent
-
-
-class TestBenchReportMentionsRss:
-    def test_comparison_table_has_rss_column(self, capsys):
-        from repro.perf.cli import _print_comparison
-        # peak_rss_kb rides on the comparison rows themselves (and thus
-        # into BENCH_comparison.json) since the statics PR
-        diff = {"tolerance": 2.5, "rows": [
-            {"workload": "w", "status": "ok", "current_mps": 10.0,
-             "baseline_mps": 10.0, "slowdown": 1.0,
-             "peak_rss_kb": 12345}], "compared": 1,
-            "regressions": [], "ok": True}
-        _print_comparison(diff)
-        out = capsys.readouterr().out
-        assert "peak rss KiB" in out and "12,345" in out

@@ -546,24 +546,23 @@ class TestChurnIntegration:
         assert plain.n_bound == 10
 
     def test_churn_workload_validation(self):
-        from repro.perf.workloads import WORKLOADS, Workload
+        from repro.obs.workloads import WORKLOADS, Workload
         assert "churn-sst-512" in WORKLOADS
         assert "smoke-churn-sst-48" in WORKLOADS
         with pytest.raises(ValueError, match="single-process"):
-            Workload(name="x", family="f", protocol="sst",
+            Workload(name="x", protocol="sst",
                      topology="implicit-grid",
                      topo_params=(("rows", 4), ("cols", 4)),
                      init="per-node", shards=2,
                      churn=(("kind", "mixed"),))
         with pytest.raises(ValueError, match="run to silence"):
-            Workload(name="x", family="f", protocol="sst",
+            Workload(name="x", protocol="sst",
                      topology="random", topo_params=(("n", 8),),
                      round_budget=4, churn=(("kind", "mixed"),))
 
     def test_churn_workload_runs(self):
-        from repro.perf.harness import run_workload
-        from repro.perf.workloads import WORKLOADS
-        rec = run_workload(WORKLOADS["smoke-churn-sst-48"], repeats=2,
-                           warmup=False)
-        assert rec["silent"] is True
-        assert rec["moves"] > 0
+        from repro.obs.workloads import WORKLOADS, execute
+        runs = [execute(WORKLOADS["smoke-churn-sst-48"]) for _ in range(2)]
+        assert runs[0][1:] == runs[1][1:]
+        assert runs[0].silent is True
+        assert runs[0].moves > 0

@@ -178,3 +178,30 @@ class TestGuidedMDST:
         result = sim.run(max_rounds=100 * net.n)
         assert result.silent
         assert tree_of_config(net, sim.config).same_edges(tree)
+
+
+class TestJunkBroadcast:
+    """One transient fault in the broadcast registers must not silence
+    the construction on an illegal tree.  Overwriting every ``bc`` with
+    junk right after the root issues a decision makes the SWAP phase
+    flush with the subtree digest unchanged; the root may retire only
+    the decision it issued, never a valid one the junk replaced."""
+
+    @pytest.mark.parametrize("factory", [guided_mst_protocol,
+                                         guided_mdst_protocol],
+                             ids=["guided-mst", "guided-mdst"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_silence_after_junk_broadcast_is_legal(self, factory, seed):
+        net = random_connected_graph(8, seed=seed, weighted=True)
+        proto = factory()
+        task = proto.layers[-1]
+        sim = Simulator(net, proto,
+                        config=random_configuration(net, proto, seed=seed))
+        sim.run(max_rounds=5000 * net.n,
+                stop_when=lambda *_: task._issued is not None)
+        assert task._issued is not None
+        for v in net.nodes:
+            sim.overwrite(v, {"bc": (1, 2, 3, ((99, 0),), "junk")})
+        result = sim.run(max_rounds=5000 * net.n)
+        assert result.silent
+        assert proto.is_legal(net, sim.config)

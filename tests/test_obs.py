@@ -7,14 +7,14 @@ The claims under test, in the order the PR makes them:
   produce byte-identical rows and totals (their headers differ only in
   the self-describing ``engine`` capability field);
 * **the pinned acceptance trajectory** — on acceptance-sst-512 the per
-  round rows sum to exactly the 17,265 moves / 19 rounds every perf PR
-  quotes, and the trace validates;
+  round rows sum to exactly the pinned 17,265 moves / 19 rounds, and
+  the trace validates;
 * **schema honesty** — ``validate_trace`` distinguishes a torn tail
   (truncated write) from mid-file corruption from a capture that never
   finalized;
 * **zero-overhead seam** — without a recorder ``run_round`` is the
   plain class method (nothing shadows it on the instance); with one,
-  the observed loop shadows it and the perf harness refuses to measure;
+  the observed loop shadows it;
 * **integration** — campaign specs with ``trace=1`` persist a
   validating trace named by fingerprint (and untraced specs serialize
   exactly as before the telemetry layer existed), the sharded engine
@@ -41,7 +41,7 @@ from repro.experiments.registry import (
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.graphs.implicit import implicit_grid
-from repro.obs.probes import TraceRecorder, capture_active
+from repro.obs.probes import TraceRecorder
 from repro.obs.report import render_report, render_row, sparkline
 from repro.obs.trace import TRACE_SCHEMA_VERSION, read_trace, validate_trace
 from repro.runtime.sharding import ShardedSimulator
@@ -57,7 +57,7 @@ def _env():
 
 
 def _acceptance_sim(n=48, recorder=None, **kwargs):
-    """The acceptance workload's shape at any n (see perf.workloads)."""
+    """The acceptance workload's shape at any n (see obs.workloads)."""
     net = build_network("random", {"n": n, "seed": 42}, random.Random(0))
     proto, _ = build_protocol("sst")
     config, _ = build_config("arbitrary", net, proto, random.Random(1),
@@ -209,18 +209,6 @@ def test_disabled_path_leaves_run_round_unshadowed(tmp_path):
     observed = _acceptance_sim(recorder=recorder)
     assert "run_round" in vars(observed)
     recorder.abort()
-
-
-def test_capture_active_tracks_recorder_lifecycle(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_OBS_CAPTURE", raising=False)
-    assert not capture_active()
-    recorder = TraceRecorder(tmp_path / "t.jsonl")
-    sim = _acceptance_sim(recorder=recorder)
-    assert capture_active()
-    recorder.finalize(silent=sim.is_silent())
-    assert not capture_active()
-    monkeypatch.setenv("REPRO_OBS_CAPTURE", "1")
-    assert capture_active()
 
 
 def test_recorder_serves_exactly_one_execution(tmp_path):

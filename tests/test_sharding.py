@@ -15,7 +15,7 @@ Covers the contract of the sharding PR:
   number in the exception);
 * rejection of protocols whose reads cannot be sharded;
 * the ``python -m repro shard`` CLI (plan persistence, verify gate) and
-  the sharded perf workloads.
+  the sharded pinned workloads.
 """
 
 import os
@@ -36,7 +36,7 @@ from repro.graphs.implicit import (
     implicit_ring,
     shard_network,
 )
-from repro.perf.workloads import WORKLOADS, Workload, select_workloads
+from repro.obs.workloads import WORKLOADS, Workload
 from repro.runtime.scheduler import SynchronousScheduler
 from repro.runtime.sharding import (
     ShardCrashError,
@@ -304,7 +304,7 @@ def test_worker_crash_fails_loudly_with_shard_and_round():
 
 
 # ----------------------------------------------------------------------
-# the CLI and the perf workloads
+# the CLI and the pinned workloads
 # ----------------------------------------------------------------------
 
 def test_cli_plan_persists_a_loadable_plan(tmp_path):
@@ -333,12 +333,11 @@ def test_cli_verify_passes_on_small_workload(tmp_path):
 def test_sharded_workloads_are_registered():
     assert WORKLOADS["sst-1m"].shards == 8
     assert WORKLOADS["guided-bfs-262144"].shards == 8
-    smoke = {w.name for w in select_workloads(smoke=True)}
-    assert "smoke-shard-sst-512" in smoke
+    assert WORKLOADS["smoke-shard-sst-512"].shards == 2
 
 
 def test_sharded_workload_validation():
-    base = dict(family="engine", protocol="sst", topology="implicit-grid",
+    base = dict(protocol="sst", topology="implicit-grid",
                 topo_params=(("cols", 8), ("rows", 8)),
                 init="per-node", init_params=(("seed", 1),), shards=2)
     Workload(name="ok", **base)
