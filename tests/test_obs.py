@@ -402,3 +402,27 @@ def test_cli_tail_follows_to_the_end_record(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "end: " in proc.stdout
     assert proc.stdout.count("round") >= 2
+
+
+def test_cli_unknown_workload_lists_the_registry(tmp_path):
+    from repro.obs.workloads import WORKLOADS
+    out = tmp_path / "never.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "obs", "record",
+         "--workload", "no-such-workload", "--out", str(out)],
+        capture_output=True, text=True, env=_env())
+    assert proc.returncode == 1
+    assert "unknown workload 'no-such-workload'" in proc.stderr
+    for name in WORKLOADS:
+        assert name in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_overhead_refuses_a_sharded_workload():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "obs", "overhead",
+         "--workload", "smoke-shard-sst-512"],
+        capture_output=True, text=True, env=_env())
+    assert proc.returncode == 1
+    assert "pick an unsharded workload" in proc.stderr
+    assert "structural" not in proc.stdout

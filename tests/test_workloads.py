@@ -6,6 +6,8 @@ rebuilds identically, repeated executions agree exactly, and each
 pinned ``(moves, rounds, silent)`` counts.
 """
 
+import re
+
 import pytest
 
 from repro.obs.workloads import WORKLOADS, Workload, _build_registry, execute
@@ -58,6 +60,26 @@ def test_acceptance_workload_pins_its_parameters():
     assert dict(w.init_params) == {"seed": 7}
     # run to silence: no budget caps on the acceptance number
     assert w.round_budget == 0 and w.move_budget == 0
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(round_budget=-1), "budgets must be >= 0"),
+    (dict(move_budget=-1), "budgets must be >= 0"),
+    (dict(shards=-1), "shards must be >= 0"),
+    (dict(shards=2, init="per-node"), "need the synchronous scheduler"),
+    (dict(shards=2, scheduler="synchronous"), "require init='per-node'"),
+    (dict(shards=2, scheduler="synchronous", init="per-node", move_budget=5),
+     "round-budgeted only"),
+    (dict(shards=2, scheduler="synchronous", init="per-node",
+          churn=(("kind", "mixed"),)), "churn workloads are single-process"),
+    (dict(round_budget=3, churn=(("kind", "mixed"),)),
+     "churn workloads run to silence"),
+], ids=["negative-round-budget", "negative-move-budget", "negative-shards",
+        "sharded-async", "sharded-not-per-node", "sharded-move-budget",
+        "sharded-churn", "budgeted-churn"])
+def test_workload_rejects_inconsistent_fields(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _tiny_workload(**overrides)
 
 
 def test_registry_rebuild_is_deterministic():
