@@ -8,8 +8,8 @@ parent pointers form a BFS tree of the minimum-identity node.
 
 Part 2 runs the *same* experiment as a declarative
 :class:`~repro.experiments.ExperimentSpec` through the campaign runner —
-the one-liner form every sweep in ``benchmarks/`` and the
-``python -m repro`` CLI build on.
+the one-liner form every campaign of the ``python -m repro`` CLI builds
+on.
 
     python examples/quickstart.py
 """

@@ -13,7 +13,9 @@ The package is organised as the paper is:
 * :mod:`repro.core`     — the PLS-guided framework: Algorithms 1-4, the
   Section IV switch protocol, and the BFS / MST / MDST instantiations;
 * :mod:`repro.baselines` — the comparison algorithms of Section I-C/D;
-* :mod:`repro.analysis` — experiment harness used by ``benchmarks/``.
+* :mod:`repro.analysis` — tables and fits for the campaign reports;
+* :mod:`repro.experiments` — campaigns that regenerate the paper's
+  tables and check its claims (``python -m repro campaign``).
 
 Quickstart::
 

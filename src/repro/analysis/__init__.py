@@ -1,4 +1,4 @@
-"""Experiment harness shared by ``benchmarks/`` (tables, fits, runners)."""
+"""Tables and fits shared by the campaign reports (:mod:`repro.experiments.report`)."""
 
 from repro.analysis.tables import format_csv, format_table
 from repro.analysis.fitting import fit_log_exponent, growth_ratios

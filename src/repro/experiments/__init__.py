@@ -15,11 +15,7 @@ count, execution order and resume boundaries never change a result.
 """
 
 from repro.experiments.analyses import ANALYSES, run_analysis
-from repro.experiments.campaigns import (
-    CAMPAIGNS,
-    experiment_subset,
-    get_campaign,
-)
+from repro.experiments.campaigns import CAMPAIGNS, get_campaign
 from repro.experiments.executor import run_campaign
 from repro.experiments.registry import (
     INITS,
@@ -57,7 +53,6 @@ __all__ = [
     "run_campaign",
     "CAMPAIGNS",
     "get_campaign",
-    "experiment_subset",
     "render_experiment",
     "render_records",
 ]

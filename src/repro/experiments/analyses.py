@@ -8,9 +8,10 @@ campaign executor schedules it exactly like a simulator run: same
 fingerprinting, same store, same reports.
 
 Every workload comes in two layers: ``*_detail`` returns
-``(metrics, detail)`` where ``detail`` carries rich row data for the
-benchmark scripts' verbose printing, and the :data:`ANALYSES` registry
-wraps it to return only the JSON-plain ``metrics`` recorded in the store.
+``(metrics, detail)`` where ``detail`` carries rich row data for
+verbose printing (``examples/paper_figures.py``), and the
+:data:`ANALYSES` registry wraps it to return only the JSON-plain
+``metrics`` recorded in the store.
 """
 
 from __future__ import annotations
@@ -326,14 +327,12 @@ def sharded_scale_detail(rng: random.Random,
     topo_spec = str(params.get("topology", "implicit-grid:rows=100,cols=100"))
     protocol = str(params.get("protocol", "sst"))
     shards = int(params.get("shards", 4))
-    method = str(params.get("method", "bfs"))
     init_seed = int(params.get("init_seed", 7))
     rounds = int(params.get("rounds", 10_000))
     require_silence = bool(int(params.get("require_silence", 1)))
-    processes = bool(int(params.get("processes", 1)))
 
     topo = build_topology_spec(topo_spec)
-    plan = plan_partition(topo, shards, method=method)
+    plan = plan_partition(topo, shards)
     trace_dir = Path(os.environ.get("REPRO_SCALE_TRACE_DIR",
                                     "campaigns/traces"))
     trace_name = (
@@ -342,20 +341,16 @@ def sharded_scale_detail(rng: random.Random,
         trace_dir / trace_name,
         header_extra={"topology": topo_spec, "init_seed": init_seed})
 
-    sharded = ShardedSimulator(
-        topo, lambda: build_protocol(protocol)[0], plan,
-        init_seed=init_seed, processes=processes)
-    try:
+    with ShardedSimulator(topo, lambda: build_protocol(protocol)[0], plan,
+                          init_seed=init_seed) as sharded:
         result = sharded.run(max_rounds=rounds,
                              require_silence=require_silence,
                              recorder=recorder)
-    finally:
-        sharded.close()
 
     metrics = {
         "n": topo.n,
         "shards": shards,
-        "method": method,
+        "method": plan.method,
         "plan_fingerprint": plan.fingerprint,
         "cut_edges": plan.cut_edges,
         "max_boundary": max(plan.boundary),

@@ -1,11 +1,10 @@
 """Named campaigns: the experiment registry of EXPERIMENTS.md as data.
 
 Each builder returns a :class:`~repro.experiments.spec.Campaign` whose
-specs regenerate one experiment family (one former ``benchmarks/bench_*``
-table).  The CLI exposes them by name (``python -m repro campaign run
---campaign mst``); the benchmark scripts declare themselves in terms of
-these builders, so a bench's pytest smoke entry point and a CLI campaign
-run execute byte-identical specs.
+specs regenerate one experiment family.  The CLI exposes them by name
+(``python -m repro campaign run --campaign mst``), and ``campaign
+report`` renders each family's table and checks its claim
+(:mod:`repro.experiments.report`) from the stored records.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from collections.abc import Callable
 from repro.experiments.spec import Campaign, ExperimentSpec, grid
 from repro.runtime.scheduler import ALL_SCHEDULER_FACTORIES
 
-__all__ = ["CAMPAIGNS", "get_campaign", "experiment_subset",
-           "EXCLUDED_DAEMONS"]
+__all__ = ["CAMPAIGNS", "get_campaign", "EXCLUDED_DAEMONS"]
 
 #: Declared daemon exclusions (protocol, scheduler) -> reason.  Empty
 #: since the election layer gained its adoption-soundness guard: the
@@ -260,9 +258,8 @@ def scale(root_seed: int = 0) -> Campaign:
             experiment="EXP-SCALE",
             analysis="sharded-scale",
             analysis_params=(("topology", topo), ("protocol", proto),
-                             ("shards", shards), ("method", "bfs"),
-                             ("init_seed", 7), ("rounds", 5000),
-                             ("require_silence", 1), ("processes", 1)),
+                             ("shards", shards), ("init_seed", 7),
+                             ("rounds", 5000), ("require_silence", 1)),
         )
         for topo, proto, shards in rows
     ]
@@ -366,21 +363,6 @@ CAMPAIGNS: dict[str, Callable[..., Campaign]] = {
     "scale": scale,
     "full": full,
 }
-
-
-def experiment_subset(campaign: Campaign, experiment: str) -> Campaign:
-    """The sub-campaign holding one experiment family.
-
-    Fingerprints depend only on (spec, root seed), so a subset shares its
-    parent's store entries — a bench can run just its own family against
-    the store a full campaign already filled.
-    """
-    specs = tuple(s for s in campaign.specs if s.experiment == experiment)
-    if not specs:
-        raise KeyError(f"campaign {campaign.name!r} has no specs for "
-                       f"{experiment!r}")
-    return Campaign(f"{campaign.name}:{experiment}", campaign.title, specs,
-                    campaign.root_seed)
 
 
 def get_campaign(name: str, root_seed: int = 0) -> Campaign:

@@ -12,6 +12,10 @@
 runs (``0 executed`` on a finished campaign), and the records are
 bit-identical for any ``--workers`` value, so a campaign can be spread
 over machines or restarts freely.
+
+``report`` also checks the paper's claim behind each experiment whose
+runs are all stored, printing one verdict per experiment to stderr; it
+exits 1 when a claim fails.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from pathlib import Path
 from repro.analysis import format_table
 from repro.experiments.campaigns import CAMPAIGNS, get_campaign
 from repro.experiments.executor import run_campaign
-from repro.experiments.report import render_records
+from repro.experiments.report import claim_verdict, render_records
 from repro.experiments.spec import Campaign
 from repro.experiments.store import ResultStore
 
@@ -116,18 +120,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _experiment_fingerprints(campaign: Campaign) -> dict[str, list[str]]:
+    """Experiment id -> its specs' fingerprints, in campaign order."""
+    out: dict[str, list[str]] = {}
+    for spec, fp in zip(campaign.specs, campaign.fingerprints()):
+        out.setdefault(spec.experiment, []).append(fp)
+    return out
+
+
 def _cmd_status(args: argparse.Namespace) -> int:
     campaign = _resolve_campaign(args)
     store = _resolve_store(args, campaign)
     have = store.fingerprints()
     rows = []
-    for experiment in campaign.experiments():
-        specs = [(s, fp) for s, fp in zip(campaign.specs,
-                                          campaign.fingerprints())
-                 if s.experiment == experiment]
-        done = sum(1 for _, fp in specs if fp in have)
-        rows.append((experiment, done, len(specs),
-                     "complete" if done == len(specs) else "pending"))
+    for experiment, fps in _experiment_fingerprints(campaign).items():
+        done = sum(1 for fp in fps if fp in have)
+        rows.append((experiment, done, len(fps),
+                     "complete" if done == len(fps) else "pending"))
     total_done = sum(r[1] for r in rows)
     print(format_table(
         f"campaign {campaign.name!r} "
@@ -139,9 +148,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     campaign = _resolve_campaign(args)
     store = _resolve_store(args, campaign)
-    wanted = set(campaign.fingerprints())
-    records = [r for r in store.records()
-               if r.get("fingerprint") in wanted]
+    by_fp = store.by_fingerprint()
+    # campaign order, one record per run (the store's last write wins)
+    records = [by_fp[fp] for fp in campaign.fingerprints() if fp in by_fp]
     if args.experiment:
         records = [r for r in records
                    if r.get("experiment") == args.experiment]
@@ -150,7 +159,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
               "run `campaign run` first", file=sys.stderr)
         return 1
     print(render_records(records, fmt=args.format))
-    return 0
+    failed = False
+    for experiment, fps in _experiment_fingerprints(campaign).items():
+        if args.experiment in (None, experiment):
+            verdict = claim_verdict(experiment, records, len(fps))
+            if verdict is not None:
+                print(f"claim {experiment}: {verdict}", file=sys.stderr)
+                failed = failed or verdict.startswith("FAILED")
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     p_status.set_defaults(fn=_cmd_status)
 
     p_report = csub.add_parser("report",
-                               help="render tables from the store alone")
+                               help="render tables and check the paper's "
+                                    "claims from the store alone")
     _add_campaign_options(p_report)
     p_report.add_argument("--format", choices=("ascii", "markdown", "csv"),
                           default="ascii")

@@ -246,8 +246,7 @@ def build_protocol(name: str) -> tuple[Protocol, ProtocolEntry]:
 
 def tree_seeded_config(net: Network, proto: Protocol, tree) -> Config:
     """A configuration whose tree layer is legal on ``tree`` with task-layer
-    defaults — the standard starting point for improvement measurements
-    (formerly ``benchmarks/conftest.seeded_config``)."""
+    defaults — the standard starting point for improvement measurements."""
     base = MalleableTreeProtocol().legal_configuration(net, tree)
     cfg = proto.initial_configuration(net)
     for v in net.nodes:

@@ -1,21 +1,25 @@
-"""Campaign reports: the paper's tables, rendered from the store alone.
+"""Campaign reports: the paper's tables and claims, from the store alone.
 
-Every renderer consumes only persisted records (no re-execution, no live
-objects), so ``python -m repro campaign report`` reproduces a bench table
-from a result file produced yesterday, on another machine, or by any
-worker count.  Output formats: fixed-width ASCII (default), markdown,
-CSV — via :mod:`repro.analysis.tables`.
+Every renderer and every claim consumes only persisted records (no
+re-execution, no live objects), so ``python -m repro campaign report``
+reproduces a table — and re-checks the paper's claim behind it — from a
+result file produced yesterday, on another machine, or by any worker
+count.  Output formats: fixed-width ASCII (default), markdown, CSV — via
+:mod:`repro.analysis.tables`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.analysis import fit_log_exponent, format_csv, format_table, growth_ratios
+from repro.experiments.campaigns import EXCLUDED_DAEMONS
+from repro.experiments.campaigns import nca as nca_campaign
+from repro.runtime.scheduler import ALL_SCHEDULER_FACTORIES
 
-__all__ = ["render_experiment", "render_records"]
+__all__ = ["claim_verdict", "render_experiment", "render_records"]
 
 Record = dict[str, Any]
 
@@ -333,6 +337,226 @@ _RENDERERS = {
 
 
 # ----------------------------------------------------------------------
+# per-experiment claims: (records, expect) -> None.  Each states the
+# paper's result its experiment regenerates; ``expect(ok, why)`` records
+# ``why`` when ``ok`` is false (no bare ``assert``: ``python -O`` would
+# strip the checks)
+# ----------------------------------------------------------------------
+
+Expect = Callable[[object, str], None]
+
+
+def _runs_of(records, protocol: str) -> list[Record]:
+    return [r for r in records if _spec(r).get("protocol") == protocol]
+
+
+def _run_name(r: Record) -> str:
+    s = _spec(r)
+    if s.get("analysis"):
+        params = ",".join(f"{k}={v}" for k, v
+                          in sorted(s.get("analysis_params", {}).items()))
+        return f"{s['analysis']}({params})"
+    name = f"{s.get('protocol')} on {_topo_label(r)} under {s.get('scheduler')}"
+    return name + (f" +{s['faults']}f" if s.get("faults") else "")
+
+
+def _count(expect: Expect, runs, want: int, what: str) -> None:
+    expect(len(runs) == want, f"{len(runs)} {what} runs, want {want}")
+
+
+def _claim_engine(records, expect: Expect) -> None:
+    """Every (topology, daemon) run reaches silence."""
+    _count(expect, records, 3 * len(ALL_SCHEDULER_FACTORIES), "engine")
+    for r in records:
+        expect(_metrics(r).get("silent"), f"not silent: {_run_name(r)}")
+
+
+def _claim_sched(records, expect: Expect) -> None:
+    """Stabilization to a legal tree under every daemon (Section II-A)."""
+    _count(expect, records, 2 * len(ALL_SCHEDULER_FACTORIES), "daemon")
+    executed = [r for r in records if "skipped" not in _metrics(r)]
+    _count(expect, executed, len(records) - len(EXCLUDED_DAEMONS),
+           "executed daemon")
+    for r in executed:
+        expect(_metrics(r).get("silent"), f"not silent: {_run_name(r)}")
+        expect(_metrics(r).get("legal"), f"not legal: {_run_name(r)}")
+
+
+def _claim_sil(records, expect: Expect) -> None:
+    """Certified silence, and legal re-stabilization after k faults."""
+    _count(expect, records, 5, "fault-ladder")
+    for r in records:
+        m, k = _metrics(r), _spec(r).get("faults", 0)
+        # silence is certified, not assumed: zero moves over the window
+        expect(m.get("silent") and m.get("confirmed_silent")
+               and m.get("legal"),
+               f"not certified silent and legal: {_run_name(r)}")
+        if k:
+            expect(m.get("recovered_silent") and m.get("recovered_legal"),
+                   f"no legal re-stabilization: {_run_name(r)}")
+            expect(len(m["fault_victims"]) == k,
+                   f"{len(m['fault_victims'])} fault victims, want {k}: "
+                   f"{_run_name(r)}")
+
+
+def _claim_t3(records, expect: Expect) -> None:
+    """Theorem 3.1: guided BFS reaches a silent legal BFS tree everywhere."""
+    guided = _runs_of(records, "guided-bfs")
+    baseline = _runs_of(records, "adhoc-bfs")
+    _count(expect, guided, 4, "guided-bfs")
+    _count(expect, baseline, 4, "adhoc-bfs")
+    for r in guided:
+        # legal == the stabilized tree is a BFS tree (protocol predicate)
+        m = _metrics(r)
+        expect(m.get("silent") and m.get("legal"),
+               f"not silent on a BFS tree: {_run_name(r)}")
+        expect(m["phi_start"] >= 0, f"negative phi(start): {_run_name(r)}")
+    for r in baseline:
+        expect(_metrics(r).get("silent"), f"not silent: {_run_name(r)}")
+
+
+def _claim_t1(records, expect: Expect) -> None:
+    """Corollary 6.1: the unique MST, O(log^2 n)-bit certificates; the
+    compact baseline is never silent."""
+    guided = _runs_of(records, "guided-mst")
+    compact = _runs_of(records, "compact-mst")
+    _count(expect, guided, 4, "guided-mst")
+    _count(expect, compact, 4, "compact-mst")
+    ns, cert_bits = [], []
+    for r in guided:
+        m = _metrics(r)
+        # legal == the stabilized tree is the unique MST
+        expect(m.get("silent") and m.get("legal"),
+               f"not silent on the MST: {_run_name(r)}")
+        expect(m["cert_bits"] <= 6 * math.log2(m["n"] * m["n"]) ** 2,
+               f"{m['cert_bits']} certificate bits exceed "
+               f"6 log2(n^2)^2 at n={m['n']}")
+        ns.append(m["n"])
+        cert_bits.append(m["cert_bits"])
+    exp = fit_log_exponent(ns, cert_bits)
+    expect(0.8 <= exp <= 3.2,
+           f"certificate-size log-log exponent {exp:.2f} outside [0.8, 3.2]")
+    for r in compact:
+        m = _metrics(r)
+        # the wave spins: legal but never silent
+        expect(m.get("legal") and not m.get("silent"),
+               f"not legal-and-spinning: {_run_name(r)}")
+
+
+def _claim_t2(records, expect: Expect) -> None:
+    """Corollary 8.1: an FR-tree within OPT+1, and the log n vs n log n
+    memory gap to the [16]-style baseline widening with n."""
+    guided = _runs_of(records, "guided-mdst")
+    baseline = _runs_of(records, "bgr-mdst")
+    _count(expect, guided, 3, "guided-mdst")
+    _count(expect, baseline, 3, "bgr-mdst")
+    ratios = []
+    for g, b in zip(guided, baseline):
+        gm, bm = _metrics(g), _metrics(b)
+        expect(gm.get("silent") and gm.get("is_fr"),
+               f"not silent on an FR-tree: {_run_name(g)}")
+        expect(gm["tree_degree"] <= gm["opt_degree"] + 1,
+               f"degree {gm['tree_degree']} > OPT+1 = "
+               f"{gm['opt_degree'] + 1}: {_run_name(g)}")
+        expect(not bm.get("silent"),
+               f"silent, but its gossip must spin: {_run_name(b)}")
+        ratios.append(bm["max_register_bits"] / gm["cert_bits"])
+    # the gap grows with n (exponential improvement in the paper's
+    # phrasing: log n vs n log n)
+    expect(ratios[-1] > ratios[0],
+           "memory ratio baseline/ours does not grow with n: "
+           + ", ".join(f"{x:.1f}" for x in ratios))
+
+
+def _claim_l51(records, expect: Expect) -> None:
+    """Lemma 5.1: O(log n)-bit labels on every adversarial shape, built
+    distributedly in O(n) rounds."""
+    grid_specs = [s for s in nca_campaign().specs
+                  if s.analysis == "nca-label-sizes"]
+    shapes = list(dict.fromkeys(s.analysis_args["shape"] for s in grid_specs))
+    sizes = list(dict.fromkeys(s.analysis_args["n"] for s in grid_specs))
+    size_runs = [r for r in records
+                 if _spec(r).get("analysis") == "nca-label-sizes"]
+    _count(expect, size_runs, len(shapes) * len(sizes), "label-size")
+    for shape in shapes:
+        series = sorted((_metrics(r)["n"], _metrics(r)["label_bits"])
+                        for r in size_runs
+                        if _metrics(r).get("shape") == shape)
+        exp = fit_log_exponent([n for n, _ in series],
+                               [b for _, b in series])
+        expect(exp <= 2.2,  # O(log n) labels
+               f"{shape}: label-size log-log exponent {exp:.2f} > 2.2")
+    builds = _runs_of(records, "nca-build")
+    _count(expect, builds, 3, "nca-build")
+    for r in builds:
+        expect(_metrics(r).get("silent") and _metrics(r).get("labels_ok"),
+               f"not silent with correct labels: {_run_name(r)}")
+    rounds = _metrics(builds[-1])["rounds"]
+    expect(rounds <= 6 * 32,  # O(n) rounds
+           f"{rounds} construction rounds exceed 6n at n=32")
+
+
+def _claim_l41(records, expect: Expect) -> None:
+    """Lemma 4.1: a legal switch never alarms, never breaks the tree."""
+    _count(expect, records, 3, "local-switch")
+    for r in records:
+        m = _metrics(r)
+        expect(m.get("alarms") == 0,
+               f"{m.get('alarms')} verifier alarms: {_run_name(r)}")
+        expect(m.get("loop_violations") == 0,
+               f"{m.get('loop_violations')} loop violations: {_run_name(r)}")
+
+
+def _claim_abl(records, expect: Expect) -> None:
+    """Only the redundant (d,s) scheme covers the whole switch."""
+    _count(expect, records, 1, "ablation")
+    m = _metrics(records[0])
+    # the redundant scheme covers every configuration ...
+    expect(m["malleable_alarms"] == 0,
+           f"malleable scheme alarmed {m['malleable_alarms']} times")
+    # ... while each single-entry scheme fails somewhere along the switch
+    expect(m["distance_alarms"] + m["distance_missing"] > 0,
+           "the distance-only scheme never failed")
+    expect(m["size_alarms"] + m["size_missing"] > 0,
+           "the size-only scheme never failed")
+
+
+def _claim_f2(records, expect: Expect) -> None:
+    """Bounded Boruvka levels, and red-rule swaps that reach the MST (the
+    monotone-overlap and MST-arrival checks live in the workload)."""
+    _count(expect, records, 1, "fragment")
+    m = _metrics(records[0])
+    expect(m["red_rule_swaps"] >= 1, "no red-rule swap")
+    expect(m["levels"] >= 1, "no Boruvka level")
+
+
+def _claim_p81(records, expect: Expect) -> None:
+    """FR-trees are a strict subclass of the degree-(OPT+1) trees, and FR
+    certifies the degree bound."""
+    _count(expect, records, 1, "FR-subclass")
+    m = _metrics(records[0])
+    expect(m["near_opt_not_fr"] > 0,  # strict subclass
+           "every near-optimal tree is an FR-tree")
+    expect(m["fr_within_one"] == m["fr_total"],  # FR certifies the bound
+           f"{m['fr_total'] - m['fr_within_one']} FR-trees exceed OPT+1")
+
+
+_CLAIMS: dict[str, Callable[[list[Record], Expect], None]] = {
+    "EXP-ENGINE": _claim_engine,
+    "EXP-SCHED": _claim_sched,
+    "EXP-SIL": _claim_sil,
+    "EXP-T3": _claim_t3,
+    "EXP-T1": _claim_t1,
+    "EXP-T2": _claim_t2,
+    "EXP-L51": _claim_l51,
+    "EXP-L41": _claim_l41,
+    "EXP-ABL": _claim_abl,
+    "EXP-F2": _claim_f2,
+    "EXP-P81": _claim_p81,
+}
+
+
+# ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
 
@@ -361,3 +585,33 @@ def render_records(records: Sequence[Record], fmt: str = "ascii") -> str:
             seen.setdefault(r["experiment"], None)
     return "\n\n".join(
         render_experiment(exp, records, fmt) for exp in seen)
+
+
+def claim_verdict(experiment: str, records: Sequence[Record],
+                  runs: int) -> str | None:
+    """``ok``, ``FAILED: <why>`` or ``not checked (k/m runs)`` for the
+    experiment's claim, given the campaign's records (one per run, in
+    campaign order) and the experiment's ``runs`` declared specs; None
+    when the experiment states no claim.
+
+    A claim is checked only once every declared run has a record: a
+    partial store is incomplete, not wrong.
+    """
+    claim = _CLAIMS.get(experiment)
+    if claim is None:
+        return None
+    mine = [r for r in records if r.get("experiment") == experiment]
+    if len(mine) < runs:
+        return f"not checked ({len(mine)}/{runs} runs)"
+    failures: list[str] = []
+
+    def expect(ok: object, why: str) -> None:
+        if not ok:
+            failures.append(why)
+
+    try:
+        claim(mine, expect)
+    except (KeyError, TypeError, ValueError, IndexError,
+            ZeroDivisionError) as exc:
+        failures.append(f"malformed records ({type(exc).__name__}: {exc})")
+    return "FAILED: " + "; ".join(failures) if failures else "ok"

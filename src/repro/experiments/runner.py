@@ -68,7 +68,7 @@ def execute(spec: ExperimentSpec, root_seed: int = 0,
 
     ``record`` is the JSON-plain summary persisted by the store.
     ``context`` holds live objects (network, simulator, start tree) for
-    in-process callers — examples and benches that want to poke the final
+    in-process callers — examples that want to poke the final
     configuration; it never crosses a process boundary.
 
     A spec with ``trace=1`` additionally captures the run's convergence

@@ -5,8 +5,8 @@ skips every fingerprint already present, so an interrupted campaign
 resumes without duplicate work; a run killed mid-write leaves at most one
 truncated final line, which the loader tolerates (it is re-run on resume).
 
-``path=None`` gives an in-memory store with the same interface — used by
-the benchmark smoke entry points, which do not want artifacts on disk.
+``path=None`` gives an in-memory store with the same interface — for
+callers that do not want artifacts on disk.
 """
 
 from __future__ import annotations

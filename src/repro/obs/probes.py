@@ -124,8 +124,10 @@ class TraceRecorder:
             protocol=sharded.protocol_name,
             scheduler="synchronous-sharded",
             n=sharded.plan.n,
+            # every shard is a worker process; the constant field keeps
+            # the header shape of older traces
             engine={"sharded": True, "shards": sharded.k,
-                    "processes": sharded._processes},
+                    "processes": True},
             probes=probes,
             **extra))
 

@@ -350,8 +350,7 @@ def _sharded_execution(workload: Workload, recorder: Any) -> Execution:
 
     seed = workload.init_args.get("seed", 0)
     assert isinstance(seed, int)
-    sharded = ShardedSimulator(topo, factory, plan, init_seed=seed, processes=True)
-    try:
+    with ShardedSimulator(topo, factory, plan, init_seed=seed) as sharded:
         t0 = time.perf_counter()
         result = sharded.run(
             max_rounds=workload.round_budget or sys.maxsize,
@@ -359,8 +358,6 @@ def _sharded_execution(workload: Workload, recorder: Any) -> Execution:
             recorder=recorder,
         )
         seconds = time.perf_counter() - t0
-    finally:
-        sharded.close()
     return Execution(seconds, result.moves, result.rounds, result.silent, topo.n, topo.m)
 
 

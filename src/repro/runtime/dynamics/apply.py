@@ -325,9 +325,6 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
                 f"incremental enabled set diverged from rescan after "
                 f"{event}: {incremental} != {rescan}")
 
-    if sim.record_trace:
-        sim._snapshot()
-
     return EventReport(event=event, touched=touched,
                        interrupt_writes=interrupt_writes,
                        n=new_net.n, m=new_net.m,

@@ -2,7 +2,7 @@
 
 See :mod:`repro.runtime.sharding.engine` for the round protocol and the
 equivalence argument, :mod:`repro.runtime.sharding.partition` for the
-partitioners, and ``python -m repro shard --help`` for the CLI.
+partitioner, and ``python -m repro shard --help`` for the CLI.
 """
 
 from repro.runtime.sharding.engine import (
@@ -15,14 +15,9 @@ from repro.runtime.sharding.engine import (
     simulator_fingerprint,
     single_process_reference,
 )
-from repro.runtime.sharding.partition import (
-    PARTITION_METHODS,
-    ShardPlan,
-    plan_partition,
-)
+from repro.runtime.sharding.partition import ShardPlan, plan_partition
 
 __all__ = [
-    "PARTITION_METHODS",
     "ShardCrashError",
     "ShardPlan",
     "ShardRunResult",

@@ -5,13 +5,14 @@
     python -m repro shard plan implicit-grid:rows=1000,cols=1000 8
     python -m repro shard plan random:n=512,seed=42 4 --out plan.json
     python -m repro shard run --topology implicit-grid:rows=250,cols=400 \
-        --protocol sst --shards 4 --rounds 8 --processes
+        --protocol sst --shards 4 --rounds 8
     python -m repro shard verify --shards 1,2,4,8
 
 ``plan`` prints (and optionally persists) a partition with its quality
 metrics — cut size, per-shard boundary width, balance — plus the
 fingerprint campaign specs pin partitions by.  ``run`` executes one
-sharded workload.  ``verify`` is the equivalence gate CI runs: the
+sharded workload, one worker process per shard.  ``verify`` is the
+equivalence gate CI runs: the
 sharded execution must reproduce the single-process moves, rounds,
 silence, and final-configuration digest exactly, at every requested
 shard count.
@@ -29,11 +30,7 @@ from repro.runtime.sharding.engine import (
     ShardedSimulator,
     single_process_reference,
 )
-from repro.runtime.sharding.partition import (
-    PARTITION_METHODS,
-    ShardPlan,
-    plan_partition,
-)
+from repro.runtime.sharding.partition import ShardPlan, plan_partition
 
 __all__ = ["register_shard", "build_topology_spec", "parse_topology_spec"]
 
@@ -105,7 +102,7 @@ def _protocol_factory(name: str):
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     topo = _build_topo(args.topology)
-    plan = plan_partition(topo, args.k, method=args.method)
+    plan = plan_partition(topo, args.k)
     info = plan.describe()
     print(f"partition of {args.topology} into {plan.k} shards "
           f"({plan.method}):")
@@ -126,7 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: plan covers {plan.n} nodes, "
                              f"topology has {topo.n}")
     else:
-        plan = plan_partition(topo, args.shards, method=args.method)
+        plan = plan_partition(topo, args.shards)
     factory = _protocol_factory(args.protocol)
 
     recorder = None
@@ -146,17 +143,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         elif not args.quiet:
             print(f"  {line}", file=sys.stderr, flush=True)
 
-    sharded = ShardedSimulator(topo, factory, plan,
-                               init_seed=args.init_seed,
-                               processes=args.processes)
     try:
-        result = sharded.run(
-            max_rounds=args.rounds,
-            require_silence=not args.no_silence,
-            round_hook=hook,
-            recorder=recorder)
+        with ShardedSimulator(topo, factory, plan,
+                              init_seed=args.init_seed) as sharded:
+            result = sharded.run(
+                max_rounds=args.rounds,
+                require_silence=not args.no_silence,
+                round_hook=hook,
+                recorder=recorder)
     finally:
-        sharded.close()
         if tty:
             print("\r\x1b[K", end="", file=sys.stderr, flush=True)
     print(f"{args.protocol} on {args.topology}, k={plan.k} "
@@ -186,13 +181,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"rounds={ref[0]} moves={ref[1]} silent={ref[2]} "
               f"digest={ref[3]}")
         for k in counts:
-            sharded = ShardedSimulator(
-                topo, factory, plan_partition(topo, k, method=args.method),
-                init_seed=args.init_seed, processes=args.processes)
-            try:
+            with ShardedSimulator(topo, factory, plan_partition(topo, k),
+                                  init_seed=args.init_seed) as sharded:
                 res = sharded.run(max_rounds=args.max_rounds)
-            finally:
-                sharded.close()
             got = (res.rounds, res.moves, res.silent, res.fingerprint)
             if got == ref:
                 print(f"  k={k}: OK (bit-identical)")
@@ -221,8 +212,6 @@ def register_shard(subparsers) -> None:
                              "implicit-grid:rows=1000,cols=1000 or "
                              "random:n=512,seed=42")
     p_plan.add_argument("k", type=int, help="shard count")
-    p_plan.add_argument("--method", choices=PARTITION_METHODS,
-                        default="bfs")
     p_plan.add_argument("--out", metavar="PATH",
                         help="persist the full plan as JSON")
     p_plan.set_defaults(fn=_cmd_plan)
@@ -231,8 +220,6 @@ def register_shard(subparsers) -> None:
     p_run.add_argument("--topology", required=True)
     p_run.add_argument("--protocol", required=True)
     p_run.add_argument("--shards", type=int, default=4)
-    p_run.add_argument("--method", choices=PARTITION_METHODS,
-                       default="bfs")
     p_run.add_argument("--plan", metavar="PATH",
                        help="load a persisted plan instead of --shards")
     p_run.add_argument("--init-seed", type=int, default=_PINNED_INIT_SEED)
@@ -241,9 +228,6 @@ def register_shard(subparsers) -> None:
     p_run.add_argument("--no-silence", action="store_true",
                        help="treat the budget as a target, not a failure "
                             "(bounded-round scale runs)")
-    p_run.add_argument("--processes", action="store_true",
-                       help="one worker process per shard (default: "
-                            "in-process workers)")
     p_run.add_argument("--trace", metavar="PATH",
                        help="stream the unified convergence trace here "
                             "(repro.obs JSONL schema; replaces the old "
@@ -262,13 +246,7 @@ def register_shard(subparsers) -> None:
                                "default sst)")
     p_verify.add_argument("--shards", default="1,2,4,8",
                           help="comma-separated shard counts")
-    p_verify.add_argument("--method", choices=PARTITION_METHODS,
-                          default="bfs")
     p_verify.add_argument("--init-seed", type=int,
                           default=_PINNED_INIT_SEED)
     p_verify.add_argument("--max-rounds", type=int, default=10_000)
-    p_verify.add_argument("--in-process", dest="processes",
-                          action="store_false",
-                          help="in-process workers instead of one "
-                               "process per shard")
-    p_verify.set_defaults(fn=_cmd_verify, processes=True)
+    p_verify.set_defaults(fn=_cmd_verify)

@@ -30,10 +30,10 @@ single-process run on the same seed.  ``tests/test_sharding.py`` pins
 that equivalence at every round boundary, across shard counts and both
 column backends; it is the incremental≡rescan suite lifted to processes.
 
-Process mode forks one worker per shard (fork start method: contexts
-are inherited, never pickled) with a private pipe each.  A worker that
-dies mid-round surfaces as :class:`ShardCrashError` naming the shard and
-the round — partial results are never silently merged.
+Every shard runs in its own forked worker process (fork start method:
+contexts are inherited, never pickled) with a private pipe.  A worker
+that dies mid-round surfaces as :class:`ShardCrashError` naming the
+shard and the round — partial results are never silently merged.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class ShardCrashError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# deterministic building blocks shared by both execution paths
+# deterministic building blocks shared by the sharded and reference runs
 # ----------------------------------------------------------------------
 
 def config_fingerprint(schema, rows: Mapping[int, object], nodes) -> int:
@@ -162,9 +162,7 @@ class ShardContext:
     protocol_factory: Callable[[], object]
     #: owned frontier node -> destination shard ids for its row
     routes: dict[int, tuple[int, ...]]
-    #: full global name-keyed configuration (equivalence mode), or None
-    #: for per-node deterministic initialization from ``init_seed``
-    config: Mapping[int, Mapping[str, object]] | None
+    #: seed of the per-node deterministic initialization
     init_seed: int
     use_vector_rules: bool
 
@@ -181,16 +179,12 @@ class ShardWorker:
         self.halo = halo
         protocol = ctx.protocol_factory()
         spec = protocol.register_spec(net)
-        if ctx.config is not None:
-            config = {v: dict(ctx.config[v]) for v in net.nodes}
-        else:
-            config = per_node_configuration(net, spec, ctx.init_seed,
-                                            ctx.owned)
-            for v in halo:
-                # placeholder rows only: every halo node is some owning
-                # shard's frontier, so the initial boundary exchange
-                # overwrites all of these before the first refresh
-                config[v] = spec.default_state(net, v)
+        config = per_node_configuration(net, spec, ctx.init_seed, ctx.owned)
+        for v in halo:
+            # placeholder rows only: every halo node is some owning
+            # shard's frontier, so the initial boundary exchange
+            # overwrites all of these before the first refresh
+            config[v] = spec.default_state(net, v)
         self.sim = Simulator(net, protocol, SynchronousScheduler(),
                              config=config,
                              use_vector_rules=ctx.use_vector_rules)
@@ -253,7 +247,7 @@ class ShardWorker:
 
 
 def _worker_main(ctx: ShardContext, conn) -> None:
-    """Process-mode command loop; one worker per shard over a pipe."""
+    """The worker process's command loop, one per shard, over a pipe."""
     try:
         worker = ShardWorker(ctx)
         conn.send(("ready", worker.initial_frontier()))
@@ -300,22 +294,22 @@ class ShardRunResult:
     fingerprint: str
     #: total moves contributed by each shard
     shard_moves: list[int]
-    #: per-shard peak RSS in KiB (process mode; parent-only otherwise)
+    #: per-shard peak RSS in KiB
     peak_rss_kb: list[int]
 
 
 class ShardedSimulator:
-    """Drives one worker per shard through lock-step synchronous rounds.
+    """Drives one worker process per shard through lock-step synchronous
+    rounds.
 
     ``topo`` is a :class:`Network` or an implicit topology; workers cut
     their shard-local subgraphs out of it themselves, so with an implicit
     topology the whole-network adjacency never materializes in any
     process.  ``protocol_factory`` builds a fresh protocol instance per
-    worker (instances are not shared across shards).  Exactly one of
-    ``config`` (a full name-keyed configuration — the bit-identical
-    equivalence mode) or ``init_seed`` (per-node deterministic arbitrary
-    initialization, see :func:`per_node_configuration`) provides the
-    initial state.
+    worker (instances are not shared across shards).  ``init_seed``
+    drives the per-node deterministic arbitrary initialization (see
+    :func:`per_node_configuration`).  Use it as a context manager (or
+    call :meth:`close`) so the workers are always reaped.
 
     Only the synchronous daemon is supported: the round edge *is* the
     exchange point.  Central and distributed-subset daemons make global
@@ -324,9 +318,7 @@ class ShardedSimulator:
 
     def __init__(self, topo, protocol_factory: Callable[[], object],
                  plan: ShardPlan | int, *,
-                 config: Mapping[int, Mapping[str, object]] | None = None,
                  init_seed: int = 0,
-                 processes: bool = False,
                  use_vector_rules: bool = True) -> None:
         if isinstance(plan, int):
             plan = plan_partition(topo, plan)
@@ -351,10 +343,8 @@ class ShardedSimulator:
         #: a dead worker's last known state survives into the diagnosis
         self.last_frames: list[dict[str, int] | None] = [None] * plan.k
         self._silent = False
-        self._processes = processes
         self._procs: list = []
         self._conns: list = []
-        self._workers: list[ShardWorker] = []
 
         owner = plan.owner_of()
         contexts = []
@@ -367,23 +357,18 @@ class ShardedSimulator:
             contexts.append(ShardContext(
                 shard_id=i, owned=owned, topo=topo,
                 protocol_factory=protocol_factory, routes=routes,
-                config=config, init_seed=init_seed,
-                use_vector_rules=use_vector_rules))
+                init_seed=init_seed, use_vector_rules=use_vector_rules))
 
-        if processes:
-            mp = multiprocessing.get_context("fork")
-            for ctx in contexts:
-                parent_conn, child_conn = mp.Pipe()
-                proc = mp.Process(target=_worker_main,
-                                  args=(ctx, child_conn), daemon=True)
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-            frontiers = [self._recv(i)[0] for i in range(self.k)]
-        else:
-            self._workers = [ShardWorker(ctx) for ctx in contexts]
-            frontiers = [w.initial_frontier() for w in self._workers]
+        mp = multiprocessing.get_context("fork")
+        for ctx in contexts:
+            parent_conn, child_conn = mp.Pipe()
+            proc = mp.Process(target=_worker_main,
+                              args=(ctx, child_conn), daemon=True)
+            proc.start()
+            child_conn.close()
+            self._procs.append(proc)
+            self._conns.append(parent_conn)
+        frontiers = [self._recv(i)[0] for i in range(self.k)]
 
         # the initial boundary exchange: every halo row everywhere is
         # overwritten with its owner's true initial value before round 1
@@ -425,11 +410,9 @@ class ShardedSimulator:
 
     def _command(self, cmd: str):
         """Round-trip one command to every shard; returns the replies."""
-        if self._processes:
-            for i in range(self.k):
-                self._send(i, (cmd,))
-            return [self._recv(i)[0] for i in range(self.k)]
-        return [getattr(w, cmd)() for w in self._workers]
+        for i in range(self.k):
+            self._send(i, (cmd,))
+        return [self._recv(i)[0] for i in range(self.k)]
 
     # -- execution ------------------------------------------------------
 
@@ -438,13 +421,9 @@ class ShardedSimulator:
         silent, and the round is not counted, matching ``run_round``)."""
         halo = self._halo_in
         self._halo_in = [{} for _ in range(self.k)]
-        if self._processes:
-            for i in range(self.k):
-                self._send(i, ("round", halo[i]))
-            results = [self._recv(i) for i in range(self.k)]
-        else:
-            results = [w.round(halo[i])
-                       for i, w in enumerate(self._workers)]
+        for i in range(self.k):
+            self._send(i, ("round", halo[i]))
+        results = [self._recv(i) for i in range(self.k)]
         total = 0
         outs = []
         attempted = self.rounds + 1
@@ -538,18 +517,13 @@ class ShardedSimulator:
         return merged
 
     def peak_rss_kb(self) -> list[int]:
-        """Per-shard peak RSS (KiB); the parent's own in in-process mode."""
-        if self._processes:
-            return list(self._command("rss"))
-        return [_peak_rss_kb()]
+        """Per-shard peak RSS (KiB)."""
+        return list(self._command("rss"))
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
         """Orderly shutdown of the worker processes."""
-        if not self._processes:
-            self._workers = []
-            return
         for i in range(self.k):
             try:
                 self._conns[i].send(("stop",))
@@ -584,7 +558,7 @@ class ShardedSimulator:
 # ----------------------------------------------------------------------
 
 def single_process_reference(topo, protocol_factory, *,
-                             config=None, init_seed: int = 0,
+                             init_seed: int = 0,
                              max_rounds: int = 10_000,
                              require_silence: bool = True,
                              use_vector_rules: bool = True):
@@ -597,9 +571,8 @@ def single_process_reference(topo, protocol_factory, *,
     """
     net = topo if isinstance(topo, Network) else topo.materialize()
     protocol = protocol_factory()
-    if config is None:
-        spec = protocol.register_spec(net)
-        config = per_node_configuration(net, spec, init_seed)
+    config = per_node_configuration(net, protocol.register_spec(net),
+                                    init_seed)
     sim = Simulator(net, protocol, SynchronousScheduler(), config=config,
                     use_vector_rules=use_vector_rules)
     rounds = 0

@@ -10,18 +10,11 @@ per-round communication volume (cut size / boundary widths) — which is
 why ``python -m repro shard plan`` prints all three and why campaign
 specs pin plans by fingerprint.
 
-Two partitioners, both deterministic:
-
-``bfs``
-    BFS order from the minimum identity, cut into k contiguous chunks.
-    BFS discovery order keeps chunks spatially coherent, so structured
-    topologies (grids, rings, trees) get cuts close to the geometric
-    optimum without a heavyweight partitioning library.
-``stripes``
-    Ascending-identity ranges.  The trivial baseline: O(1) reasoning,
-    good cuts only when identity order happens to follow the geometry
-    (implicit topologies number ``1..n`` in construction order, so
-    stripes on a row-major grid are literal row bands).
+The partitioner is deterministic: BFS order from the minimum identity,
+cut into k contiguous chunks.  BFS discovery order keeps chunks
+spatially coherent, so structured topologies (grids, rings, trees) get
+cuts close to the geometric optimum without a heavyweight partitioning
+library.
 """
 
 from __future__ import annotations
@@ -30,15 +23,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-__all__ = ["ShardPlan", "plan_partition", "PARTITION_METHODS"]
-
-PARTITION_METHODS: tuple[str, ...] = ("bfs", "stripes")
+__all__ = ["ShardPlan", "plan_partition"]
 
 
 @dataclass(frozen=True, slots=True)
 class ShardPlan:
     """One immutable node -> shard assignment with its quality metrics."""
 
+    #: always ``"bfs"``; kept so plan JSON and fingerprints stay stable
     method: str
     k: int
     #: per-shard owned nodes, each tuple sorted ascending
@@ -151,20 +143,13 @@ def _chunk(order: list[int], k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(shards)
 
 
-def plan_partition(topo, k: int, method: str = "bfs") -> ShardPlan:
+def plan_partition(topo, k: int) -> ShardPlan:
     """Partition ``topo`` (a Network or an implicit topology) k ways."""
     if k < 1:
         raise ValueError(f"shard count must be >= 1, got {k}")
     if k > topo.n:
         raise ValueError(f"cannot cut {topo.n} nodes into {k} shards")
-    if method == "bfs":
-        order = _bfs_order(topo)
-    elif method == "stripes":
-        order = list(topo.nodes)
-    else:
-        raise ValueError(
-            f"unknown partition method {method!r}; "
-            f"known: {list(PARTITION_METHODS)}")
+    order = _bfs_order(topo)
     shards = _chunk(order, k)
 
     owner: dict[int, int] = {}
@@ -184,5 +169,5 @@ def plan_partition(topo, k: int, method: str = "bfs") -> ShardPlan:
             if external:
                 boundary[i] += 1
 
-    return ShardPlan(method=method, k=k, shards=shards,
+    return ShardPlan(method="bfs", k=k, shards=shards,
                      cut_edges=cut, boundary=tuple(boundary))

@@ -51,7 +51,7 @@ name-keyed ``step`` bridged by :func:`adapt_step_to_slots` (the same
 resolution :meth:`Protocol.shard_step` uses).  ``step`` over a
 :class:`NodeView` stays the first-principles reference that
 :meth:`Simulator.rescan_enabled` evaluates.  Configurations cross the
-boundary as plain dicts in both directions (``config=`` input, traces,
+boundary as plain dicts in both directions (``config=`` input,
 :func:`random_configuration`).
 """
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graphs.network import Network
 from repro.runtime.columns import ColumnStore
@@ -104,12 +104,6 @@ class RunResult:
     silent: bool
     stopped_by_predicate: bool = False
     invariant_violations: int = 0
-    #: populated only when the simulator was created with ``record_trace``;
-    #: the result owns this list (it is a deep copy of the simulator's
-    #: recording, so later runs or caller mutations cannot corrupt it).
-    #: Snapshots are plain name-keyed dicts — the boundary serialization
-    #: shape — decoded through the schema, never aliases of live rows.
-    trace: list[Config] = field(default_factory=list)
 
     @property
     def stabilized(self) -> bool:
@@ -117,7 +111,7 @@ class RunResult:
         return self.silent
 
     def to_record(self) -> dict[str, object]:
-        """A JSON-serializable summary of this run (no trace).
+        """A JSON-serializable summary of this run.
 
         This is the shape the experiment campaign store persists; keep the
         keys stable — result files written by old campaigns must remain
@@ -159,7 +153,6 @@ class Simulator:
         scheduler: Scheduler | None = None,
         config: Config | None = None,
         invariant: Callable[[Network, Config], bool] | None = None,
-        record_trace: bool = False,
         rng: random.Random | None = None,
         use_vector_rules: bool = True,
         recorder: object | None = None,
@@ -198,7 +191,6 @@ class Simulator:
         view = self.schema.view
         self.config: dict[int, object] = {v: view(rows[v]) for v in net.nodes}
         self.invariant = invariant
-        self.record_trace = record_trace
         self.moves = 0
         self.rounds = 0
         # cold-path engagement counters (never touched by the fused loop):
@@ -207,7 +199,6 @@ class Simulator:
         self.stat_settle_retired = 0
         self.stat_vector_refreshes = 0
         self._invariant_violations = 0
-        self._trace: list[Config] = []
         # incremental enabledness machinery: valid proposals for every
         # non-dirty node (slot-keyed deltas), the live enabled set, and the
         # dirty set / all-dirty flag for nodes whose proposals the last
@@ -261,8 +252,6 @@ class Simulator:
             if vrule is not None:
                 self._columns = store
                 self._vector_rule = vrule
-        if record_trace:
-            self._snapshot()
         # telemetry seam: hook selection happens HERE, once, at setup.
         # With no recorder the engine runs the exact pre-telemetry byte
         # path — no per-move branch anywhere below; with one, the
@@ -577,13 +566,11 @@ class Simulator:
                     if self._sched_synced and self._notify is not None:
                         self._notify((), retired)
         self.moves += len(writes)
-        if writes:
-            # read the observer attributes live: callers may legitimately
-            # attach an invariant or enable tracing after construction
-            if self.invariant is not None and not self.invariant(self.net, self.config):
-                self._invariant_violations += 1
-            if self.record_trace:
-                self._snapshot()
+        # read the invariant live: callers may legitimately attach one
+        # after construction
+        if writes and self.invariant is not None \
+                and not self.invariant(self.net, self.config):
+            self._invariant_violations += 1
 
     def run_round(self, max_moves: int | None = None) -> bool:
         """Execute one full round.  Returns False if already silent.
@@ -640,7 +627,6 @@ class Simulator:
             # latched for the round (reassigning them mid-round from an
             # invariant callback is not a supported pattern)
             invariant = self.invariant
-            record = self.record_trace
             # single-selection daemons expose ``pick`` (same distribution,
             # same RNG stream as select); it returns a member of the
             # enabled set by construction, so the fused path skips the
@@ -695,8 +681,6 @@ class Simulator:
                     pending.discard(v)
                     if invariant is not None and not invariant(net, config):
                         self._invariant_violations += 1
-                    if record:
-                        self._snapshot()
                     budget -= 1
                 if budget <= 0:
                     raise RuntimeError(
@@ -809,11 +793,6 @@ class Simulator:
             silent=self.is_silent(),
             stopped_by_predicate=stopped,
             invariant_violations=self._invariant_violations,
-            # deep-copy: the result must stay valid across later run() calls
-            # and caller mutations (the old aliasing silently corrupted
-            # previously returned results).
-            trace=[{v: dict(s) for v, s in snap.items()}
-                   for snap in self._trace],
         )
 
     def run_to_silence(self, max_rounds: int) -> RunResult:
@@ -865,13 +844,3 @@ class Simulator:
         else:
             self._dirty.add(node)
             self._dirty.update(self.net.neighbors(node))
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    def _snapshot(self) -> None:
-        names = self.schema.names
-        rows = self._state
-        self._trace.append(
-            {v: dict(zip(names, rows[v])) for v in self.net.nodes})

@@ -277,13 +277,10 @@ class TestApplyGuards:
         from repro.runtime.sharding import ShardedSimulator, plan_partition
 
         topo = build_topology("implicit-grid", {"rows": 4, "cols": 4})
-        sharded = ShardedSimulator(topo, SpanningTreeProtocol,
-                                   plan_partition(topo, 2), init_seed=7)
-        try:
+        with ShardedSimulator(topo, SpanningTreeProtocol,
+                              plan_partition(topo, 2), init_seed=7) as sharded:
             with pytest.raises(ValueError, match="sharded run"):
                 apply_event(sharded, EdgeAdd(1, 2))
-        finally:
-            sharded.close()
 
     def test_refuses_non_simulator(self):
         with pytest.raises(TypeError, match="needs a"):

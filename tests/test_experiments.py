@@ -3,7 +3,8 @@
 Covers the contracts the orchestration layer is built on: stable
 fingerprints, JSONL round-trips with torn-tail tolerance, resume without
 duplicate work (including a simulated mid-campaign kill), bit-identical
-results for any worker count, and the real ``python -m repro`` CLI.
+results for any worker count, the real ``python -m repro`` CLI, and the
+paper's claims as ``campaign report`` checks them on the ``full`` grid.
 """
 
 import json
@@ -21,7 +22,6 @@ from repro.experiments import (
     ResultStore,
     canonical_record,
     execute,
-    experiment_subset,
     get_campaign,
     grid,
     run_campaign,
@@ -29,6 +29,7 @@ from repro.experiments import (
 )
 from repro.experiments import runner
 from repro.experiments.campaigns import EXCLUDED_DAEMONS
+from repro.experiments.cli import main as repro_main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -110,14 +111,6 @@ class TestSpec:
                               topology="ring", topo_params={"n": 6})
         with pytest.raises(ValueError, match="duplicate"):
             Campaign("dup", "dup", (spec, spec))
-
-    def test_experiment_subset_shares_fingerprints(self):
-        campaign = tiny_campaign()
-        sub = experiment_subset(campaign, "EXP-TINY-FAULTS")
-        assert len(sub) == 1
-        assert set(sub.fingerprints()) <= set(campaign.fingerprints())
-        with pytest.raises(KeyError):
-            experiment_subset(campaign, "EXP-NOPE")
 
     def test_registered_campaigns_build(self):
         for name in CAMPAIGNS:
@@ -292,6 +285,64 @@ class TestCampaigns:
         skipped = [s for s in campaign.specs if s.skip]
         assert {(s.protocol, s.scheduler) for s in skipped} \
             == set(EXCLUDED_DAEMONS)
+
+
+# ----------------------------------------------------------------------
+# the paper's claims, checked by `campaign report` on the full grid
+# ----------------------------------------------------------------------
+
+CLAIMED = ("EXP-ENGINE", "EXP-SCHED", "EXP-SIL", "EXP-T3", "EXP-T1",
+           "EXP-T2", "EXP-L51", "EXP-L41", "EXP-ABL", "EXP-F2", "EXP-P81")
+
+
+@pytest.fixture(scope="module")
+def full_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("full") / "full.jsonl"
+    assert repro_main(["campaign", "run", "--campaign", "full",
+                       "--workers", "2", "--store", str(path),
+                       "--quiet"]) == 0
+    return path
+
+
+def _report(store, capsys):
+    code = repro_main(["campaign", "report", "--campaign", "full",
+                       "--store", str(store)])
+    return code, capsys.readouterr().err
+
+
+class TestClaims:
+    def test_full_campaign_upholds_every_claim(self, full_store, capsys):
+        code, err = _report(full_store, capsys)
+        assert code == 0, err
+        for experiment in CLAIMED:
+            assert f"claim {experiment}: ok" in err
+
+    def test_a_broken_record_fails_its_claim(self, full_store, tmp_path,
+                                             capsys):
+        lines = full_store.read_text().splitlines()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["spec"].get("protocol") == "guided-mst" \
+                    and record["experiment"] == "EXP-T1":
+                record["metrics"]["silent"] = False
+                lines[i] = json.dumps(record)
+                break
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        code, err = _report(broken, capsys)
+        assert code == 1
+        assert "claim EXP-T1: FAILED: not silent on the MST" in err
+        assert "claim EXP-T2: ok" in err
+
+    def test_a_partial_store_is_not_checked(self, tmp_path, capsys):
+        store = tmp_path / "partial.jsonl"
+        assert repro_main(["campaign", "run", "--campaign", "full",
+                           "--max-runs", "5", "--store", str(store),
+                           "--quiet"]) == 0
+        code, err = _report(store, capsys)
+        assert code == 0
+        assert "claim EXP-SCHED: not checked (5/" in err
+        assert "FAILED" not in err
 
 
 # ----------------------------------------------------------------------

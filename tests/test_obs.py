@@ -211,6 +211,31 @@ def test_disabled_path_leaves_run_round_unshadowed(tmp_path):
     recorder.abort()
 
 
+def test_cli_overhead_gate_passes_and_fails_structurally(monkeypatch,
+                                                        capsys):
+    from repro.experiments.cli import main
+    from repro.obs import workloads
+
+    argv = ["obs", "overhead", "--workload", "smoke-sst-48"]
+    assert main(argv) == 0
+    assert "overhead gate: PASS" in capsys.readouterr().out
+
+    real = workloads.build_simulator
+
+    def shadowed(workload, **kwargs):
+        sim = real(workload, **kwargs)
+        if kwargs.get("recorder") is None:
+            # what an accidentally engaged seam looks like
+            sim.run_round = sim.run_round
+        return sim
+
+    monkeypatch.setattr(workloads, "build_simulator", shadowed)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: recorder=None shadowed run_round" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_recorder_serves_exactly_one_execution(tmp_path):
     recorder = TraceRecorder(tmp_path / "t.jsonl")
     _acceptance_sim(recorder=recorder)
@@ -282,12 +307,9 @@ def _sst_factory():
 def test_sharded_trace_streams_per_shard_rows(tmp_path):
     path = tmp_path / "sharded.jsonl"
     topo = implicit_grid(4, 8)
-    sharded = ShardedSimulator(topo, _sst_factory, 2, init_seed=7)
-    try:
+    with ShardedSimulator(topo, _sst_factory, 2, init_seed=7) as sharded:
         result = sharded.run(max_rounds=10_000,
                              recorder=TraceRecorder(path))
-    finally:
-        sharded.close()
     assert result.silent
     assert validate_trace(path) == []
     header, rows, end = read_trace(path)
@@ -307,12 +329,9 @@ def test_sharded_trace_streams_per_shard_rows(tmp_path):
 def test_sharded_budget_stop_leaves_enabled_end_open(tmp_path):
     path = tmp_path / "budget.jsonl"
     topo = implicit_grid(4, 8)
-    sharded = ShardedSimulator(topo, _sst_factory, 2, init_seed=7)
-    try:
+    with ShardedSimulator(topo, _sst_factory, 2, init_seed=7) as sharded:
         sharded.run(max_rounds=2, require_silence=False,
                     recorder=TraceRecorder(path))
-    finally:
-        sharded.close()
     assert validate_trace(path) == []
     _, rows, end = read_trace(path)
     assert end["silent"] is False

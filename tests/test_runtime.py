@@ -198,13 +198,6 @@ class TestSimulatorBasics:
         result = sim.run(max_rounds=30)
         assert result.invariant_violations > 0
 
-    def test_trace_recording(self):
-        net = path_graph(4, scramble_ids=False)
-        sim = Simulator(net, MaxIdFlood(), record_trace=True)
-        result = sim.run(max_rounds=10)
-        assert len(result.trace) >= 2
-        assert result.trace[0] != result.trace[-1]
-
     def test_overwrite_reactivates(self):
         net = path_graph(5, scramble_ids=False)
         sim = Simulator(net, MaxIdFlood())
@@ -219,24 +212,6 @@ class TestSimulatorBasics:
         net = path_graph(3, scramble_ids=False)
         with pytest.raises(ValueError, match="missing"):
             Simulator(net, MaxIdFlood(), config={v: {} for v in net.nodes})
-
-    def test_trace_is_owned_by_each_result(self):
-        """Regression: RunResult.trace used to alias the simulator's
-        internal recording — a later run() (or caller mutation) silently
-        corrupted previously returned results."""
-        net = path_graph(4, scramble_ids=False)
-        sim = Simulator(net, MaxIdFlood(), record_trace=True)
-        r1 = sim.run(max_rounds=10)
-        frozen = [{v: dict(s) for v, s in snap.items()} for snap in r1.trace]
-        # a second run appends snapshots; r1 must not grow or change
-        sim.overwrite(1, {"maxid": 1, "hops": 0})
-        r2 = sim.run(max_rounds=10)
-        assert r1.trace == frozen
-        assert len(r2.trace) > len(r1.trace)
-        # caller mutation of a returned trace must not leak into the next
-        r2.trace[0][1]["maxid"] = -999
-        r3 = sim.run(max_rounds=10)
-        assert r3.trace[0][1]["maxid"] != -999
 
     def test_overwrite_unknown_node_clear_error(self):
         net = path_graph(3, scramble_ids=False)

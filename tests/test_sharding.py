@@ -3,14 +3,12 @@
 Covers the contract of the sharding PR:
 
 * partition planning — coverage, balance, cut counting, JSON round-trip,
-  fingerprint stability, both methods;
+  fingerprint stability;
 * the implicit (lazy) topology family and shard-local subnetwork cuts;
 * the equivalence theorem in executable form: sharded execution is
   bit-identical to the single-process engine — same moves, rounds,
   silence, and final-configuration digest — at shard counts {1, 2, 4, 8},
-  in-process and with one worker process per shard, at every round edge,
-  and in both initialization modes (per-node seeds and a full global
-  configuration);
+  with one worker process per shard, at every round edge;
 * loud failure when a worker process dies mid-run (shard id + round
   number in the exception);
 * rejection of protocols whose reads cannot be sharded;
@@ -28,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.registry import build_config, build_network, build_protocol
+from repro.experiments.registry import build_network, build_protocol
 from repro.graphs.implicit import (
     build_topology,
     implicit_grid,
@@ -77,6 +75,7 @@ def _random_net(n=64, seed=11, **extra):
 def test_plan_covers_every_node_exactly_once():
     topo = implicit_grid(8, 8)
     plan = plan_partition(topo, 4)
+    assert plan.method == "bfs"
     owner = plan.owner_of()
     assert sorted(owner) == sorted(topo.nodes)
     assert sum(len(s) for s in plan.shards) == topo.n
@@ -106,14 +105,6 @@ def test_plan_json_roundtrip_and_fingerprint_stability():
     assert again.fingerprint == plan.fingerprint
     # the fingerprint is a pure function of the node assignment
     assert plan_partition(topo, 3).fingerprint == plan.fingerprint
-
-
-def test_both_partition_methods_are_valid():
-    topo = implicit_grid(5, 8)
-    for method in ("bfs", "stripes"):
-        plan = plan_partition(topo, 4, method=method)
-        assert plan.method == method
-        assert sorted(plan.owner_of()) == sorted(topo.nodes)
 
 
 def test_plan_partition_works_on_materialized_networks():
@@ -181,9 +172,8 @@ def test_equivalence_across_shard_counts(proto):
     factory = _factory(proto)
     ref = single_process_reference(net, factory, init_seed=3)
     for k in (1, 2, 4, 8):
-        sharded = ShardedSimulator(net, factory, k, init_seed=3)
-        res = sharded.run(max_rounds=10_000)
-        sharded.close()
+        with ShardedSimulator(net, factory, k, init_seed=3) as sharded:
+            res = sharded.run(max_rounds=10_000)
         assert (res.rounds, res.moves, res.silent, res.fingerprint) == ref, \
             f"{proto} diverged at k={k}"
 
@@ -192,9 +182,8 @@ def test_equivalence_guided_bfs_on_implicit_grid():
     topo = implicit_grid(6, 8)
     factory = _factory("guided-bfs")
     ref = single_process_reference(topo, factory, init_seed=5)
-    sharded = ShardedSimulator(topo, factory, 4, init_seed=5)
-    res = sharded.run(max_rounds=10_000)
-    sharded.close()
+    with ShardedSimulator(topo, factory, 4, init_seed=5) as sharded:
+        res = sharded.run(max_rounds=10_000)
     assert (res.rounds, res.moves, res.silent, res.fingerprint) == ref
 
 
@@ -202,8 +191,7 @@ def test_equivalence_with_worker_processes():
     net = _random_net(96, seed=23)
     factory = _factory("sst")
     ref = single_process_reference(net, factory, init_seed=7)
-    with ShardedSimulator(net, factory, 2, init_seed=7,
-                          processes=True) as sharded:
+    with ShardedSimulator(net, factory, 2, init_seed=7) as sharded:
         res = sharded.run(max_rounds=10_000)
     assert (res.rounds, res.moves, res.silent, res.fingerprint) == ref
     assert len(res.peak_rss_kb) == 2 and all(r > 0 for r in res.peak_rss_kb)
@@ -217,31 +205,16 @@ def test_equivalence_at_every_round_edge():
     spec = protocol.register_spec(net)
     config = per_node_configuration(net, spec, 9)
     sim = Simulator(net, protocol, SynchronousScheduler(), config=config)
-    sharded = ShardedSimulator(net, _factory("sst"), 4, init_seed=9)
-    for _ in range(10_000):
-        moved_ref = sim.run_round()
-        moved_sharded = sharded.run_round()
-        assert bool(moved_sharded) == bool(moved_ref)
-        assert sharded.fingerprint() == \
-            f"{simulator_fingerprint(sim) % _FP_MOD:032x}"
-        if not moved_ref:
-            break
-    assert sim.is_silent() and sharded.is_silent()
-    sharded.close()
-
-
-def test_equivalence_with_global_configuration():
-    """The ``config=`` mode: workers slice a full name-keyed config."""
-    net = _random_net(48, seed=17)
-    protocol = build_protocol("sst")[0]
-    config, _ = build_config("arbitrary", net, protocol,
-                             random.Random(1), {"seed": 7})
-    factory = _factory("sst")
-    ref = single_process_reference(net, factory, config=config)
-    sharded = ShardedSimulator(net, factory, 3, config=config)
-    res = sharded.run(max_rounds=10_000)
-    sharded.close()
-    assert (res.rounds, res.moves, res.silent, res.fingerprint) == ref
+    with ShardedSimulator(net, _factory("sst"), 4, init_seed=9) as sharded:
+        for _ in range(10_000):
+            moved_ref = sim.run_round()
+            moved_sharded = sharded.run_round()
+            assert bool(moved_sharded) == bool(moved_ref)
+            assert sharded.fingerprint() == \
+                f"{simulator_fingerprint(sim) % _FP_MOD:032x}"
+            if not moved_ref:
+                break
+        assert sim.is_silent() and sharded.is_silent()
 
 
 def test_collect_config_matches_reference():
@@ -253,10 +226,9 @@ def test_collect_config_matches_reference():
     sim = Simulator(net, protocol, SynchronousScheduler(), config=config)
     while sim.run_round():
         pass
-    sharded = ShardedSimulator(net, factory, 2, init_seed=2)
-    sharded.run(max_rounds=10_000)
-    merged = sharded.collect_config()
-    sharded.close()
+    with ShardedSimulator(net, factory, 2, init_seed=2) as sharded:
+        sharded.run(max_rounds=10_000)
+        merged = sharded.collect_config()
     assert set(merged) == set(net.nodes)
     names = sim.schema.names
     for v in net.nodes:
@@ -275,8 +247,7 @@ def test_unshardable_protocol_is_rejected():
 
 def test_worker_crash_fails_loudly_with_shard_and_round():
     topo = implicit_grid(8, 16)
-    sharded = ShardedSimulator(topo, _factory("sst"), 2, init_seed=7,
-                               processes=True)
+    sharded = ShardedSimulator(topo, _factory("sst"), 2, init_seed=7)
     try:
         assert sharded.run_round() > 0
         assert sharded.run_round() > 0
@@ -324,7 +295,7 @@ def test_cli_verify_passes_on_small_workload(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "shard", "verify",
          "--topology", "random:n=48,seed=17", "--shards", "1,2",
-         "--protocol", "sst", "--in-process"],
+         "--protocol", "sst"],
         capture_output=True, text=True, env=_env())
     assert proc.returncode == 0, proc.stderr
     assert "bit-identical" in proc.stdout
