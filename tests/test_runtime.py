@@ -198,6 +198,22 @@ class TestSimulatorBasics:
         result = sim.run(max_rounds=30)
         assert result.invariant_violations > 0
 
+    def test_trace_recording(self, tmp_path):
+        from repro.obs.probes import TraceRecorder
+        from repro.obs.trace import read_trace
+
+        net = path_graph(4, scramble_ids=False)
+        recorder = TraceRecorder(tmp_path / "trace.jsonl")
+        sim = Simulator(net, MaxIdFlood(), recorder=recorder)
+        result = sim.run(max_rounds=10)
+        recorder.finalize(silent=result.silent)
+        header, rounds, end = read_trace(recorder.path)
+        assert header["n"] == 4
+        assert len(rounds) >= 2
+        assert rounds[0]["moves"] > 0
+        assert sum(row["moves"] for row in rounds) == result.moves
+        assert end["moves"] == result.moves and end["silent"] is True
+
     def test_overwrite_reactivates(self):
         net = path_graph(5, scramble_ids=False)
         sim = Simulator(net, MaxIdFlood())
