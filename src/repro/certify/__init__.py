@@ -15,8 +15,8 @@ whole repository:
   register-carried subtree digest (:class:`DigestLayer`) plus a
   digest-keyed memo (:class:`CertifiedOracle`) that turn the guided
   protocols' root-side detector into a rule whose effective read-set is
-  the 1-hop neighborhood, so they run with
-  ``read_locality = "neighborhood"`` on the incremental engine;
+  the 1-hop neighborhood, so they run on the incremental engine's
+  ordinary 1-hop invalidation;
 * :mod:`repro.certify.space` — bits-per-node accounting of every
   certified task against the paper's O(log n) / O(log^2 n) bounds;
 * :mod:`repro.certify.modelcheck` — an exhaustive small-n model checker

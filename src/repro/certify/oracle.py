@@ -4,11 +4,10 @@ The PLS-guided MST/MDST constructions take their *detector decision* —
 which ``(e, f)`` improvement to execute next — at the root (DESIGN.md,
 substitution 6: the paper's companion report implements this decision
 with convergecast/broadcast waves over the certificates; this repo
-substitutes a sequential decision procedure).  Until PR 4 the root's rule
-simply read the whole configuration, which forced
-``read_locality = "global"`` on the engine: any write anywhere had to
-invalidate every cached proposal, the exact O(n)-rescan behavior the
-incremental enabled-set engine exists to avoid.
+substitutes a sequential decision procedure).  A root rule that simply
+read the whole configuration would leave the engine no choice but to
+invalidate every cached proposal on any write anywhere, the exact
+O(n)-rescan behavior the incremental enabled-set engine exists to avoid.
 
 This module removes the global read from the *transition function*:
 
@@ -30,8 +29,8 @@ This module removes the global read from the *transition function*:
   returns the identical memoized decision.  Cached proposals can thus
   never go stale relative to ``step``: the consulting rule is a pure
   function of the 1-hop view (plus the write-once memo both evaluation
-  paths share), and the guided protocols honestly declare
-  ``read_locality = "neighborhood"``.
+  paths share), so the guided protocols run on the engine's ordinary
+  1-hop invalidation, like every other rule of the state model.
 
 The digest is the *certificate* backing the oracle: 64 bits of sha256,
 constant-size per register (the space table reports it), self-correcting
@@ -89,15 +88,8 @@ class DigestLayer(Protocol):
 
     name = "cert-digest"
 
-    def __init__(self, fields: tuple[str, ...] = ("rid", "par", "d", "s"),
-                 parent_field: str = "par") -> None:
+    def __init__(self, fields: tuple[str, ...]) -> None:
         self.fields = tuple(fields)
-        self.parent_field = parent_field
-        # Writing ``ver`` leaves the expected digest unchanged (it hashes
-        # the content fields and the *children's* digests), so the writer
-        # lands exactly on its target — unless ``ver`` is itself hashed,
-        # which makes the digest chase its own tail.
-        self.settles_after_move = "ver" not in self.fields
 
     def register_spec(self, net: Network) -> RegisterSpec:
         return RegisterSpec([
@@ -116,10 +108,9 @@ class DigestLayer(Protocol):
         me = view.node
         own = view.state
         content = tuple(repr(own.get(f)) for f in self.fields)
-        par_field = self.parent_field
         kids = tuple(sorted(
             (u, st.get("ver")) for u, st in view.nbr_states()
-            if st.get(par_field) == me))
+            if st.get("par") == me))
         return node_digest(me, content, kids)
 
     def step(self, view: NodeView) -> dict | None:
@@ -142,7 +133,7 @@ class DigestLayer(Protocol):
         """
         index = schema.index
         VER = index["ver"]
-        PARF = index.get(self.parent_field)
+        PARF = index.get("par")
         field_slots = tuple(index.get(f) for f in self.fields)
 
         def expected(me, own, nbr_rows) -> int:
@@ -169,84 +160,6 @@ class DigestLayer(Protocol):
             if own[VER] != want:
                 return {VER: want}
             return None
-
-        return rule
-
-    def vector_step(self, schema, cols):
-        """The digest fixpoint over the columnar plane (Protocol.vector_step).
-
-        The child relation (*which* neighbors point here) is the only
-        1-hop read, so it is the only columnar one: one mask over the CSR
-        edge arrays of the ``par`` column.  Content and digests are read
-        from the raw rows — ``ver`` is a 64-bit *unsigned* hash that does
-        not fit the signed columns (and junk content fields may not
-        encode at all), but their true reprs are what feeds sha256, so
-        the row plane is authoritative.  Honors composition patches on
-        the own register, mirroring :meth:`fast_step_slots`.
-        """
-        index = schema.index
-        VER = index["ver"]
-        PARF = index.get(self.parent_field)
-        field_slots = tuple(index.get(f) for f in self.fields)
-        rows = cols.rows
-        ids = cols.ids
-        n = cols.n
-        np = cols.np
-
-        def rule(store, active, patch=None):
-            if PARF is None:
-                kids_pos = None
-            else:
-                if not store.valid_slot(PARF):
-                    return None
-                par = store.col(PARF)
-                # group child positions by owner; CSR edge order keeps
-                # every per-node list ascending in neighbor id, which is
-                # exactly the scalar rule's sorted() order (children are
-                # distinct, so the id is the whole sort key)
-                kids_pos: list[list[int]] = [[] for _ in range(n)]
-                if np is not None:
-                    kmask = (par[store.nbr_index]
-                             == store.ids_arr[store.owner_index])
-                    kedges = np.nonzero(kmask)[0]
-                    owners = store.owner_index[kedges].tolist()
-                    kpos = store.nbr_index[kedges].tolist()
-                    for o, p in zip(owners, kpos):
-                        kids_pos[o].append(p)
-                else:
-                    nbr = store.nbr_index
-                    owner = store.owner_index
-                    for e in range(store.e):
-                        p = nbr[e]
-                        o = owner[e]
-                        if par[p] == ids[o]:
-                            kids_pos[o].append(p)
-            get_patch = patch.get if patch else None
-            out = {}
-            for i in range(n):
-                me = ids[i]
-                row = rows[i]
-                prow = get_patch(me) if get_patch is not None else None
-                if prow is None:
-                    content = tuple(
-                        repr(row[s]) if s is not None else "None"
-                        for s in field_slots)
-                    cur = row[VER]
-                else:
-                    content = tuple(
-                        repr(prow.get(s, row[s])) if s is not None
-                        else "None"
-                        for s in field_slots)
-                    cur = prow.get(VER, row[VER])
-                if kids_pos is None:
-                    kids = ()
-                else:
-                    kids = tuple(
-                        (ids[p], rows[p][VER]) for p in kids_pos[i])
-                want = node_digest(me, content, kids)
-                if cur != want:
-                    out[me] = {VER: want}
-            return out
 
         return rule
 

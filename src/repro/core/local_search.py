@@ -39,10 +39,6 @@ class LocalSearchRun:
     swaps: list = field(default_factory=list)
 
     @property
-    def initial_phi(self) -> int:
-        return self.phi_history[0]
-
-    @property
     def final_phi(self) -> int:
         return self.phi_history[-1]
 

@@ -392,9 +392,7 @@ class SpanningTreeProtocol(Protocol):
         edge_range = np.arange(E, dtype=np.int64)
         seed_key = ids_arr * K  # every node's own candidacy: (me, 0)
 
-        def rule(store, active, patch=None):
-            if patch:
-                return None  # always the bottom layer of compositions
+        def rule(store, active):
             if not store.valid_slot(RID, PAR, D):
                 return None
             rid = store.col(RID)
@@ -489,9 +487,7 @@ class SpanningTreeProtocol(Protocol):
         bound1 = cols.n_bound - 1
         SENT = NONE_SENTINEL
 
-        def rule(store, active, patch=None):
-            if patch:
-                return None
+        def rule(store, active):
             if not store.valid_slot(RID, PAR, D):
                 return None
             rid = store.col(RID)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from repro.core.trees import RootedTree
 from repro.graphs.network import Network
-from repro.labeling.malleable import MalleableLabel, MalleablePLS
+from repro.labeling.malleable import MalleableLabel
 from repro.runtime.protocol import NodeView, Protocol
 from repro.runtime.registers import (
     NONE,
@@ -506,10 +506,6 @@ class MalleableTreeProtocol(Protocol):
             if st["d"] != tree.depth(v) or st["s"] != sizes[v]:
                 return False
         return True
-
-    def verifier_accepts(self, net: Network, config) -> bool:
-        """The Lemma 4.1 verifier on the (rid, par, d, s) projection."""
-        return MalleablePLS().verify(net, malleable_labels_of_config(net, config)).accepted
 
     def legal_configuration(self, net: Network, tree: RootedTree) -> dict:
         """The silent configuration encoding a given tree (for tests)."""

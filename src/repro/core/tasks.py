@@ -29,8 +29,8 @@ valid-but-useless switches before genuine WORK data drives real progress.
 Every layer here reads only its 1-hop neighborhood.  The MST/MDST
 detector decision is consulted through the certificate-backed oracle of
 :mod:`repro.certify.oracle` — register-carried subtree digests plus a
-digest-keyed write-once memo — so the compositions run with
-``read_locality = "neighborhood"`` on the incremental engine.
+digest-keyed write-once memo — so the compositions read only the 1-hop
+neighborhood, like every rule the incremental engine runs.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class PhaseLayer(Protocol):
     neighborhood.  The oracle-consulting subclasses keep that property by
     consulting their detector through the certificate-backed
     :class:`repro.certify.oracle.CertifiedOracle` (digest-keyed, write-once
-    memo), so the whole family runs with the default
-    ``read_locality = "neighborhood"`` on the incremental engine.
+    memo), so the whole family reads only the 1-hop neighborhood, like
+    every rule the incremental engine runs.
 
     :meth:`step` is the reference the rescan, the cross-checking referee
     and the model checker evaluate.  The engine runs
@@ -949,7 +949,7 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
     oracle-relevant field reaches the root as ordinary neighborhood
     writes.  The root's rule is therefore a pure function of its 1-hop
     view (plus the write-once memo shared by every evaluation path), and
-    the composition runs with ``read_locality = "neighborhood"``.
+    the composition runs on the engine's ordinary 1-hop invalidation.
 
     Both evaluation paths share that memo and the issued-decision latch:
     the engine's compiled rule (:meth:`slot_hooks`) and ``step`` (the

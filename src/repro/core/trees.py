@@ -126,9 +126,6 @@ class RootedTree:
     def max_degree(self) -> int:
         return max(self.degree(v) for v in self.net.nodes)
 
-    def nodes_of_degree(self, d: int) -> list[int]:
-        return [v for v in self.net.nodes if self.degree(v) == d]
-
     def subtree_sizes(self) -> dict[int, int]:
         """Size of the subtree rooted at each node (the `s` labels)."""
         size = {v: 1 for v in self.net.nodes}

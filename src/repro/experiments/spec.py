@@ -22,7 +22,7 @@ import itertools
 import json
 import random
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ExperimentSpec",
@@ -253,9 +253,6 @@ class Campaign:
 
     def fingerprints(self) -> list[str]:
         return [s.fingerprint(self.root_seed) for s in self.specs]
-
-    def with_root_seed(self, root_seed: int) -> "Campaign":
-        return replace(self, root_seed=root_seed)
 
     def experiments(self) -> list[str]:
         """Experiment ids in first-appearance order."""

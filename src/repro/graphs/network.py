@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 
-from repro._bits import bits_for_id, bits_for_weight
+from repro._bits import bits_for_id
 
 __all__ = ["Network", "UWEdge"]
 
@@ -239,10 +239,6 @@ class Network:
         """Bits for one identity (register fields storing ids cost this)."""
         return bits_for_id(self._id_space)
 
-    def weight_bits(self) -> int:
-        """Bits for one edge weight."""
-        return bits_for_weight(self.weight_space())
-
     # ------------------------------------------------------------------
     # graph algorithms used by oracles and verifiers (not by protocols)
     # ------------------------------------------------------------------
@@ -282,10 +278,6 @@ class Network:
                     seen.add(v)
                     stack.append(v)
         return seen == sub
-
-    def edges_incident(self, u: int) -> Iterator[tuple[int, int]]:
-        for v in self._adj[u]:
-            yield UWEdge(u, v)
 
     def total_weight(self, edges: Iterable[tuple[int, int]]) -> int:
         return sum(self.weight_of(e) for e in edges)
@@ -358,17 +350,6 @@ class Network:
             id_space=self._id_space,
             n_bound=self._n_bound,
         )
-
-    @staticmethod
-    def from_adjacency(adj: Mapping[int, Iterable[int]], **kwargs) -> "Network":
-        edges = set()
-        for u, nbrs in adj.items():
-            for v in nbrs:
-                edges.add(UWEdge(u, v))
-        return Network(adj.keys(), edges, **kwargs)
-
-    def spanning_edge_count(self) -> int:
-        return self.n - 1
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
         """All node pairs that are *not* edges (useful for tests)."""

@@ -219,8 +219,5 @@ class NCALabeling:
         """The wire size of v's label in bits."""
         return len(self._encoded[v])
 
-    def encoded_label(self, v: int) -> str:
-        return self._encoded[v]
-
     def max_encoded_bits(self) -> int:
         return max(self.encoded_bits(v) for v in self.net.nodes)

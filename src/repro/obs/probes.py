@@ -97,7 +97,7 @@ class TraceRecorder:
             # trace headers keep their shape
             "slot": True,
             "vector": sim._vector_rule is not None,
-            "fused_capable": not sim._global_reads and sim._notify is None,
+            "fused_capable": sim._notify is None,
         }
         extra = dict(self._header_extra)
         extra["enabled_initial"] = len(sim.enabled_set())

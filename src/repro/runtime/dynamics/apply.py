@@ -306,7 +306,7 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     # ---- dirty-set accounting + proof obligation ---------------------
     # (the rebuilt ColumnStore starts fresh=False; the next vector
     # refresh re-encodes from the post-interrupt rows on demand)
-    if sim._global_reads or invalidate_all:
+    if invalidate_all:
         sim._dirty_all = True
         sim._dirty.clear()
     else:

@@ -32,8 +32,7 @@ __all__ = ["NodeView", "Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
 #: overrides — one definition of "the rule surface" shared by the
 #: runtime, the analyzer, and the docs.
 RULE_ENTRYPOINTS: tuple[str, ...] = ("step", "fast_step_slots",
-                                     "vector_step", "shard_step",
-                                     "interrupt_step")
+                                     "vector_step", "interrupt_step")
 
 #: The observer surface: probe callbacks the telemetry layer
 #: (:mod:`repro.obs`) invokes *between* atomic steps, never from inside
@@ -155,22 +154,6 @@ class NodeView:
         config = self._config
         return [(u, config[u]) for u in self.net.neighbors(self.node)]
 
-    # -- derived tree-local helpers --------------------------------------
-    # These only use readable information (own register + neighbor
-    # registers), they are conveniences shared by the tree protocols.
-
-    def tree_children(self, parent_field: str = "par") -> tuple[int, ...]:
-        """Neighbors currently pointing at this node via ``parent_field``."""
-        me = self.node
-        return tuple(
-            u for u in self.net.neighbors(me)
-            if self._config[u].get(parent_field) == me
-        )
-
-    def tree_parent(self, parent_field: str = "par"):
-        """This node's parent pointer (may be NONE or a non-neighbor junk id)."""
-        return self._config[self.node].get(parent_field)
-
 
 class Protocol(ABC):
     """A distributed algorithm in the state model."""
@@ -218,8 +201,7 @@ class Protocol(ABC):
         adjacency.  A protocol that opts in resolves its slots once and
         returns a rule
 
-        ``rule(store, active, patch=None) ->
-        dict[int, dict[int, object]] | None``
+        ``rule(store, active) -> dict[int, dict[int, object]] | None``
 
         evaluating **every** node of the network in one call (the engine
         invokes it exactly on all-dirty refreshes — synchronous rounds
@@ -237,49 +219,22 @@ class Protocol(ABC):
         (``store.valid_slot``), and may decline on any value range their
         vectorized arithmetic cannot represent.
 
-        Composition: inside a :class:`ComposedProtocol`, each layer's
-        rule is called with ``patch`` mapping nodes to the slot updates
-        of the layers below (``None`` when empty).  A rule that cannot
-        honor per-node own-register patches must return ``None`` when
-        ``patch`` is non-empty rather than compute wrong deltas.
-
         Default: ``None`` — no columnar path; the store is not built.
+        A :class:`ComposedProtocol` keeps the default, so compositions
+        always run on the scalar slot rule.
         """
         return None
 
     #: Whether the rule surface is sound under partitioned (sharded)
-    #: execution: every entrypoint must be a pure function of the node's
-    #: closed 1-hop neighborhood *and nothing else* — no oracle consults,
-    #: no cross-instance memo state — because a shard evaluates it on a
-    #: subgraph where anything beyond the halo simply does not exist.
-    #: Protocols whose steps consult a global oracle (the PLS-guided
-    #: constructions) set this False; see ROADMAP item 5 for the plan to
-    #: make the detector fully local and win this flag back.
+    #: execution.  A shard evaluates its owned nodes on a subgraph of
+    #: owned nodes plus their 1-hop halo, with the same slot rule as the
+    #: single-process engine, so the rules must read the node's closed
+    #: neighborhood *and nothing else*: no oracle consults, no memo
+    #: state shared across the instance.  Protocols whose steps consult
+    #: the certified oracle (the PLS-guided MST/MDST constructions) set
+    #: this False, and :class:`~repro.runtime.sharding.ShardedSimulator`
+    #: refuses them at construction.
     shardable: bool = True
-
-    def shard_step(self, schema):
-        """Compile the shard-local rule, or return ``None``.
-
-        The sharded runtime (``repro.runtime.sharding``) evaluates owned
-        nodes on a shard-local subgraph — owned nodes plus their 1-hop
-        halo, with halo registers refreshed from the owning shards at
-        every synchronous round edge.  That is sound exactly when the
-        rule surface reads nothing beyond the closed neighborhood, so
-        the default returns the compiled slot rule
-        (:meth:`fast_step_slots`, falling back to the
-        :func:`adapt_step_to_slots` bridge) when :attr:`shardable` holds
-        and :attr:`read_locality` is ``"neighborhood"``, and ``None`` —
-        declining sharded execution — otherwise.
-
-        A subclass overriding this with a hand-written shard rule must
-        keep the 1-hop footprint; ``repro.statics`` analyzes the
-        override (``shard_step`` is a :data:`RULE_ENTRYPOINTS` member
-        and a slot-indexed path for the S-series) and proves that
-        statically.
-        """
-        if not self.shardable or self.read_locality != "neighborhood":
-            return None
-        return self.fast_step_slots(schema) or adapt_step_to_slots(self, schema)
 
     #: Set to True when :meth:`step` (and :meth:`fast_step_slots`) only ever
     #: return *effective* writes — every returned field differs from the
@@ -287,14 +242,6 @@ class Protocol(ABC):
     #: no-op filter.  Leave False (the default) when in doubt: returning a
     #: restating field with True silently corrupts enabledness.
     exact_deltas: bool = False
-
-    #: How far :meth:`step` reads: ``"neighborhood"`` (the state model's
-    #: 1-hop closed neighborhood — the default) or ``"global"`` (the step
-    #: consults an oracle over the whole configuration, as the PLS-guided
-    #: layers do at their oracle boundary).  The simulator uses this to
-    #: decide how far a write invalidates cached proposals: declaring
-    #: ``"neighborhood"`` while reading farther yields stale enabledness.
-    read_locality: str = "neighborhood"
 
     #: Set to True when a node that has just applied its *own* proposed
     #: delta is guaranteed disabled until some neighbor's register next
@@ -363,6 +310,7 @@ class Protocol(ABC):
 
         Default: ``None`` — no interrupt section; touched nodes are
         simply re-proposed through the ordinary dirty-set machinery.
+        A :class:`ComposedProtocol` keeps the default.
         """
         return None
 
@@ -419,8 +367,8 @@ class Protocol(ABC):
     def rule_contract(self) -> dict[str, object]:
         """Machine-readable summary of this protocol's rule surface.
 
-        Reports the declared contracts (:attr:`read_locality`,
-        :attr:`exact_deltas`) plus which of :data:`RULE_ENTRYPOINTS`
+        Reports the declared contracts (:attr:`exact_deltas`,
+        :attr:`shardable`) plus which of :data:`RULE_ENTRYPOINTS`
         this class actually implements (i.e. overrides away from the
         :class:`Protocol` defaults).  ``repro.statics`` drives its
         analysis off this — the analyzer never guesses at the surface —
@@ -440,7 +388,6 @@ class Protocol(ABC):
         return {
             "protocol": self.name,
             "class": f"{cls.__module__}.{cls.__qualname__}",
-            "read_locality": self.read_locality,
             "exact_deltas": self.exact_deltas,
             "shardable": self.shardable,
             "entrypoints": entrypoints,
@@ -475,10 +422,6 @@ class ComposedProtocol(Protocol):
             raise ValueError("composition needs at least one layer")
         self.layers = list(layers)
         self.name = name
-        # the composition reads as far as its farthest-reading layer
-        self.read_locality = (
-            "global" if any(l.read_locality == "global" for l in layers)
-            else "neighborhood")
         # one unshardable layer makes the whole atomic step unshardable
         self.shardable = all(l.shardable for l in layers)
 
@@ -527,72 +470,6 @@ class ComposedProtocol(Protocol):
             cur = own
             for rule in _rules:
                 delta = rule(net, config, node, cur, nbr_rows)
-                if delta:
-                    if updates is None:
-                        updates = {}
-                        cur = own.copy()
-                    updates.update(delta)
-                    for i, val in delta.items():
-                        cur[i] = val
-            return updates
-
-        return composed
-
-    def vector_step(self, schema, cols):
-        """The composed columnar path (see :class:`Protocol`).
-
-        All-or-nothing: every layer must compile a ``vector_step`` rule,
-        otherwise the composition has no columnar path (mixed
-        column/scalar layers within one atomic step would re-introduce
-        exactly the per-node dispatch the column plane removes).  At
-        call time the accumulated per-node updates are handed to each
-        subsequent layer as its ``patch``, mirroring the own-register
-        overlay of :meth:`step` / :meth:`fast_step_slots`; any layer
-        declining at call time declines the whole composed refresh.
-        """
-        rules = [layer.vector_step(schema, cols) for layer in self.layers]
-        if any(rule is None for rule in rules):
-            return None
-
-        def composed(store, active, patch=None, _rules=tuple(rules)):
-            if patch:
-                # nested compositions never occur; decline if they do
-                return None
-            updates: dict[int, dict[int, object]] = {}
-            for rule in _rules:
-                result = rule(store, active, updates if updates else None)
-                if result is None:
-                    return None
-                for v, delta in result.items():
-                    cur = updates.get(v)
-                    if cur is None:
-                        updates[v] = dict(delta)
-                    else:
-                        cur.update(delta)
-            return updates
-
-        return composed
-
-    def interrupt_step(self, schema):
-        """The composed interrupt section (see :class:`Protocol`).
-
-        Layers that opt in run in order; each sees this node's register
-        patched with the corrective writes of the layers below it,
-        mirroring :meth:`fast_step_slots`.  Compositions where no layer
-        opts in have no interrupt section.
-        """
-        rules = [layer.interrupt_step(schema) for layer in self.layers]
-        rules = [rule for rule in rules if rule is not None]
-        if not rules:
-            return None
-        if len(rules) == 1:
-            return rules[0]
-
-        def composed(net, config, node, own, event, _rules=tuple(rules)):
-            updates = None
-            cur = own
-            for rule in _rules:
-                delta = rule(net, config, node, cur, event)
                 if delta:
                     if updates is None:
                         updates = {}

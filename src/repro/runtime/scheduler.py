@@ -119,9 +119,6 @@ class EnabledSet:
             raise ValueError(f"{v} not in enabled set")
         return bisect_left(self._list, v)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self._set)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnabledSet({self._list!r})"
 

@@ -164,7 +164,6 @@ class ShardContext:
     routes: dict[int, tuple[int, ...]]
     #: seed of the per-node deterministic initialization
     init_seed: int
-    use_vector_rules: bool
 
 
 class ShardWorker:
@@ -186,13 +185,7 @@ class ShardWorker:
             # overwrites all of these before the first refresh
             config[v] = spec.default_state(net, v)
         self.sim = Simulator(net, protocol, SynchronousScheduler(),
-                             config=config,
-                             use_vector_rules=ctx.use_vector_rules)
-        if protocol.shard_step(self.sim.schema) is None:
-            raise ValueError(
-                f"protocol {protocol.name!r} declines sharded execution "
-                f"(shardable={getattr(protocol, 'shardable', True)}, "
-                f"read_locality={protocol.read_locality!r})")
+                             config=config)
 
     def initial_frontier(self) -> dict[int, dict[int, list]]:
         """Owned frontier rows for every destination shard (pre-round 0)."""
@@ -318,20 +311,17 @@ class ShardedSimulator:
 
     def __init__(self, topo, protocol_factory: Callable[[], object],
                  plan: ShardPlan | int, *,
-                 init_seed: int = 0,
-                 use_vector_rules: bool = True) -> None:
+                 init_seed: int = 0) -> None:
         if isinstance(plan, int):
             plan = plan_partition(topo, plan)
         if plan.n != topo.n:
             raise ValueError(
                 f"plan covers {plan.n} nodes, topology has {topo.n}")
         probe = protocol_factory()
-        if (not getattr(probe, "shardable", True)
-                or probe.read_locality != "neighborhood"):
+        if not probe.shardable:
             raise ValueError(
                 f"protocol {probe.name!r} declines sharded execution "
-                f"(shardable={getattr(probe, 'shardable', True)}, "
-                f"read_locality={probe.read_locality!r})")
+                f"(shardable=False)")
         self.plan = plan
         self.k = plan.k
         self.protocol_name = probe.name
@@ -357,7 +347,7 @@ class ShardedSimulator:
             contexts.append(ShardContext(
                 shard_id=i, owned=owned, topo=topo,
                 protocol_factory=protocol_factory, routes=routes,
-                init_seed=init_seed, use_vector_rules=use_vector_rules))
+                init_seed=init_seed))
 
         mp = multiprocessing.get_context("fork")
         for ctx in contexts:
@@ -560,8 +550,7 @@ class ShardedSimulator:
 def single_process_reference(topo, protocol_factory, *,
                              init_seed: int = 0,
                              max_rounds: int = 10_000,
-                             require_silence: bool = True,
-                             use_vector_rules: bool = True):
+                             require_silence: bool = True):
     """Run the same workload on one ordinary Simulator.
 
     Returns ``(rounds, moves, silent, fingerprint_hex)`` — the exact
@@ -573,8 +562,7 @@ def single_process_reference(topo, protocol_factory, *,
     protocol = protocol_factory()
     config = per_node_configuration(net, protocol.register_spec(net),
                                     init_seed)
-    sim = Simulator(net, protocol, SynchronousScheduler(), config=config,
-                    use_vector_rules=use_vector_rules)
+    sim = Simulator(net, protocol, SynchronousScheduler(), config=config)
     rounds = 0
     while rounds < max_rounds:
         if not sim.run_round():

@@ -29,7 +29,7 @@ and feeds the resulting adds/removes to the daemon through
 recomputations per applied write instead of the O(n) full rescan the
 previous engine performed before every ``select`` — the difference between
 O(n·M) and O(Δ·M) Python work for an M-move central-daemon execution.
-Large batches (synchronous rounds, global readers) skip the per-write
+Large batches (synchronous rounds, mass faults) skip the per-write
 bookkeeping entirely and raise a single *all-dirty* flag instead: one
 refresh pass over the whole network replaces thousands of set inserts.
 :meth:`Simulator.rescan_enabled` recomputes enabledness from scratch with
@@ -47,10 +47,11 @@ exposes the same storage as zero-copy
 callers (legality predicates, verifiers, metrics, tests) are unaffected.
 Every protocol runs on the raw rows through one slot rule per binding:
 its compiled :meth:`Protocol.fast_step_slots` rule, or else its
-name-keyed ``step`` bridged by :func:`adapt_step_to_slots` (the same
-resolution :meth:`Protocol.shard_step` uses).  ``step`` over a
-:class:`NodeView` stays the first-principles reference that
-:meth:`Simulator.rescan_enabled` evaluates.  Configurations cross the
+name-keyed ``step`` bridged by :func:`adapt_step_to_slots`; the shard
+workers of :mod:`repro.runtime.sharding` are Simulators too, so they
+bind the same rule.  ``step`` over a :class:`NodeView` stays the
+first-principles reference that :meth:`Simulator.rescan_enabled`
+evaluates.  Configurations cross the
 boundary as plain dicts in both directions (``config=`` input,
 :func:`random_configuration`).
 """
@@ -104,11 +105,6 @@ class RunResult:
     silent: bool
     stopped_by_predicate: bool = False
     invariant_violations: int = 0
-
-    @property
-    def stabilized(self) -> bool:
-        """Whether the run ended in a silent configuration."""
-        return self.silent
 
     def to_record(self) -> dict[str, object]:
         """A JSON-serializable summary of this run.
@@ -225,18 +221,12 @@ class Simulator:
         self._notify = (self.scheduler.notify
                         if type(self.scheduler).notify is not Scheduler.notify
                         else None)
-        # oracle-consulting protocols read the whole configuration, so any
-        # write invalidates every cached proposal (see Protocol.read_locality)
-        self._global_reads = protocol.read_locality == "global"
         # write-path contracts (Protocol.settles_after_move /
         # fast_write_impact): movers that provably land disabled retire
         # from the enabled set at apply time, and a compiled impact filter
         # narrows which neighbors a write re-dirties.  Both are soundness
-        # claims about the rule itself; global readers go through the
-        # all-dirty flag instead.
-        self._settles = (not self._global_reads
-                         and bool(getattr(protocol,
-                                          "settles_after_move", False)))
+        # claims about the rule itself.
+        self._settles = bool(getattr(protocol, "settles_after_move", False))
         self._bind_rules()
         # columnar bulk-evaluation plane: built only when the protocol
         # compiles a vector rule for this binding (Protocol.vector_step);
@@ -287,8 +277,7 @@ class Simulator:
         nbr_rows = {v: tuple((u, rows[u]) for u in net.neighbors(v))
                     for v in net.nodes}
         self._nbr_rows = nbr_rows
-        self._write_impact = (None if self._global_reads
-                              else protocol.fast_write_impact(schema))
+        self._write_impact = protocol.fast_write_impact(schema)
         config = self.config
         proposal = self._proposal
         dirty = self._dirty
@@ -414,12 +403,6 @@ class Simulator:
         self.stat_vector_refreshes += 1
         return True
 
-    def _propose(self, v: int) -> dict[int, object] | None:
-        """The pending write of node v (slot-keyed), or None if not enabled."""
-        if self._dirty_all or v in self._dirty:
-            self._refresh()
-        return self._proposal[v]
-
     def enabled_nodes(self) -> list[int]:
         """All currently enabled nodes, ascending."""
         self._refresh()
@@ -496,7 +479,7 @@ class Simulator:
                 if delta is not None:
                     writes.append((v, delta))
         rows = self._state
-        bulk = self._global_reads or len(writes) >= self._bulk_dirty
+        bulk = len(writes) >= self._bulk_dirty
         impact = None if bulk else self._write_impact
         olds = [] if impact is not None else None
         for v, delta in writes:
@@ -513,7 +496,7 @@ class Simulator:
             # pure waste on central-daemon runs that never vectorize)
             store.fresh = False
         if bulk:
-            # bulk batch (synchronous round / global reader): one flag
+            # bulk batch (synchronous round): one flag
             # instead of per-write neighborhood set maintenance
             if writes:
                 self._dirty_all = True
@@ -583,11 +566,10 @@ class Simulator:
         self._refresh()
         if not self._enabled:
             return False
-        # fused single-mover stepping is off for global readers
-        # (all-dirty semantics) and mirror-keeping daemons (their notify
-        # contract is the general path's)
+        # fused single-mover stepping is off for mirror-keeping daemons
+        # (their notify contract is the general path's)
         self._round_loop(max_moves, self.scheduler.select, self._refresh,
-                         not self._global_reads and self._notify is None)
+                         self._notify is None)
         return True
 
     def _round_loop(self, max_moves: int | None, select, refresh,
@@ -795,9 +777,6 @@ class Simulator:
             invariant_violations=self._invariant_violations,
         )
 
-    def run_to_silence(self, max_rounds: int) -> RunResult:
-        return self.run(max_rounds=max_rounds)
-
     def confirm_silent(self, extra_rounds: int = 3) -> bool:
         """Certify silence: no node is enabled, now and after prodding.
 
@@ -839,8 +818,5 @@ class Simulator:
             # adversarial writes bypass the write-through; resync the
             # columns from the rows on the next vector refresh
             self._columns.fresh = False
-        if self._global_reads:
-            self._dirty_all = True
-        else:
-            self._dirty.add(node)
-            self._dirty.update(self.net.neighbors(node))
+        self._dirty.add(node)
+        self._dirty.update(self.net.neighbors(node))

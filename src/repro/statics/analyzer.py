@@ -11,10 +11,8 @@ is ever executed.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.statics.bindings import ScopeMap
-from repro.statics.model import Finding, apply_waivers, load_baseline
+from repro.statics.model import Finding, apply_waivers
 from repro.statics.rules import ALL_RULES, LayerContext
 from repro.statics.scan import (
     RulePath,
@@ -24,17 +22,12 @@ from repro.statics.scan import (
 )
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "analyze_protocol",
     "analyze_registry",
     "analyze_runtime_bridges",
     "finalize",
     "probe_network",
 ]
-
-#: The committed baseline the CLI loads by default (repo-root relative).
-DEFAULT_BASELINE = Path("benchmarks") / "statics_baseline.json"
-
 
 def probe_network():
     """A small weighted ring: enough to materialize every RegisterSpec."""
@@ -65,7 +58,6 @@ def analyze_protocol(protocol, name: str | None = None, net=None,
             protocol=protocol_name,
             layer=layer,
             layer_name=type(layer).__name__,
-            read_locality=layer.read_locality,
             universe=universe,
         )
         paths = build_paths(layer)
@@ -94,7 +86,6 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
         ("step", runtime_protocol.ComposedProtocol.step),
         ("fast_step_slots",
          runtime_protocol.ComposedProtocol.fast_step_slots),
-        ("vector_step", runtime_protocol.ComposedProtocol.vector_step),
         ("step", runtime_protocol.adapt_step_to_slots),
         ("step", runtime_protocol.effective_delta),
     )
@@ -102,7 +93,6 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
         protocol="<runtime>",
         layer=None,
         layer_name="ComposedProtocol",
-        read_locality="neighborhood",
         universe=frozenset(),
     )
     findings: list[Finding] = []
@@ -116,9 +106,9 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
     return findings
 
 
-def analyze_registry(names: list[str] | None = None,
-                     include_runtime: bool = True) -> list[Finding]:
-    """Sweep the whole protocol registry (optionally a subset)."""
+def analyze_registry(names: list[str] | None = None) -> list[Finding]:
+    """Sweep the protocol registry (optionally a subset) and the runtime's
+    composition bridges."""
     from repro.experiments.registry import PROTOCOLS, build_protocol
     net = probe_network()
     scopes: dict[int, ScopeMap] = {}
@@ -127,18 +117,11 @@ def analyze_registry(names: list[str] | None = None,
         protocol, _entry = build_protocol(protocol_name)
         findings.extend(analyze_protocol(protocol, name=protocol_name,
                                          net=net, scopes=scopes))
-    if include_runtime:
-        findings.extend(analyze_runtime_bridges(scopes))
+    findings.extend(analyze_runtime_bridges(scopes))
     return findings
 
 
-def finalize(findings: list[Finding],
-             baseline: str | Path | None = None) -> list[Finding]:
-    """Apply inline waivers and the committed baseline; returns the list."""
+def finalize(findings: list[Finding]) -> list[Finding]:
+    """Apply the inline waivers; returns the list."""
     apply_waivers(findings, read_source_line)
-    if baseline is not None and Path(baseline).exists():
-        acknowledged = load_baseline(baseline)
-        for finding in findings:
-            if finding.fingerprint() in acknowledged:
-                finding.baselined = True
     return findings

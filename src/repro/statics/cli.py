@@ -4,10 +4,9 @@
 
     python -m repro statics check
     python -m repro statics check --protocol guided-mst --format json
-    python -m repro statics check --write-baseline
     python -m repro statics rules
 
-``check`` exits 0 when every finding is waived or baselined, 1 when any
+``check`` exits 0 when every finding is waived inline, 1 when any
 finding is active, 2 on usage errors — so CI can gate on it directly.
 ``--out PATH`` writes the JSON report regardless of format, for artifact
 upload.
@@ -20,12 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.statics.analyzer import (
-    DEFAULT_BASELINE,
-    analyze_registry,
-    finalize,
-)
-from repro.statics.model import write_baseline
+from repro.statics.analyzer import analyze_registry, finalize
 from repro.statics.report import build_report, render_ascii
 from repro.statics.rules import RULE_CATALOG
 
@@ -39,18 +33,9 @@ def add_check_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("ascii", "json"),
                         default="ascii",
                         help="stdout rendering (default: ascii)")
-    parser.add_argument("--baseline", metavar="PATH",
-                        default=str(DEFAULT_BASELINE),
-                        help="committed baseline of acknowledged findings "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="acknowledge every current finding into "
-                             "--baseline and exit 0")
     parser.add_argument("--out", metavar="PATH",
                         help="also write the JSON report to PATH "
                              "(the CI artifact)")
-    parser.add_argument("--no-runtime", action="store_true",
-                        help="skip the ComposedProtocol bridge audit")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -63,17 +48,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   f"(known: {', '.join(sorted(PROTOCOLS))})",
                   file=sys.stderr)
             return 2
-    findings = analyze_registry(names,
-                                include_runtime=not args.no_runtime)
-
-    if args.write_baseline:
-        finalize(findings, baseline=None)  # inline waivers still apply
-        write_baseline(args.baseline, findings)
-        kept = sum(1 for f in findings if not f.waived)
-        print(f"wrote {args.baseline}: {kept} finding(s) acknowledged")
-        return 0
-
-    finalize(findings, baseline=args.baseline)
+    findings = finalize(analyze_registry(names))
     report = build_report(findings,
                           sorted(names) if names else sorted(PROTOCOLS))
     if args.out:
@@ -85,8 +60,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     active = report["counts"]["active"]
     if active:
         print(f"STATICS GATE FAILED: {active} active finding(s) — fix, "
-              f"waive with '# statics: ignore[RULE]', or acknowledge "
-              f"via --write-baseline", file=sys.stderr)
+              f"or waive with '# statics: ignore[RULE]' next to the "
+              f"argument for its soundness", file=sys.stderr)
         return 1
     return 0
 

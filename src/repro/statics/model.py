@@ -1,41 +1,27 @@
-"""Findings, waivers and the committed baseline of ``repro.statics``.
+"""Findings and inline waivers of ``repro.statics``.
 
 A :class:`Finding` is one rule violation at one source location, tagged
-with the protocol and layer whose rule surface it was discovered on.  Two
-suppression mechanisms exist, both following the rule that every
-exception must be *visible in the diff*:
-
-* an inline waiver comment ``# statics: ignore[RULE]`` on the finding's
-  line (or the line above it, or any call site of the chain that reached
-  it) — for violations that are individually argued sound, with the
-  argument sitting right next to the waiver;
-* a committed baseline file mapping finding *fingerprints* to an
-  acknowledgement — for grandfathering a batch during a migration.
-  Fingerprints deliberately exclude line numbers so unrelated edits to a
-  file do not invalidate the baseline.
+with the protocol and layer whose rule surface it was discovered on.
+The one suppression mechanism is an inline waiver comment
+``# statics: ignore[RULE]`` on the finding's line (or the line above it,
+or any call site of the chain that reached it): every exception is
+*visible in the diff*, with the argument for its soundness sitting right
+next to the waiver.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "Finding",
     "Site",
     "apply_waivers",
-    "load_baseline",
     "waiver_codes",
-    "write_baseline",
 ]
-
-#: Bump on incompatible baseline-shape changes.
-BASELINE_SCHEMA = 1
 
 _WAIVER_RE = re.compile(r"#\s*statics:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
 
@@ -82,7 +68,6 @@ class Finding:
     waiver_sites: tuple[Site, ...] = ()
     waived: bool = False        #: suppressed by an inline comment
     waived_at: str | None = None
-    baselined: bool = False     #: suppressed by the committed baseline
 
     @property
     def series(self) -> str:
@@ -91,10 +76,11 @@ class Finding:
     @property
     def active(self) -> bool:
         """Whether this finding should fail the gate."""
-        return not (self.waived or self.baselined)
+        return not self.waived
 
     def fingerprint(self) -> str:
-        """Line-number-free identity used by the committed baseline."""
+        """Line-number-free identity of the finding: unrelated edits to
+        its file do not change it."""
         key = "|".join(
             (self.rule, self.protocol, self.layer, self.path,
              self.function, self.message))
@@ -115,7 +101,6 @@ class Finding:
             "fingerprint": self.fingerprint(),
             "waived": self.waived,
             "waived_at": self.waived_at,
-            "baselined": self.baselined,
             "active": self.active,
         }
 
@@ -145,38 +130,3 @@ def apply_waivers(findings: list[Finding],
             if finding.waived:
                 break
 
-
-# ----------------------------------------------------------------------
-# baseline file
-# ----------------------------------------------------------------------
-
-def load_baseline(path: str | Path) -> set[str]:
-    """The acknowledged fingerprints of a committed baseline file."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or data.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path}: not a statics baseline "
-            f"(schema {BASELINE_SCHEMA} expected)")
-    entries = data.get("findings", [])
-    return {str(e["fingerprint"]) for e in entries}
-
-
-def write_baseline(path: str | Path, findings: list[Finding]) -> None:
-    """Acknowledge every *active* finding into ``path``.
-
-    Waived findings stay out: their suppression lives next to the code.
-    """
-    entries = [
-        {
-            "fingerprint": f.fingerprint(),
-            "rule": f.rule,
-            "protocol": f.protocol,
-            "layer": f.layer,
-            "function": f.function,
-            "message": f.message,
-        }
-        for f in findings if not f.waived
-    ]
-    entries.sort(key=lambda e: (e["rule"], e["protocol"], e["fingerprint"]))
-    payload = {"schema": BASELINE_SCHEMA, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

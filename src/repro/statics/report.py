@@ -18,7 +18,7 @@ from repro.statics.scan import PACKAGE_ROOT
 __all__ = ["REPORT_SCHEMA", "build_report", "render_ascii"]
 
 #: Bump on incompatible findings-report shape changes.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 _REPO_ROOT = PACKAGE_ROOT.parents[1]
 
@@ -49,7 +49,6 @@ def build_report(findings: list[Finding],
             "total": len(findings),
             "active": sum(1 for f in findings if f.active),
             "waived": sum(1 for f in findings if f.waived),
-            "baselined": sum(1 for f in findings if f.baselined),
         },
         "findings": records,
     }
@@ -60,8 +59,7 @@ def render_ascii(report: dict[str, Any]) -> str:
     counts = report["counts"]
     rows = []
     for rec in report["findings"]:
-        state = ("waived" if rec["waived"]
-                 else "baselined" if rec["baselined"] else "ACTIVE")
+        state = "waived" if rec["waived"] else "ACTIVE"
         rows.append((rec["rule"], rec["protocol"], rec["layer"],
                      f"{rec['file']}:{rec['line']}", state,
                      rec["message"]))
@@ -69,7 +67,7 @@ def render_ascii(report: dict[str, Any]) -> str:
         rows.append(("-", "-", "-", "-", "-",
                      "no findings: every rule surface is clean"))
     title = (f"statics: {counts['active']} active / {counts['total']} total "
-             f"({counts['waived']} waived, {counts['baselined']} baselined) "
+             f"({counts['waived']} waived) "
              f"over {len(report['protocols'])} protocols")
     return format_table(title,
                         ["rule", "protocol", "layer", "where", "state",

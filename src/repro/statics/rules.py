@@ -3,10 +3,9 @@
 Five series, one per contract of the paper's state model (each rule is a
 class; the registry at the bottom is what the analyzer runs):
 
-* **L (locality)** — a ``read_locality="neighborhood"`` layer's rules
-  must not reach net-global accessors or iterate the configuration; a
-  ``"global"`` declaration must be *accurate* (some global read exists),
-  or the engine over-invalidates for nothing.
+* **L (locality)** — a layer's rules read only the closed 1-hop
+  neighborhood: they must not reach net-global accessors or iterate the
+  configuration.
 * **W (write-ownership)** — rules communicate through returned deltas
   only; registers, neighbor rows and views are never mutated in place.
 * **S (schema coverage)** — every field literal on any rule path
@@ -39,7 +38,6 @@ class LayerContext:
     protocol: str               #: registry name of the analyzed protocol
     layer: object               #: the live layer instance
     layer_name: str             #: class name of the layer
-    read_locality: str          #: the layer's declared read locality
     universe: frozenset[str]    #: the composed register's field names
 
 
@@ -103,28 +101,15 @@ _CONFIG_SWEEP_ATTRS = frozenset({"items", "keys", "values"})
 class LocalityRule(Rule):
     rule_id = "L001"
     series = "L"
-    title = ("neighborhood-declared rules must not reach global "
-             "accessors; global declarations must be accurate")
+    title = "rules must not reach global accessors or sweep the config"
 
-    def check_layer(self, ctx: LayerContext, paths: list[RulePath],
-                    scopes: dict[int, ScopeMap]) -> list[Finding]:
-        raw: list[Finding] = []
-        for path in paths:
-            for unit in path.units:
-                raw.extend(self._scan_unit(ctx, path, unit,
-                                           _scope_map(scopes, unit)))
-        if ctx.read_locality != "neighborhood":
-            if raw:
-                return []  # honest "global" declaration
-            if not paths:
-                return []
-            path = paths[0]
-            return [self.finding(
-                "L003", ctx, path, path.entry, path.entry.node,
-                "declares read_locality=\"global\" but no global read was "
-                "found on any rule path — tighten the declaration to "
-                "\"neighborhood\" (or waive if the global read is dynamic)")]
-        return raw
+    def check_path(self, ctx: LayerContext, path: RulePath,
+                   scopes: dict[int, ScopeMap]) -> list[Finding]:
+        out: list[Finding] = []
+        for unit in path.units:
+            out.extend(self._scan_unit(ctx, path, unit,
+                                       _scope_map(scopes, unit)))
+        return out
 
     def _scan_unit(self, ctx: LayerContext, path: RulePath, unit: FuncUnit,
                    sm: ScopeMap) -> list[Finding]:
@@ -215,7 +200,7 @@ class WriteOwnershipRule(Rule):
 # ----------------------------------------------------------------------
 
 #: Rule paths that traffic in compiled slot indices (S002 applies).
-_SLOT_PATHS = frozenset({"fast_step_slots", "vector_step", "shard_step",
+_SLOT_PATHS = frozenset({"fast_step_slots", "vector_step",
                          "interrupt_step"})
 
 
@@ -510,7 +495,6 @@ ALL_RULES: tuple[Rule, ...] = (
 RULE_CATALOG: tuple[tuple[str, str, str], ...] = (
     ("L001", "L", "global net accessor reached from a neighborhood rule"),
     ("L002", "L", "whole-configuration sweep from a neighborhood rule"),
-    ("L003", "L", "read_locality=\"global\" declared but never exercised"),
     ("W001", "W", "in-place register write (rules must return deltas)"),
     ("W002", "W", "mutating method call on a register/state value"),
     ("S001", "S", "field literal does not resolve to a RegisterSpec field"),

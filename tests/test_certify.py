@@ -9,10 +9,10 @@ Four pillars:
   a certified legitimate configuration is rejected by at least one
   node's neighborhood-only verifier, or lands on another configuration
   that is itself certified *and* legal (the SST alternate-parent case).
-* **The certificate-backed oracle** — guided protocols run with
-  ``read_locality = "neighborhood"``; the subtree digests settle to the
+* **The certificate-backed oracle** — the subtree digests settle to the
   assigner's fixpoint; the memo makes the consulting rule deterministic
-  per digest.
+  per digest (that the guided rules read only the 1-hop view is proved
+  statically, in ``test_statics``).
 * **The model checker** — closure at the legitimate configuration and
   convergence from corruptions under *all* daemon choices at small n,
   plus detection of deliberately broken dynamics.
@@ -154,10 +154,6 @@ class TestCorruptionRejected:
 
 
 class TestCertifiedOracle:
-    def test_guided_protocols_declare_neighborhood_reads(self):
-        for task in ("guided-bfs", "guided-mst", "guided-mdst"):
-            assert CERTIFIERS[task].protocol().read_locality == "neighborhood"
-
     def test_digest_layer_settles_to_assigner_fixpoint(self):
         cert = get_certifier("guided-mst")
         net = cert.build_network(9, seed=5)

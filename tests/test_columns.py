@@ -12,8 +12,8 @@ Three pillars, mirroring ``test_state_schema``'s structure one plane up:
   fallback (the ``REPRO_NO_NUMPY`` CI gate) encode identical columns and
   drive bit-identical executions.
 * **Column path ≡ slot path ≡ step, golden**: entire executions of
-  every vectorized protocol — ``sst``, its ``adhoc-bfs`` alias, and the
-  ``sst``+``cert-digest`` composition — produce bit-identical
+  every vectorized protocol — ``sst`` and its ``adhoc-bfs`` alias —
+  produce bit-identical
   ``(rounds, moves, final configuration)`` across the full daemon grid
   whether the engine vectorizes all-dirty refreshes
   (``use_vector_rules=True``) or stays on the compiled slot rules, with
@@ -26,17 +26,17 @@ import hashlib
 import pytest
 
 from repro.baselines.dim_bfs import AdHocBFSProtocol
-from repro.certify.oracle import DigestLayer
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
+from repro.core.tasks import guided_mst_protocol
 from repro.graphs import random_connected_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
     NONE,
-    ComposedProtocol,
     Simulator,
     random_configuration,
 )
+from repro.runtime import simulator as simulator_module
 from repro.runtime.columns import NONE_SENTINEL, ColumnStore, numpy_or_none
 
 from crosscheck import CrossCheckingScheduler
@@ -45,9 +45,6 @@ from crosscheck import CrossCheckingScheduler
 VECTOR_PROTOCOLS = {
     "sst": lambda: SpanningTreeProtocol(),
     "adhoc-bfs": lambda: AdHocBFSProtocol(),
-    "sst+digest": lambda: ComposedProtocol(
-        [SpanningTreeProtocol(), DigestLayer(fields=("rid", "par", "d"))],
-        name="sst+digest"),
 }
 
 
@@ -66,7 +63,8 @@ def _sst_sim(n=10, seed=3, cfg_seed=5, **kw) -> Simulator:
 
 
 class TestColumnStoreContract:
-    def test_engine_builds_the_store_only_when_vectorizable(self):
+    def test_engine_builds_the_store_only_when_vectorizable(self,
+                                                            monkeypatch):
         sim = _sst_sim()
         assert sim._columns is not None and sim._vector_rule is not None
         # the testing escape hatch forces the scalar paths
@@ -76,6 +74,20 @@ class TestColumnStoreContract:
         net = random_connected_graph(8, seed=2)
         plain = Simulator(net, MalleableTreeProtocol())
         assert plain._columns is None and plain._vector_rule is None
+        # a composition always runs on the scalar slot rule, so it must
+        # not even construct a store
+        built = []
+
+        class CountingStore(ColumnStore):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "ColumnStore", CountingStore)
+        weighted = random_connected_graph(8, seed=2, weighted=True)
+        composed = Simulator(weighted, guided_mst_protocol())
+        assert composed._columns is None and composed._vector_rule is None
+        assert built == []
 
     def test_rows_are_zero_copy_aliases(self):
         sim = _sst_sim()
@@ -250,9 +262,9 @@ class TestColumnPathEqualsScalarPaths:
         calls = []
         inner = sim._vector_rule
 
-        def counting(store, active, patch=None):
+        def counting(store, active):
             calls.append(1)
-            return inner(store, active, patch)
+            return inner(store, active)
 
         sim._vector_rule = counting
         assert sim.run(max_rounds=1_000).silent

@@ -463,15 +463,6 @@ class TestComposition:
         with pytest.raises(ValueError):
             ComposedProtocol([])
 
-    def test_read_locality_is_widest_of_layers(self):
-        class Oracle(MaxIdFlood):
-            read_locality = "global"
-
-        assert MaxIdFlood().read_locality == "neighborhood"
-        assert ComposedProtocol([MaxIdFlood()]).read_locality == "neighborhood"
-        assert (ComposedProtocol([MaxIdFlood(), Oracle()]).read_locality
-                == "global")
-
 
 class TestFaultsAndMetrics:
     def test_corrupt_random_nodes_then_restabilize(self):

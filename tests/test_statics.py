@@ -11,9 +11,9 @@ write divergence.  On top of the synthetic fixtures:
   detector *without* the certificate boundary — must light up L-series
   findings on the offending layer, found purely by AST inspection,
   without executing a single move;
-* the real registry must be clean (every finding waived or baselined),
-  which is exactly the CI gate;
-* waivers and the committed baseline must round-trip.
+* the real registry must be clean (every finding waived inline), which
+  is exactly the CI gate;
+* inline waivers must suppress exactly the findings they name.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from repro.runtime.protocol import (
 )
 from repro.runtime.registers import NONE, RegisterSpec, counter_field
 from repro.statics import analyze_protocol, analyze_registry, finalize
-from repro.statics.analyzer import DEFAULT_BASELINE, analyze_runtime_bridges
-from repro.statics.model import load_baseline, waiver_codes, write_baseline
+from repro.statics.analyzer import analyze_runtime_bridges
+from repro.statics.model import waiver_codes
 from repro.statics.report import REPORT_SCHEMA, build_report, render_ascii
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -84,13 +84,6 @@ class LeakyLocality(_TwoField):
         if view["x"] != want:
             return {"x": want}
         return None
-
-
-class DeclaredGlobal(LeakyLocality):
-    """The same leak, but honestly declared — must not fire L-series."""
-
-    name = "fixture-global"
-    read_locality = "global"
 
 
 class NeighborWriter(_TwoField):
@@ -282,8 +275,8 @@ class ProbeChaser(ProbedClean):
 
 class UncertifiedMST(GuidedMST):
     """PR 1's bug, re-introduced on purpose: the root consults the
-    global detector directly, with no ``CertifiedOracle`` boundary, while
-    the layer still inherits ``read_locality = "neighborhood"``."""
+    global detector directly, with no ``CertifiedOracle`` boundary, so
+    its rule reads far beyond the 1-hop view the engine invalidates."""
 
     def next_phase(self, view, phase, cand):
         if phase == SWAP:
@@ -323,20 +316,6 @@ def test_locality_fixture_fires_l001():
         assert f.site.file.endswith("test_statics.py")
         assert f.site.line > 0
         assert f.active
-
-
-def test_honest_global_declaration_is_not_flagged():
-    findings = _analyze(DeclaredGlobal)
-    assert not [f for f in findings if f.series == "L"]
-
-
-def test_unused_global_declaration_fires_l003():
-    class LazyGlobal(CleanPair):
-        name = "fixture-lazy-global"
-        read_locality = "global"
-
-    findings = analyze_protocol(LazyGlobal(), net=NET)
-    assert "L003" in _rules(findings)
 
 
 def test_write_ownership_fixture_fires_w_series():
@@ -413,16 +392,8 @@ def test_certified_guided_mst_is_local():
         "the consult() boundary must shield the certified detector")
 
 
-def test_misdeclared_guided_mst_locality_fires():
-    proto = guided_mst_protocol()
-    proto.layers[3].read_locality = "global"
-    findings = analyze_protocol(proto, net=NET)
-    assert any(f.rule == "L003" and f.layer == "GuidedMST"
-               for f in findings)
-
-
 # ----------------------------------------------------------------------
-# waivers and baseline
+# waivers
 # ----------------------------------------------------------------------
 
 def test_waiver_codes_parsing():
@@ -436,17 +407,6 @@ def test_inline_waiver_suppresses_finding():
     f = findings[0]
     assert f.rule == "L001" and f.waived and not f.active
     assert f.waived_at and f.waived_at.endswith(str(f.site.line))
-
-
-def test_baseline_roundtrip(tmp_path):
-    first = _analyze(LeakyLocality)
-    assert first
-    path = tmp_path / "baseline.json"
-    write_baseline(path, first)
-    assert load_baseline(path) == {f.fingerprint() for f in first}
-    second = finalize(_analyze(LeakyLocality), baseline=path)
-    assert all(f.baselined for f in second)
-    assert not [f for f in second if f.active]
 
 
 def test_fingerprints_are_stable_across_runs():
@@ -478,9 +438,8 @@ def test_json_report_schema():
 def test_rule_contract_metadata():
     # one name-keyed reference (step) plus the compiled planes
     assert RULE_ENTRYPOINTS == ("step", "fast_step_slots", "vector_step",
-                                "shard_step", "interrupt_step")
+                                "interrupt_step")
     contract = SpanningTreeProtocol().rule_contract()
-    assert contract["read_locality"] == "neighborhood"
     assert set(contract["entrypoints"]) == set(RULE_ENTRYPOINTS)
     assert contract["entrypoints"]["step"] is True
     assert contract["entrypoints"]["fast_step_slots"] is True
@@ -493,8 +452,7 @@ def test_rule_contract_metadata():
 
 
 def test_registry_is_clean():
-    findings = finalize(analyze_registry(),
-                        baseline=REPO_ROOT / DEFAULT_BASELINE)
+    findings = finalize(analyze_registry())
     active = [f.to_json() for f in findings if f.active]
     assert not active, active
     # the known bgr-mdst global detector exists and is waived at its
