@@ -9,10 +9,10 @@ Four pillars:
   a certified legitimate configuration is rejected by at least one
   node's neighborhood-only verifier, or lands on another configuration
   that is itself certified *and* legal (the SST alternate-parent case).
-* **The certificate-backed oracle** — the subtree digests settle to the
-  assigner's fixpoint; the memo makes the consulting rule deterministic
-  per digest (that the guided rules read only the 1-hop view is proved
-  statically, in ``test_statics``).
+* **The certificate-backed oracle** — the guided protocols' rules read
+  only the closed 1-hop neighborhood (no L-series site in
+  ``repro.statics``); the subtree digests settle to the assigner's
+  fixpoint; the memo makes the consulting rule deterministic per digest.
 * **The model checker** — closure at the legitimate configuration and
   convergence from corruptions under *all* daemon choices at small n,
   plus detection of deliberately broken dynamics.
@@ -50,6 +50,7 @@ from repro.graphs import random_connected_graph, ring
 from repro.runtime import Simulator, random_configuration
 from repro.runtime.protocol import ComposedProtocol, Protocol
 from repro.runtime.registers import NONE, RegisterSpec, flag_field
+from repro.statics import analyze_protocol
 
 TASKS = sorted(CERTIFIERS)
 
@@ -154,6 +155,15 @@ class TestCorruptionRejected:
 
 
 class TestCertifiedOracle:
+    @pytest.mark.parametrize("task", ["guided-bfs", "guided-mdst",
+                                      "guided-mst"])
+    def test_guided_protocols_read_only_the_closed_neighborhood(self, task):
+        # the consult() boundary keeps every layer's rule 1-hop local, so
+        # the analyzer finds no L-series site to waive in the first place
+        findings = analyze_protocol(CERTIFIERS[task].protocol())
+        assert not [f for f in findings if f.series == "L"], [
+            f.to_json() for f in findings if f.series == "L"]
+
     def test_digest_layer_settles_to_assigner_fixpoint(self):
         cert = get_certifier("guided-mst")
         net = cert.build_network(9, seed=5)

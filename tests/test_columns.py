@@ -18,7 +18,10 @@ Three pillars, mirroring ``test_state_schema``'s structure one plane up:
   whether the engine vectorizes all-dirty refreshes
   (``use_vector_rules=True``) or stays on the compiled slot rules, with
   and without the cross-checking referee comparing every cached
-  proposal with the name-keyed ``step`` at every selection.
+  proposal with the name-keyed ``step`` at every selection.  The
+  ``sst``+``cert-digest`` composition rides the same grid: it never
+  vectorizes (a composition has no vector rule), so the flag must leave
+  its execution untouched.
 """
 
 import hashlib
@@ -26,6 +29,7 @@ import hashlib
 import pytest
 
 from repro.baselines.dim_bfs import AdHocBFSProtocol
+from repro.certify.oracle import DigestLayer
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import guided_mst_protocol
@@ -33,6 +37,7 @@ from repro.graphs import random_connected_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
     NONE,
+    ComposedProtocol,
     Simulator,
     random_configuration,
 )
@@ -45,6 +50,15 @@ from crosscheck import CrossCheckingScheduler
 VECTOR_PROTOCOLS = {
     "sst": lambda: SpanningTreeProtocol(),
     "adhoc-bfs": lambda: AdHocBFSProtocol(),
+}
+
+#: the column grid: the vectorized families plus a composition over
+#: ``sst``, which the engine keeps on the scalar slot rule
+GRID_PROTOCOLS = {
+    **VECTOR_PROTOCOLS,
+    "sst+digest": lambda: ComposedProtocol(
+        [SpanningTreeProtocol(), DigestLayer(fields=("rid", "par", "d"))],
+        name="sst+digest"),
 }
 
 
@@ -208,7 +222,7 @@ class TestBackendEquality:
             assert [int(x) for x in getattr(a, name)] == list(
                 getattr(b, name))
 
-    @pytest.mark.parametrize("proto_name", sorted(VECTOR_PROTOCOLS))
+    @pytest.mark.parametrize("proto_name", sorted(GRID_PROTOCOLS))
     def test_full_run_bit_identity_across_backends(self, proto_name,
                                                    monkeypatch):
         if numpy_or_none() is None:
@@ -217,10 +231,14 @@ class TestBackendEquality:
         outcomes = []
         for disable in ("", "1"):
             monkeypatch.setenv("REPRO_NO_NUMPY", disable)
-            proto = VECTOR_PROTOCOLS[proto_name]()
+            proto = GRID_PROTOCOLS[proto_name]()
             cfg = random_configuration(net, proto, seed=19)
             sim = Simulator(net, proto, config=cfg)
-            assert sim._columns.backend == ("array" if disable else "numpy")
+            if proto_name in VECTOR_PROTOCOLS:
+                assert sim._columns.backend == (
+                    "array" if disable else "numpy")
+            else:
+                assert sim._columns is None
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
@@ -234,13 +252,13 @@ class TestColumnPathEqualsScalarPaths:
     (every cached proposal compared with ``step`` at every selection)."""
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
-    @pytest.mark.parametrize("proto_name", sorted(VECTOR_PROTOCOLS))
+    @pytest.mark.parametrize("proto_name", sorted(GRID_PROTOCOLS))
     def test_full_run_bit_identity(self, proto_name, sched_name):
         net = random_connected_graph(10, seed=29)
         outcomes = []
         for vector, xcheck in ((True, False), (False, False),
                                (True, True), (False, True)):
-            proto = VECTOR_PROTOCOLS[proto_name]()
+            proto = GRID_PROTOCOLS[proto_name]()
             cfg = random_configuration(net, proto, seed=31)
             sched = ALL_SCHEDULER_FACTORIES[sched_name](37)
             if xcheck:
@@ -249,7 +267,8 @@ class TestColumnPathEqualsScalarPaths:
                             use_vector_rules=vector)
             if xcheck:
                 sched.sim = sim
-            assert (sim._vector_rule is not None) == vector
+            assert (sim._vector_rule is not None) == (
+                vector and proto_name in VECTOR_PROTOCOLS)
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
@@ -271,7 +290,7 @@ class TestColumnPathEqualsScalarPaths:
         # every all-dirty refresh of a synchronous run goes columnar
         assert len(calls) >= sim.rounds
 
-    @pytest.mark.parametrize("proto_name", sorted(VECTOR_PROTOCOLS))
+    @pytest.mark.parametrize("proto_name", sorted(GRID_PROTOCOLS))
     @pytest.mark.parametrize("sched_name",
                              ["central-random", "distributed-random"])
     def test_incremental_state_matches_rescan(self, proto_name, sched_name):
@@ -279,7 +298,7 @@ class TestColumnPathEqualsScalarPaths:
         fast_write_impact) must keep the incremental enabled set exactly
         equal to a from-scratch rescan after every round."""
         net = random_connected_graph(10, seed=47)
-        proto = VECTOR_PROTOCOLS[proto_name]()
+        proto = GRID_PROTOCOLS[proto_name]()
         sim = Simulator(net, proto,
                         ALL_SCHEDULER_FACTORIES[sched_name](53),
                         config=random_configuration(net, proto, seed=59))

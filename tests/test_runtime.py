@@ -463,6 +463,37 @@ class TestComposition:
         with pytest.raises(ValueError):
             ComposedProtocol([])
 
+    def test_single_layer_composition_runs_like_its_layer(self):
+        """A composition runs on the scalar slot rule even when its layer
+        compiles a vector rule, and reaches the same execution."""
+        net = random_connected_graph(12, seed=21)
+        outcomes = []
+        for proto in (SpanningTreeProtocol(),
+                      ComposedProtocol([SpanningTreeProtocol()])):
+            cfg = random_configuration(net, proto, seed=23)
+            sim = Simulator(net, proto, SynchronousScheduler(), config=cfg)
+            result = sim.run(max_rounds=1_000)
+            assert result.silent
+            outcomes.append((sim._columns is not None, result.rounds,
+                             result.moves, sim.config))
+        (plain_cols, *plain), (comp_cols, *comp) = outcomes
+        assert plain_cols and not comp_cols
+        assert plain == comp
+
+    def test_composition_contract_offers_only_scalar_rules(self):
+        class Unshardable(MaxIdFlood):
+            shardable = False
+
+        contract = ComposedProtocol([SpanningTreeProtocol()]).rule_contract()
+        assert contract["entrypoints"] == {
+            "step": True, "fast_step_slots": True,
+            "vector_step": False, "interrupt_step": False}
+        assert contract["shardable"] is True
+        # one unshardable layer makes the whole atomic step unshardable
+        mixed = ComposedProtocol([MaxIdFlood(), Unshardable()])
+        assert mixed.shardable is False
+        assert mixed.rule_contract()["shardable"] is False
+
 
 class TestFaultsAndMetrics:
     def test_corrupt_random_nodes_then_restabilize(self):

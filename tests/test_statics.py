@@ -318,6 +318,19 @@ def test_locality_fixture_fires_l001():
         assert f.active
 
 
+def test_locality_declaration_does_not_excuse_a_leak():
+    # the rule surface has no read-locality setting: a leftover
+    # ``read_locality = "global"`` attribute is inert and the leak fires
+    class DeclaredGlobal(LeakyLocality):
+        name = "fixture-global"
+        read_locality = "global"
+
+    findings = analyze_protocol(DeclaredGlobal(), net=NET)
+    assert "L001" in _rules(findings)
+    assert all(f.active for f in findings if f.series == "L")
+    assert "read_locality" not in DeclaredGlobal().rule_contract()
+
+
 def test_write_ownership_fixture_fires_w_series():
     findings = _analyze(NeighborWriter)
     rules = _rules(findings)
