@@ -83,6 +83,7 @@ def revise(net: Network, event: TopologyEvent) -> Network:
     node_set = set(nodes)
     edges = list(net.edges)
     weights = net.weights if net.weighted else None
+    disconnected: str | None = None  # the refusal if the revision splits
 
     if isinstance(event, EdgeAdd):
         for x in (event.u, event.v):
@@ -101,17 +102,15 @@ def revise(net: Network, event: TopologyEvent) -> Network:
                     f"pairwise distinct constants)")
             weights[e] = w
     elif isinstance(event, EdgeRemove):
-        e = (event.u, event.v)
-        if e not in set(edges):
+        if not net.has_edge(event.u, event.v):
             raise EventError(f"{event}: no such edge")
+        e = (event.u, event.v)
         edges.remove(e)
         if weights is not None:
             del weights[e]
-        if not _still_connected(nodes, edges):
-            raise EventError(
-                f"{event}: removal disconnects the network (the "
-                f"constructions assume a connected topology; partition "
-                f"tolerance is future work)")
+        disconnected = (f"{event}: removal disconnects the network (the "
+                        f"constructions assume a connected topology; "
+                        f"partition tolerance is future work)")
     elif isinstance(event, NodeCrash):
         if event.node not in node_set:
             raise EventError(f"{event}: node {event.node} does not exist")
@@ -122,11 +121,9 @@ def revise(net: Network, event: TopologyEvent) -> Network:
         if weights is not None:
             weights = {d: w for d, w in weights.items()
                        if event.node not in d}
-        if not _still_connected(nodes, edges):
-            raise EventError(
-                f"{event}: crash disconnects the network (node "
-                f"{event.node} is a cut vertex; partition tolerance is "
-                f"future work)")
+        disconnected = (f"{event}: crash disconnects the network (node "
+                        f"{event.node} is a cut vertex; partition "
+                        f"tolerance is future work)")
     elif isinstance(event, (NodeJoin, NodeRecover)):
         if event.node in node_set:
             raise EventError(f"{event}: id {event.node} already in use")
@@ -152,28 +149,14 @@ def revise(net: Network, event: TopologyEvent) -> Network:
     else:
         raise EventError(f"unknown topology event {event!r}")
 
-    return Network(nodes, edges, weights=weights,
-                   id_space=net.id_space, n_bound=net.n_bound)
-
-
-def _still_connected(nodes: list[int], edges: list[tuple[int, int]]) -> bool:
-    if not nodes:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(nodes)
+    try:
+        return Network(nodes, edges, weights=weights,
+                       id_space=net.id_space, n_bound=net.n_bound)
+    except ValueError as exc:
+        # the constructor's own connectivity check is the only one
+        if disconnected is None or str(exc) != "network must be connected":
+            raise
+        raise EventError(disconnected) from None
 
 
 def _touched(event: TopologyEvent, old_net: Network) -> tuple[int, ...]:

@@ -25,11 +25,17 @@ Schedule kinds (the schedule grammar):
 Feasibility is validity under :func:`~repro.runtime.dynamics.apply.revise`:
 removals and crashes are drawn only from edges/nodes whose removal keeps
 the network connected, joins only while ``n_bound`` leaves headroom.
+Both candidate lists come from one iterative Hopcroft–Tarjan DFS per
+draw (:func:`_cut_structure`: the non-bridges and the non-cut vertices,
+O(n + m)), and an edge-add draw indexes the sorted non-edges without
+listing them (:class:`_NonEdges`), so no draw scans the graph once per
+candidate.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 
 from repro.graphs.network import Network
 from repro.runtime.dynamics.apply import revise
@@ -53,43 +59,106 @@ SCHEDULE_KINDS: tuple[str, ...] = (
 _MAX_ATTACH = 3
 
 
-def _removable_edges(net: Network) -> list[tuple[int, int]]:
-    """Edges whose removal keeps the network connected (sorted)."""
-    out = []
-    for u, v in net.edges:
-        if net.degree(u) < 2 or net.degree(v) < 2:
+def _cut_structure(net: Network) -> tuple[set[tuple[int, int]], set[int]]:
+    """Bridges and cut vertices of ``net`` in one O(n + m) pass.
+
+    Hopcroft–Tarjan low-point DFS, run iteratively (an explicit stack of
+    ``(node, parent, next-neighbor index)`` frames) so a long path does
+    not hit the interpreter's recursion limit.  Tree edge ``(p, c)`` is a
+    bridge iff ``low[c] > disc[p]``; a non-root ``p`` is a cut vertex iff
+    some child has ``low[c] >= disc[p]``, a DFS root iff it has two or
+    more children.
+    """
+    adj = net.adjacency
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    bridges: set[tuple[int, int]] = set()
+    cuts: set[int] = set()
+    for root in net.nodes:
+        if root in disc:
             continue
-        # BFS from u avoiding {u, v}: reconnection proves the edge sits
-        # on a cycle
-        seen = {u}
-        frontier = [u]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for x in frontier:
-                for w in net.neighbors(x):
-                    if x == u and w == v:
-                        continue
-                    if w == v:
-                        found = True
-                        break
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                if found:
-                    break
-            frontier = nxt
-        if found:
-            out.append((u, v))
-    return out
+        disc[root] = low[root] = len(disc)
+        children = 0
+        stack = [(root, 0, 0)]  # identities are positive: 0 is "no parent"
+        while stack:
+            u, parent, i = stack[-1]
+            nbrs = adj[u]
+            if i < len(nbrs):
+                stack[-1] = (u, parent, i + 1)
+                w = nbrs[i]
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, u, 0))
+                elif w != parent and disc[w] < low[u]:
+                    low[u] = disc[w]
+                continue
+            stack.pop()
+            if not parent:
+                continue
+            if low[u] < low[parent]:
+                low[parent] = low[u]
+            if low[u] > disc[parent]:
+                bridges.add((u, parent) if u < parent else (parent, u))
+            if parent == root:
+                children += 1
+            elif low[u] >= disc[parent]:
+                cuts.add(parent)
+        if children > 1:
+            cuts.add(root)
+    return bridges, cuts
+
+
+def _removable_edges(net: Network) -> list[tuple[int, int]]:
+    """Edges whose removal keeps the network connected: the non-bridges
+    (sorted)."""
+    bridges, _ = _cut_structure(net)
+    return [e for e in net.edges if e not in bridges]
 
 
 def _crashable_nodes(net: Network) -> list[int]:
     """Non-cut vertices (sorted); their crash keeps the rest connected."""
     if net.n < 2:
         return []
-    return [v for v in net.nodes
-            if net.is_connected_subset(set(net.nodes) - {v})]
+    _, cuts = _cut_structure(net)
+    return [v for v in net.nodes if v not in cuts]
+
+
+class _NonEdges:
+    """``sorted(net.non_edges())`` as an indexed view, never materialised.
+
+    ``len`` is n(n-1)/2 - m; item ``k`` walks the sorted nodes, skipping
+    each node's pairs by count, then steps over the larger neighbors of
+    the row's node — O(n log n) per item instead of O(n^2) for the list.
+    """
+
+    def __init__(self, net: Network) -> None:
+        self._nodes = net.nodes
+        self._adj = net.adjacency
+        n = len(self._nodes)
+        self._len = n * (n - 1) // 2 - net.m
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < self._len:
+            raise IndexError(k)
+        nodes = self._nodes
+        n = len(nodes)
+        for i, u in enumerate(nodes):
+            nbrs = self._adj[u]
+            above = bisect_right(nbrs, u)  # nbrs[above:] are the pairs' edges
+            row = n - 1 - i - (len(nbrs) - above)
+            if k >= row:
+                k -= row
+                continue
+            j = i + 1 + k
+            for w in nbrs[above:]:
+                if bisect_left(nodes, w) > j:
+                    break
+                j += 1
+            return (u, nodes[j])
+        raise AssertionError("unreachable: k < len")
 
 
 class ChurnSchedule:
@@ -115,7 +184,7 @@ class ChurnSchedule:
     # -- single-kind draws ---------------------------------------------
 
     def _draw_edge_add(self, net: Network) -> EdgeAdd | None:
-        candidates = sorted(net.non_edges())
+        candidates = _NonEdges(net)
         if not candidates:
             return None
         u, v = self._rng.choice(candidates)

@@ -6,7 +6,9 @@ Five pillars:
   stream through JSONL files byte-identically, and reject malformed
   payloads loudly.
 * **Schedule determinism** — the same seed over the same starting
-  network yields a byte-identical event stream, for every schedule kind.
+  network yields a byte-identical event stream, for every schedule kind,
+  pinned by a golden hash; the linear-time feasibility helpers equal
+  the per-candidate BFS referee they replaced.
 * **Revision validity** — :func:`revise` refuses every class of invalid
   event (unknown nodes, duplicate/missing edges, disconnecting removals,
   cut-vertex crashes, ``n_bound`` exhaustion) with a clear
@@ -25,16 +27,27 @@ Five pillars:
   validation (the satellite fix) raises ``KeyError`` on unknown names.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.dim_bfs import AdHocBFSProtocol
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import guided_bfs_protocol, guided_mst_protocol
-from repro.graphs import random_connected_graph
+from repro.graphs import (
+    caterpillar_graph,
+    complete_graph,
+    lollipop_graph,
+    path_graph,
+    random_connected_graph,
+    random_tree_graph,
+    ring,
+    star_graph,
+)
 from repro.graphs.network import Network
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
@@ -57,7 +70,13 @@ from repro.runtime.dynamics import (
     revise,
     run_churn,
 )
-from repro.runtime.dynamics.schedules import SCHEDULE_KINDS
+from repro.runtime.dynamics.schedules import (
+    SCHEDULE_KINDS,
+    _crashable_nodes,
+    _cut_structure,
+    _NonEdges,
+    _removable_edges,
+)
 from repro.runtime.faults import corrupt_nodes, inject_faults
 
 from crosscheck import CrossCheckingScheduler
@@ -201,6 +220,133 @@ class TestScheduleDeterminism:
         assert isinstance(recover, NodeRecover)
         assert recover.node == crash.node
         assert set(recover.edges) <= set(net.neighbors(crash.node))
+
+    def test_golden_stream(self):
+        # a drift in any draw (candidate order, RNG consumption) changes
+        # this hash; comparing a run with itself would not notice
+        net = _headroom_net(n=8, seed=3, headroom=4)
+        h = hashlib.sha256()
+        for kind in SCHEDULE_KINDS:
+            for seed in range(5):
+                for ev in materialize_schedule(net, kind=kind, count=12,
+                                               seed=seed):
+                    h.update(ev.to_json().encode() + b"\n")
+        assert h.hexdigest() == (
+            "d2df1fd96ca68a63ecb87a515742b68318d7016992ff91670aa3ac9acd2838ee")
+
+
+# ----------------------------------------------------------------------
+# feasibility: the linear-time helpers against the per-candidate BFS
+# ----------------------------------------------------------------------
+
+
+def _referee_removable_edges(net):
+    """One BFS per edge: the edge is removable iff its endpoints
+    reconnect without it."""
+    out = []
+    for u, v in net.edges:
+        if net.degree(u) < 2 or net.degree(v) < 2:
+            continue
+        seen = {u}
+        frontier = [u]
+        found = False
+        while frontier and not found:
+            nxt = []
+            for x in frontier:
+                for w in net.neighbors(x):
+                    if x == u and w == v:
+                        continue
+                    if w == v:
+                        found = True
+                        break
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+                if found:
+                    break
+            frontier = nxt
+        if found:
+            out.append((u, v))
+    return out
+
+
+def _referee_crashable_nodes(net):
+    """One connectivity check per node."""
+    if net.n < 2:
+        return []
+    return [v for v in net.nodes
+            if net.is_connected_subset(set(net.nodes) - {v})]
+
+
+def _assert_matches_referee(net):
+    assert _removable_edges(net) == _referee_removable_edges(net)
+    assert _crashable_nodes(net) == _referee_crashable_nodes(net)
+    view = _NonEdges(net)
+    want = sorted(net.non_edges())
+    assert len(view) == len(want)
+    assert [view[k] for k in range(len(view))] == want
+    with pytest.raises(IndexError):
+        view[len(view)]
+
+
+def _bowtie():
+    # two triangles sharing node 3, a pendant leaf on 5, a bridge 1-7
+    return Network([1, 2, 3, 4, 5, 6, 7],
+                   [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5),
+                    (5, 6), (1, 7)])
+
+
+@st.composite
+def _graphs(draw):
+    """Connected graphs: a random tree, random chords, pendant leaves,
+    scrambled identities."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    leaves = draw(st.integers(0, 3))
+    edges |= {(draw(st.integers(0, n - 1)), n + i) for i in range(leaves)}
+    ids = draw(st.permutations(range(1, n + leaves + 1)))
+    return Network(ids, [(ids[a], ids[b]) for a, b in edges])
+
+
+class TestFeasibility:
+    @pytest.mark.parametrize("net", [
+        Network([5], []),
+        Network([2, 9], [(2, 9)]),
+        path_graph(7, seed=1),
+        ring(6, seed=2),
+        complete_graph(6, seed=3),
+        star_graph(6, seed=4),
+        random_tree_graph(10, seed=5),
+        lollipop_graph(4, 3, seed=6),
+        caterpillar_graph(4, 2, seed=7),
+        _bowtie(),
+    ], ids=["n1", "n2", "path", "cycle", "complete", "star", "tree",
+            "lollipop", "caterpillar", "bowtie"])
+    def test_shapes(self, net):
+        _assert_matches_referee(net)
+
+    @settings(max_examples=150, deadline=None)
+    @given(net=_graphs())
+    def test_random_graphs(self, net):
+        _assert_matches_referee(net)
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_along_schedules(self, kind):
+        for seed in range(3):
+            current = _headroom_net(n=10, seed=seed, headroom=4)
+            _assert_matches_referee(current)
+            for ev in materialize_schedule(current, kind=kind, count=10,
+                                           seed=seed):
+                current = revise(current, ev)
+                _assert_matches_referee(current)
+
+    def test_deep_path_no_recursion(self):
+        n = 20_000
+        bridges, cuts = _cut_structure(path_graph(n, seed=8))
+        assert (len(bridges), len(cuts)) == (n - 1, n - 2)
 
 
 # ----------------------------------------------------------------------
