@@ -16,6 +16,7 @@ only read it.  Trees under construction live in node *registers*, not here.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro._bits import bits_for_id
@@ -65,7 +66,6 @@ class Network:
         "_weights",
         "_id_space",
         "_n_bound",
-        "_edge_set_cache",
     )
 
     def __init__(
@@ -205,7 +205,7 @@ class Network:
         return max(len(self._adj[u]) for u in self._nodes)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return UWEdge(u, v) in self._edge_set()
+        return v in self._adj_sets.get(u, ())
 
     def weight(self, u: int, v: int) -> int:
         """Weight of edge {u, v}; raises on unweighted networks."""
@@ -279,19 +279,51 @@ class Network:
                     stack.append(v)
         return seen == sub
 
+    def connects(self, nodes: Iterable[int]) -> bool:
+        """Whether ``nodes`` are mutually reachable.
+
+        A breadth-first search grows from every given node at once, level
+        by level, merging searches that meet, and stops as soon as one
+        search remains: a cheap connectivity probe around a local change
+        (two balls of half the connecting path's length for two nodes).
+        It costs the whole component only when it fails.
+        """
+        owner = {v: i for i, v in enumerate(nodes)}  # node -> search id
+        merged = list(range(len(owner)))  # union-find over search ids
+
+        def find(i: int) -> int:
+            while merged[i] != i:
+                merged[i] = i = merged[merged[i]]
+            return i
+
+        searches = len(owner)
+        frontier = list(owner)
+        adj = self._adj
+        while searches > 1 and frontier:
+            nxt: list[int] = []
+            for u in frontier:
+                a = owner[u]
+                for w in adj[u]:
+                    b = owner.get(w)
+                    if b is None:
+                        owner[w] = a
+                        nxt.append(w)
+                        continue
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        merged[ra] = rb
+                        searches -= 1
+                        if searches == 1:
+                            return True
+            frontier = nxt
+        return searches <= 1
+
     def total_weight(self, edges: Iterable[tuple[int, int]]) -> int:
         return sum(self.weight_of(e) for e in edges)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _edge_set(self) -> set[tuple[int, int]]:
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = set(self._edges)
-            self._edge_set_cache = cached
-        return cached
 
     def _check_connected(self) -> None:
         if not self._nodes:
@@ -351,9 +383,74 @@ class Network:
             n_bound=self._n_bound,
         )
 
+    def patched(
+        self,
+        *,
+        add_node: int | None = None,
+        drop_node: int | None = None,
+        add_edges: Mapping[tuple[int, int], int | None] | None = None,
+        drop_edge: tuple[int, int] | None = None,
+    ) -> "Network":
+        """This network with one node and a few edges changed, unchecked.
+
+        The patching half of :func:`repro.runtime.dynamics.revise`, which
+        validates the change first (endpoints exist, edges canonical and
+        new or present, weights fresh) and probes connectivity after; this
+        method checks nothing.  ``add_edges`` maps each new canonical edge
+        to its weight (ignored on unweighted networks); ``drop_node`` takes
+        its incident edges with it.  The tables are C-level copies of this
+        network's, only the touched nodes' neighbor rows are re-sorted, and
+        the edge tuple is patched by bisection, so the Python work is
+        O(degree of the change).  ``self`` is left untouched.
+        """
+        nodes = self._nodes
+        adj = dict(self._adj)
+        adj_sets = dict(self._adj_sets)
+        edges = list(self._edges)
+        weights = None if self._weights is None else dict(self._weights)
+        dropped = [] if drop_edge is None else [drop_edge]
+        if drop_node is not None:
+            i = bisect_left(nodes, drop_node)
+            nodes = nodes[:i] + nodes[i + 1:]
+            dropped += [UWEdge(drop_node, w) for w in adj.pop(drop_node)]
+            del adj_sets[drop_node]
+        if add_node is not None:
+            i = bisect_left(nodes, add_node)
+            nodes = nodes[:i] + (add_node,) + nodes[i:]
+            adj[add_node] = ()
+            adj_sets[add_node] = frozenset()
+        # the touched nodes' new neighbor sets
+        rows: dict[int, set[int]] = {}
+        for e in dropped:
+            del edges[bisect_left(edges, e)]
+            if weights is not None:
+                del weights[e]
+            for a, b in (e, e[::-1]):
+                if a != drop_node:
+                    rows.setdefault(a, set(adj_sets[a])).discard(b)
+        for e, wt in (add_edges or {}).items():
+            insort(edges, e)
+            if weights is not None:
+                weights[e] = wt
+            for a, b in (e, e[::-1]):
+                rows.setdefault(a, set(adj_sets[a])).add(b)
+        for x, row in rows.items():
+            adj[x] = tuple(sorted(row))  # ascending, as the constructor's
+            adj_sets[x] = frozenset(row)
+
+        new = Network.__new__(Network)
+        new._nodes = nodes
+        new._edges = tuple(edges)
+        new._adj = adj
+        new._adj_sets = adj_sets
+        new._weights = weights
+        new._id_space = self._id_space
+        new._n_bound = self._n_bound
+        return new
+
     def non_edges(self) -> Iterator[tuple[int, int]]:
         """All node pairs that are *not* edges (useful for tests)."""
-        es = self._edge_set()
+        adj_sets = self._adj_sets
         for u, v in itertools.combinations(self._nodes, 2):
-            if (u, v) not in es:
+            if v not in adj_sets[u]:
                 yield (u, v)

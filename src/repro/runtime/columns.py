@@ -74,7 +74,9 @@ class ColumnStore:
 
     Built once per ``(protocol, network)`` binding by the simulator when
     the protocol advertises a :meth:`~repro.runtime.protocol.Protocol.
-    vector_step` rule.  Node identities are mapped to dense *positions*
+    vector_step` rule: at construction, and after a topology event at the
+    first all-dirty refresh on the revised network
+    (:meth:`~repro.runtime.simulator.Simulator._bind_columns`).  Node identities are mapped to dense *positions*
     in ascending-id order (matching the engine's deterministic item
     order), and the adjacency is flattened into CSR form:
 

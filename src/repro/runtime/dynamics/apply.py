@@ -3,10 +3,13 @@
 Two layers:
 
 * :func:`revise` — pure: ``(Network, event) -> Network``.  The network
-  stays immutable (PR-3's ``__slots__``/eager-adjacency design); every
-  event builds a fresh revision carrying the original ``id_space`` and
-  ``n_bound`` forward (they are the paper's incorruptible public bounds
-  — rule semantics must not drift as the population fluctuates).  All
+  stays immutable (the ``__slots__``/eager-adjacency design); every
+  event builds a new revision by patching a copy of the old one
+  (:meth:`~repro.graphs.network.Network.patched`: only the touched
+  nodes' neighbor rows are re-sorted), carrying the original
+  ``id_space`` and ``n_bound`` forward (they are the paper's
+  incorruptible public bounds — rule semantics must not drift as the
+  population fluctuates).  All
   validity lives here: unknown nodes, duplicate/missing edges,
   disconnecting removals (the constructions assume a connected network;
   partition tolerance is future work), and ``n_bound`` exhaustion are
@@ -16,10 +19,12 @@ Two layers:
   :class:`~repro.runtime.simulator.Simulator` onto the revision.
   Surviving nodes keep their register rows *by identity* (the engine's
   rows-mutated-in-place contract), joiners get bottom or spec-sampled
-  states, the schema/column planes are recompiled, the protocol's
-  interrupt section runs at the touched nodes, and exactly the event's
-  write-neighborhood is marked dirty — so the incremental
-  :class:`~repro.runtime.scheduler.EnabledSet` stays coherent, provable
+  states, the slot rule is recompiled with the neighbor rows of the
+  touched nodes rebuilt (the column plane rebinds lazily, at the next
+  all-dirty refresh), the protocol's interrupt section runs at the
+  touched nodes, and exactly the event's write-neighborhood is marked
+  dirty — so the incremental :class:`~repro.runtime.scheduler.EnabledSet`
+  stays coherent, provable
   on demand against :meth:`Simulator.rescan_enabled` (``check=True``,
   the event-boundary proof obligation the dynamics tests run
   everywhere).
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.graphs.network import Network
-from repro.runtime.columns import ColumnStore
 from repro.runtime.dynamics.events import (
     EdgeAdd,
     EdgeRemove,
@@ -78,21 +82,23 @@ def _next_weight(weights: dict[tuple[int, int], int]) -> int:
 
 
 def revise(net: Network, event: TopologyEvent) -> Network:
-    """The post-event network revision (pure; ``net`` is untouched)."""
-    nodes = list(net.nodes)
-    node_set = set(nodes)
-    edges = list(net.edges)
+    """The post-event network revision (pure; ``net`` is untouched).
+
+    Validates the event, patches a copy of ``net`` through
+    :meth:`Network.patched`, and probes connectivity only where the
+    event can split the network: a removed edge's endpoints must still
+    reach each other, a crashed node's former neighbors likewise.
+    """
+    adj = net.adjacency
     weights = net.weights if net.weighted else None
-    disconnected: str | None = None  # the refusal if the revision splits
 
     if isinstance(event, EdgeAdd):
         for x in (event.u, event.v):
-            if x not in node_set:
+            if x not in adj:
                 raise EventError(f"{event}: node {x} does not exist")
         if net.has_edge(event.u, event.v):
             raise EventError(f"{event}: edge already exists")
-        e = (event.u, event.v)
-        edges.append(e)
+        w = None
         if weights is not None:
             w = event.weight if event.weight is not None \
                 else _next_weight(weights)
@@ -100,32 +106,36 @@ def revise(net: Network, event: TopologyEvent) -> Network:
                 raise EventError(
                     f"{event}: weight {w} already used (weights are "
                     f"pairwise distinct constants)")
-            weights[e] = w
-    elif isinstance(event, EdgeRemove):
+            w = int(w)
+            if w in weights.values():
+                raise ValueError("edge weights must be pairwise distinct")
+            if w <= 0:
+                raise ValueError("edge weights must be positive")
+        return net.patched(add_edges={(event.u, event.v): w})
+    if isinstance(event, EdgeRemove):
         if not net.has_edge(event.u, event.v):
             raise EventError(f"{event}: no such edge")
-        e = (event.u, event.v)
-        edges.remove(e)
-        if weights is not None:
-            del weights[e]
-        disconnected = (f"{event}: removal disconnects the network (the "
-                        f"constructions assume a connected topology; "
-                        f"partition tolerance is future work)")
-    elif isinstance(event, NodeCrash):
-        if event.node not in node_set:
+        new = net.patched(drop_edge=(event.u, event.v))
+        if not new.connects((event.u, event.v)):
+            raise EventError(
+                f"{event}: removal disconnects the network (the "
+                f"constructions assume a connected topology; "
+                f"partition tolerance is future work)")
+        return new
+    if isinstance(event, NodeCrash):
+        if event.node not in adj:
             raise EventError(f"{event}: node {event.node} does not exist")
         if net.n < 2:
             raise EventError(f"{event}: cannot crash the last node")
-        nodes.remove(event.node)
-        edges = [d for d in edges if event.node not in d]
-        if weights is not None:
-            weights = {d: w for d, w in weights.items()
-                       if event.node not in d}
-        disconnected = (f"{event}: crash disconnects the network (node "
-                        f"{event.node} is a cut vertex; partition "
-                        f"tolerance is future work)")
-    elif isinstance(event, (NodeJoin, NodeRecover)):
-        if event.node in node_set:
+        new = net.patched(drop_node=event.node)
+        if not new.connects(adj[event.node]):
+            raise EventError(
+                f"{event}: crash disconnects the network (node "
+                f"{event.node} is a cut vertex; partition "
+                f"tolerance is future work)")
+        return new
+    if isinstance(event, (NodeJoin, NodeRecover)):
+        if event.node in adj:
             raise EventError(f"{event}: id {event.node} already in use")
         if not 1 <= event.node <= net.id_space:
             raise EventError(
@@ -136,27 +146,19 @@ def revise(net: Network, event: TopologyEvent) -> Network:
                 f"{event}: joining would exceed n_bound={net.n_bound} "
                 f"(give the topology headroom — n_bound is the "
                 f"incorruptible public bound the rules read)")
-        missing = [a for a in event.edges if a not in node_set]
+        missing = [a for a in event.edges if a not in adj]
         if missing:
             raise EventError(
                 f"{event}: attachment endpoints {missing} do not exist")
-        nodes.append(event.node)
-        for a in event.edges:
-            e = (min(event.node, a), max(event.node, a))
-            edges.append(e)
-            if weights is not None:
-                weights[e] = _next_weight(weights)
-    else:
-        raise EventError(f"unknown topology event {event!r}")
-
-    try:
-        return Network(nodes, edges, weights=weights,
-                       id_space=net.id_space, n_bound=net.n_bound)
-    except ValueError as exc:
-        # the constructor's own connectivity check is the only one
-        if disconnected is None or str(exc) != "network must be connected":
-            raise
-        raise EventError(disconnected) from None
+        if not event.edges:
+            # the Network constructor's refusal of an isolated node
+            raise ValueError("network must be connected")
+        w0 = _next_weight(weights) if weights is not None else None
+        return net.patched(add_node=event.node, add_edges={
+            (min(event.node, a), max(event.node, a)):
+                None if w0 is None else w0 + k
+            for k, a in enumerate(event.edges)})
+    raise EventError(f"unknown topology event {event!r}")
 
 
 def _touched(event: TopologyEvent, old_net: Network) -> tuple[int, ...]:
@@ -220,6 +222,7 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
         v = event.node
         del rows[v]
         del config[v]
+        del sim._nbr_rows[v]
         proposal.pop(v, None)
         sim._dirty.discard(v)
         if v in enabled._set:
@@ -249,19 +252,15 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
         rows[v] = [state[name] for name in new_schema.names]
         config[v] = new_schema.view(rows[v])
 
-    sim._all_nodes = sorted(new_net.nodes)
+    sim._all_nodes = list(new_net.nodes)
     sim._bulk_dirty = max(4, new_net.n // 4)
 
-    # recompile the engine path for the new binding.  Survivor rows are
-    # the same list objects, so rebuilt neighbor tables alias live state
-    # exactly as construction did.
-    sim._bind_rules()
-    if sim._vector_rule is not None:
-        store = ColumnStore(new_schema, new_net, rows,
-                            backend=sim._columns.backend)
-        vrule = protocol.vector_step(new_schema, store)
-        sim._columns = store if vrule is not None else None
-        sim._vector_rule = vrule
+    # recompile the scalar rule path for the new binding, rebuilding the
+    # neighbor rows of the touched nodes only.  Survivor rows are the
+    # same list objects, so the rebuilt rows alias live state exactly as
+    # construction did.  The column plane rebinds itself at the next
+    # all-dirty refresh (Simulator._bind_columns).
+    sim._bind_rules(touched)
 
     # ---- protocol lifecycle hook -------------------------------------
     invalidate_all = bool(protocol.on_topology_event(old_net, new_net,
@@ -287,8 +286,8 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
                 dirty.update(new_net.neighbors(v))
 
     # ---- dirty-set accounting + proof obligation ---------------------
-    # (the rebuilt ColumnStore starts fresh=False; the next vector
-    # refresh re-encodes from the post-interrupt rows on demand)
+    # (the column store, rebuilt at the next vector refresh, encodes the
+    # post-interrupt rows then)
     if invalidate_all:
         sim._dirty_all = True
         sim._dirty.clear()

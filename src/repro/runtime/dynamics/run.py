@@ -96,7 +96,7 @@ def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
                                enabled=report.enabled_after)
         event_kinds[event.kind] = event_kinds.get(event.kind, 0) + 1
         interrupt_writes_total += report.interrupt_writes
-        dist = bfs_distances(sim.net, report.touched)
+        dist = None  # hop distances, computed at the wave's first rejection
 
         cap = max_rounds_per_wave or 20_000 * sim.net.n
         rounds = 0
@@ -110,6 +110,8 @@ def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
             rounds += 1
             if cert is not None:
                 outcome = cert.verify(sim.net, sim.config)
+                if outcome.rejecting and dist is None:
+                    dist = bfs_distances(sim.net, report.touched)
                 for v in outcome.rejecting:
                     d = dist.get(v, -1)  # -1: unreachable from the event
                     rejection_hist[d] = rejection_hist.get(d, 0) + 1

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.graphs.network import Network
@@ -234,14 +234,11 @@ class Simulator:
         # on the scalar slot rule.  ``use_vector_rules=False`` is the
         # testing escape hatch that forces the scalar path.
         self._columns: ColumnStore | None = None
+        self._columns_net: Network | None = None  # the store's network
         self._vector_rule = None
         if (use_vector_rules
                 and type(protocol).vector_step is not Protocol.vector_step):
-            store = ColumnStore(self.schema, net, rows)
-            vrule = protocol.vector_step(self.schema, store)
-            if vrule is not None:
-                self._columns = store
-                self._vector_rule = vrule
+            self._bind_columns()
         # telemetry seam: hook selection happens HERE, once, at setup.
         # With no recorder the engine runs the exact pre-telemetry byte
         # path — no per-move branch anywhere below; with one, the
@@ -256,7 +253,7 @@ class Simulator:
     # proposals and enabledness
     # ------------------------------------------------------------------
 
-    def _bind_rules(self) -> None:
+    def _bind_rules(self, changed: Iterable[int] | None = None) -> None:
         """Compile the scalar rule path for the current binding.
 
         Runs at construction and again when the dynamics engine rebinds
@@ -266,6 +263,10 @@ class Simulator:
         table, the write-impact filter, and :attr:`_repropose` — the one
         per-node re-proposal kernel, bound here once so the hot paths pay
         one call per refresh or per fused move, not one per node.
+
+        ``changed`` names the nodes whose neighborhood an event changed:
+        only their neighbor rows are rebuilt (the caller drops a vanished
+        node's entry).  ``None`` builds the whole table.
         """
         protocol, net, schema = self.protocol, self.net, self.schema
         rows = self._state
@@ -274,9 +275,12 @@ class Simulator:
         self._slot_rule = rule
         # slot rows are mutated in place (never replaced) by _apply_batch
         # and overwrite, so these references stay valid for the binding
-        nbr_rows = {v: tuple((u, rows[u]) for u in net.neighbors(v))
-                    for v in net.nodes}
-        self._nbr_rows = nbr_rows
+        if changed is None:
+            self._nbr_rows = {}
+            changed = net.nodes
+        nbr_rows = self._nbr_rows
+        for v in changed:
+            nbr_rows[v] = tuple((u, rows[u]) for u in net.neighbors(v))
         self._write_impact = protocol.fast_write_impact(schema)
         config = self.config
         proposal = self._proposal
@@ -330,6 +334,23 @@ class Simulator:
 
         self._repropose = repropose
 
+    def _bind_columns(self) -> None:
+        """Build the column store for the current binding and compile the
+        protocol's vector rule on it.
+
+        Runs at construction, and after a topology event at the first
+        all-dirty refresh (:meth:`_vector_refresh`), so event bursts with
+        no vector refresh in between build no store.  A declined compile
+        switches the columnar plane off for the rest of the run.
+        """
+        backend = self._columns.backend if self._columns is not None else None
+        store = ColumnStore(self.schema, self.net, self._state,
+                            backend=backend)
+        vrule = self.protocol.vector_step(self.schema, store)
+        self._columns = store if vrule is not None else None
+        self._columns_net = self.net
+        self._vector_rule = vrule
+
     def _refresh(self) -> None:
         """Re-propose every dirty node, settling the incremental state.
 
@@ -366,6 +387,12 @@ class Simulator:
         set, pending round set, scheduler notify) ends exactly as the
         scalar all-dirty pass would leave it.
         """
+        if self._columns_net is not self.net:
+            # a topology event rebound the network: the CSR arrays and
+            # the compiled rule describe the old one
+            self._bind_columns()
+            if self._vector_rule is None:
+                return False
         store = self._columns
         if not store.fresh:
             store.sync()
@@ -624,7 +651,11 @@ class Simulator:
                     v = pick(enabled)
                 else:
                     chosen = select(enabled)
-                    if len(chosen) != 1 or chosen[0] not in eset:
+                    # a copy of the live enabled list (the synchronous
+                    # daemon) is valid by construction, and non-empty
+                    # while the round's pending subset of it is
+                    if ((len(chosen) != 1 or chosen[0] not in eset)
+                            and chosen != elist):
                         validate(chosen)  # raises unless a valid batch
                     v = chosen[0] if len(chosen) == 1 else None
                 if v is None or not fuse:

@@ -54,6 +54,8 @@ from repro.runtime import (
     Simulator,
     random_configuration,
 )
+from repro.runtime import simulator as simulator_module
+from repro.runtime.columns import ColumnStore, numpy_or_none
 from repro.runtime.dynamics import (
     ChurnSchedule,
     EdgeAdd,
@@ -402,6 +404,203 @@ class TestRevise:
 
 
 # ----------------------------------------------------------------------
+# revision: the patched network against the full constructor
+# ----------------------------------------------------------------------
+
+
+def _referee_revise(net, event):
+    """The revision as the full constructor builds it: node and edge
+    lists edited, then ``Network(...)``, whose connectivity check is the
+    only one (this was ``revise`` before it patched a copy)."""
+    nodes = list(net.nodes)
+    node_set = set(nodes)
+    edges = list(net.edges)
+    weights = net.weights if net.weighted else None
+    disconnected = None
+    if isinstance(event, EdgeAdd):
+        for x in (event.u, event.v):
+            if x not in node_set:
+                raise EventError(f"{event}: node {x} does not exist")
+        if net.has_edge(event.u, event.v):
+            raise EventError(f"{event}: edge already exists")
+        e = (event.u, event.v)
+        edges.append(e)
+        if weights is not None:
+            w = event.weight if event.weight is not None \
+                else max(weights.values(), default=0) + 1
+            if w in weights.values():
+                raise EventError(
+                    f"{event}: weight {w} already used (weights are "
+                    f"pairwise distinct constants)")
+            weights[e] = w
+    elif isinstance(event, EdgeRemove):
+        if not net.has_edge(event.u, event.v):
+            raise EventError(f"{event}: no such edge")
+        e = (event.u, event.v)
+        edges.remove(e)
+        if weights is not None:
+            del weights[e]
+        disconnected = (f"{event}: removal disconnects the network (the "
+                        f"constructions assume a connected topology; "
+                        f"partition tolerance is future work)")
+    elif isinstance(event, NodeCrash):
+        if event.node not in node_set:
+            raise EventError(f"{event}: node {event.node} does not exist")
+        if net.n < 2:
+            raise EventError(f"{event}: cannot crash the last node")
+        nodes.remove(event.node)
+        edges = [d for d in edges if event.node not in d]
+        if weights is not None:
+            weights = {d: w for d, w in weights.items()
+                       if event.node not in d}
+        disconnected = (f"{event}: crash disconnects the network (node "
+                        f"{event.node} is a cut vertex; partition "
+                        f"tolerance is future work)")
+    else:
+        if event.node in node_set:
+            raise EventError(f"{event}: id {event.node} already in use")
+        if not 1 <= event.node <= net.id_space:
+            raise EventError(
+                f"{event}: id {event.node} outside the identity space "
+                f"{{1, ..., {net.id_space}}}")
+        if net.n + 1 > net.n_bound:
+            raise EventError(
+                f"{event}: joining would exceed n_bound={net.n_bound} "
+                f"(give the topology headroom — n_bound is the "
+                f"incorruptible public bound the rules read)")
+        missing = [a for a in event.edges if a not in node_set]
+        if missing:
+            raise EventError(
+                f"{event}: attachment endpoints {missing} do not exist")
+        nodes.append(event.node)
+        for a in event.edges:
+            e = (min(event.node, a), max(event.node, a))
+            edges.append(e)
+            if weights is not None:
+                weights[e] = max(weights.values(), default=0) + 1
+    try:
+        return Network(nodes, edges, weights=weights,
+                       id_space=net.id_space, n_bound=net.n_bound)
+    except ValueError as exc:
+        if disconnected is None or str(exc) != "network must be connected":
+            raise
+        raise EventError(disconnected) from None
+
+
+def _fields(net):
+    """Everything a revision must reproduce, including ``has_edge`` over
+    every pair of known ids and one unknown id."""
+    ids = (*net.nodes, net.id_space + 1)
+    return (net.nodes, net.edges, dict(net.adjacency),
+            dict(net.adjacency_sets),
+            net.weights if net.weighted else None,
+            net.id_space, net.n_bound, net.n, net.m,
+            {(u, v): net.has_edge(u, v) for u in ids for v in ids})
+
+
+def _assert_same_revision(net, event):
+    """``revise`` equals the referee (or raises its exception type and
+    message) and leaves ``net`` untouched; returns the revision or None."""
+    before = _fields(net)
+    try:
+        want = _referee_revise(net, event)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            revise(net, event)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        assert _fields(net) == before
+        return None
+    got = revise(net, event)
+    assert _fields(got) == _fields(want)
+    assert _fields(net) == before
+    return want
+
+
+def _assert_every_split_refused_alike(net):
+    for u, v in net.edges:
+        _assert_same_revision(net, EdgeRemove(u, v))
+    for v in net.nodes:
+        _assert_same_revision(net, NodeCrash(v))
+
+
+def _roomy(net, weighted, seed=0, headroom=4):
+    kw = dict(id_space=net.id_space + headroom, n_bound=net.n + headroom)
+    if weighted:
+        return Network.with_distinct_weights(
+            net.nodes, net.edges, rng=random.Random(seed), **kw)
+    return Network(net.nodes, net.edges, **kw)
+
+
+def _walk_schedule(net, kind, seed, count=12):
+    """Draw a schedule against the referee's revisions, checking each."""
+    sched = ChurnSchedule(kind, seed)
+    current = net
+    for _ in range(count):
+        _assert_every_split_refused_alike(current)
+        ev = sched.next_event(current)
+        if ev is None:
+            break
+        current = _assert_same_revision(current, ev)
+        assert current is not None, ev
+
+
+def _edgeless_join():
+    ev = NodeJoin(4, (1,))
+    object.__setattr__(ev, "edges", ())  # bypasses the event's own check
+    return ev
+
+
+class TestRevisionReferee:
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_shapes_along_schedules(self, kind, weighted):
+        for base in (path_graph(7, seed=1), ring(6, seed=2),
+                     complete_graph(6, seed=3), star_graph(6, seed=4),
+                     random_tree_graph(10, seed=5),
+                     lollipop_graph(4, 3, seed=6),
+                     caterpillar_graph(4, 2, seed=7), _bowtie()):
+            _walk_schedule(_roomy(base, weighted, seed=8), kind, seed=9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=_graphs(), kind=st.sampled_from(SCHEDULE_KINDS),
+           seed=st.integers(0, 2 ** 16), weighted=st.booleans())
+    def test_random_graphs_along_schedules(self, net, kind, seed, weighted):
+        _walk_schedule(_roomy(net, weighted, seed=seed), kind, seed)
+
+    def test_refusals_match(self):
+        tight = Network([1, 2, 3], [(1, 2), (2, 3)], n_bound=3)
+        roomy = Network([1, 2, 3], [(1, 2), (2, 3)], n_bound=4)
+        # weights 1, 2, 3 on (1, 2), (2, 3), (3, 4)
+        weighted = Network.with_distinct_weights(
+            [1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)], n_bound=5)
+        refused = [
+            (tight, EdgeAdd(1, 9)),            # unknown endpoint
+            (tight, EdgeAdd(1, 2)),            # existing edge
+            (tight, EdgeRemove(1, 3)),         # missing edge
+            (tight, EdgeRemove(1, 2)),         # disconnecting removal
+            (tight, NodeCrash(2)),             # cut vertex
+            (tight, NodeCrash(9)),             # unknown node
+            (Network([5], []), NodeCrash(5)),  # the last node
+            (tight, NodeJoin(4, (1,))),        # n_bound exhausted
+            (roomy, NodeJoin(2, (1,))),        # id reuse
+            (roomy, NodeRecover(2, (1,))),
+            (roomy, NodeJoin(99, (1,))),       # outside the id space
+            (roomy, NodeJoin(4, (7, 1))),      # unknown attachment
+            (roomy, _edgeless_join()),         # the constructor's refusal
+            (weighted, EdgeAdd(1, 3, weight=2)),    # duplicate weight
+            (weighted, EdgeAdd(1, 3, weight=2.5)),  # duplicate once int
+            (weighted, EdgeAdd(1, 3, weight=0)),    # non-positive
+            (weighted, EdgeRemove(2, 3)),           # weighted bridge
+        ]
+        for net, ev in refused:
+            assert _assert_same_revision(net, ev) is None, ev
+        for ev in (EdgeAdd(1, 3, weight=7), EdgeAdd(1, 4),
+                   NodeJoin(5, (1, 3)), NodeCrash(1)):
+            assert _assert_same_revision(weighted, ev) is not None, ev
+
+
+# ----------------------------------------------------------------------
 # engine guards
 # ----------------------------------------------------------------------
 
@@ -553,6 +752,78 @@ class TestIncrementalAcrossEvents:
         assert a == b
 
 
+def _assert_nbr_rows_fresh(sim):
+    """The incrementally rebound neighbor-row table equals a from-scratch
+    one, and every entry aliases the live register row."""
+    rows = sim._state
+    assert sim._nbr_rows == {
+        v: tuple((u, rows[u]) for u in sim.net.neighbors(v))
+        for v in sim.net.nodes}
+    for nbrs in sim._nbr_rows.values():
+        for u, row in nbrs:
+            assert row is rows[u]
+
+
+def _assert_store_fresh(sim):
+    """The lazily rebound column store equals a freshly built one."""
+    store = sim._columns
+    fresh = ColumnStore(sim.schema, sim.net, sim._state,
+                        backend=store.backend)
+    for name in ("nbr_offsets", "nbr_index", "nbr_ids", "owner_index",
+                 "ids_arr"):
+        assert list(getattr(store, name)) == list(getattr(fresh, name))
+    assert ((store.ids, store.pos, store.n, store.e, store.min_degree,
+             store.m, store.n_bound, store.id_space)
+            == (fresh.ids, fresh.pos, fresh.n, fresh.e, fresh.min_degree,
+                fresh.m, fresh.n_bound, fresh.id_space))
+    assert all(a is b for a, b in zip(store.rows, fresh.rows, strict=True))
+
+
+class TestIncrementalRebinding:
+    @pytest.mark.parametrize("backend", ["numpy", "array"])
+    def test_rows_and_columns_after_every_event(self, backend,
+                                                monkeypatch):
+        if backend == "numpy" and numpy_or_none() is None:
+            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1" if backend == "array"
+                           else "")
+        sim = _sst_sim(scheduler="synchronous")
+        assert sim._columns.backend == backend
+        built = []
+
+        class CountingStore(ColumnStore):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "ColumnStore", CountingStore)
+        sched = ChurnSchedule("mixed", seed=31)
+        kinds = set()
+        for _ in range(24):
+            event = sched.next_event(sim.net)
+            if event is None:
+                break
+            kinds.add(event.kind)
+            apply_event(sim, event, check=True)
+            _assert_nbr_rows_fresh(sim)
+            assert built == []  # the event itself builds no store
+            # an all-dirty refresh rebinds the columns, once
+            sim._dirty_all = True
+            sim.enabled_set()
+            assert built == [1]
+            assert sim._columns.backend == backend
+            _assert_store_fresh(sim)
+            sim._dirty_all = True
+            sim.enabled_set()
+            assert built == [1]
+            built.clear()
+            assert sim.run(max_rounds=50_000).silent
+            assert sim.enabled_nodes() == sim.rescan_enabled()
+        assert len(kinds) >= 4, kinds
+
+
+# ----------------------------------------------------------------------
+# fault-injection field validation (the satellite fix)
 # ----------------------------------------------------------------------
 # fault-injection field validation (the satellite fix)
 # ----------------------------------------------------------------------

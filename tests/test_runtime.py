@@ -351,6 +351,33 @@ class TestSelectionValidation:
         with pytest.raises(RuntimeError, match="non-enabled"):
             sim.run_round()
 
+    @staticmethod
+    def _counting_validate(sim):
+        calls = []
+        check = sim._validate_selection
+
+        def counting(chosen):
+            calls.append(list(chosen))
+            check(chosen)
+
+        sim._validate_selection = counting
+        return calls
+
+    def test_whole_enabled_list_skips_the_scan(self):
+        # a selection equal to the live enabled list is valid by
+        # construction: the synchronous daemon never pays the scan
+        sim = self._sim(SynchronousScheduler())
+        calls = self._counting_validate(sim)
+        assert sim.run(max_rounds=100).silent
+        assert sim.moves > 1 and calls == []
+
+    def test_other_multi_node_selections_still_scanned(self):
+        # the same nodes in another order are not the live list: checked
+        sim = self._sim(_BadScheduler(lambda en: en[::-1]))
+        calls = self._counting_validate(sim)
+        assert sim.run_round()
+        assert calls and all(len(c) > 1 for c in calls)
+
 
 class TestSchedulers:
     @pytest.mark.parametrize("name", sorted(ALL_SCHEDULER_FACTORIES))
