@@ -14,7 +14,7 @@ This stand-in reproduces the two compared dimensions:
 
 The tree itself is the Fuerer–Raghavachari result, so the *quality*
 matches the paper's algorithm and the benchmark isolates the memory and
-silence comparison (DESIGN.md, substitution 4).
+silence comparison (EXPERIMENTS.md, "Substitutions", substitution 4).
 """
 
 from __future__ import annotations

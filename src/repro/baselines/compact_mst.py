@@ -17,7 +17,8 @@ This stand-in reproduces exactly the two compared dimensions:
 The tree it maintains is produced by a distributed Boruvka oracle at
 wave boundaries (the full message-passing engine of [51] is out of scope —
 the comparison the paper makes is about silence and register width, which
-this baseline reproduces faithfully; see DESIGN.md, substitution 4).
+this baseline reproduces faithfully; see EXPERIMENTS.md, "Substitutions",
+substitution 4).
 """
 
 from __future__ import annotations

@@ -19,24 +19,32 @@ self-stabilization plus the certification contract:
   ground-truth legality predicate, i.e. no reachable configuration a
   corrupted start can produce fools the certificate scheme.
 
+Every state is expanded by the protocol's one slot rule
+(:func:`~repro.runtime.protocol.slot_rule`, the rule the engine runs).
+States are tuples of slot-row tuples in ascending node order; a state's
+successors patch only the movers' rows.
+
 Oracle-state semantics, recorded here once.  The guided tasks keep
 detector bookkeeping as protocol-instance state (the digest-keyed memo,
-the issued-decision latch, guided-mdst's improvement plan — DESIGN.md,
-substitution 6).  :func:`explore` therefore supports two modes:
+the issued-decision latch, guided-mdst's improvement plan —
+EXPERIMENTS.md, "Substitutions", substitution 6).  :func:`explore`
+therefore supports two modes:
 
-* **shared instance** (default): one protocol object serves every
-  branch, so decisions reflect the memo/plan history induced by the
-  exploration order.  This is an *over-approximation* of real
-  executions — cross-branch pollution can produce oracle-answer
-  histories no single execution realizes — which makes it a stronger
-  bug-finder (it found all four PR-4 protocol bugs) but means a
-  reported cycle must be confirmed against real semantics (e.g. by
-  draining the witness state through the simulator) before being read
-  as a protocol livelock;
-* **fresh instances** (``protocol_factory=``): every state expansion
-  gets a new protocol object, i.e. the ideal-detector semantics where
-  each decision is a pure function of the configuration — the exact
-  Markov state machine, used by the pinned regression tests.
+* **fresh instances** (``protocol_factory=``; the default of
+  :func:`check_certifier` and of ``certify modelcheck``): every state
+  expansion compiles the rule of a new protocol object, i.e. the
+  ideal-detector semantics where each decision is a pure function of
+  the configuration — the exact Markov state machine;
+* **shared instance** (:func:`explore` without a factory, or
+  ``check_certifier(shared_oracle=True)`` / ``--shared-oracle``): one
+  protocol object serves every branch, so decisions reflect the
+  memo/plan history induced by the exploration order.  This is an
+  *over-approximation* of real executions — cross-branch pollution can
+  produce oracle-answer histories no single execution realizes — which
+  makes it a stronger bug-finder (it found all four PR-4 protocol bugs)
+  but means a reported cycle must be confirmed against real semantics
+  (e.g. by draining the witness state through the simulator) before
+  being read as a protocol livelock.
 """
 
 from __future__ import annotations
@@ -50,7 +58,8 @@ from repro.certify.schemes import (
     single_register_corruptions,
 )
 from repro.graphs.network import Network
-from repro.runtime.protocol import NodeView, Protocol, effective_delta
+from repro.runtime.protocol import Protocol, effective_delta, slot_rule
+from repro.runtime.schema import SlotState
 
 __all__ = ["ModelCheckResult", "explore", "check_certifier"]
 
@@ -102,23 +111,8 @@ class ModelCheckResult:
         return f"{verdict}: {', '.join(bits)}"
 
 
-def _canon(net: Network, names: tuple[str, ...], config: Config):
-    return tuple(
-        tuple(config[v][f] for f in names) for v in sorted(config))
-
-
-def _thaw(net: Network, names: tuple[str, ...], key) -> Config:
-    return {v: dict(zip(names, row))
-            for v, row in zip(sorted(net.nodes), key)}
-
-
-def _enabled_deltas(net: Network, protocol: Protocol, config: Config):
-    out = []
-    for v in net.nodes:
-        delta = effective_delta(protocol, NodeView(net, v, config))
-        if delta is not None:
-            out.append((v, delta))
-    return out
+def _thaw(names: tuple[str, ...], nodes: list[int], key) -> Config:
+    return {v: dict(zip(names, row)) for v, row in zip(nodes, key)}
 
 
 def _subsets(items: list):
@@ -134,15 +128,19 @@ def explore(net: Network, protocol: Protocol, starts: list[Config],
     docstring).  ``is_legal(config)`` and ``accepts(config)`` are
     optional predicates for the closure and no-fake checks;
     ``protocol_factory`` switches to fresh-instance (Markov) semantics."""
-    names = tuple(protocol.register_spec(net).names)
+    schema = protocol.register_spec(net).schema()
+    names = schema.names
+    nodes = sorted(net.nodes)
+    position = {v: i for i, v in enumerate(nodes)}
+    order = [(position[v], v) for v in net.nodes]
+    shared_rule = slot_rule(protocol, schema) \
+        if protocol_factory is None else None
     result = ModelCheckResult()
     succs: dict[object, list] = {}
     silent_keys: set = set()
 
-    start_keys = []
-    for cfg in starts:
-        key = _canon(net, names, cfg)
-        start_keys.append(key)
+    start_keys = [tuple(tuple(cfg[v][f] for f in names) for v in nodes)
+                  for cfg in starts]
 
     frontier = [k for k in start_keys if k not in succs]
     while frontier:
@@ -152,25 +150,34 @@ def explore(net: Network, protocol: Protocol, starts: list[Config],
         if len(succs) >= max_states:
             result.truncated = True
             break
-        config = _thaw(net, names, key)
-        proto = protocol_factory() if protocol_factory is not None \
-            else protocol
-        deltas = _enabled_deltas(net, proto, config)
+        rows = [list(row) for row in key]
+        config = {v: SlotState(schema, rows[i]) for i, v in enumerate(nodes)}
+        rule = shared_rule or slot_rule(protocol_factory(), schema)
+        moved = []
+        for i, v in order:
+            delta = effective_delta(rule, net, config, v)
+            if delta is not None:
+                row = list(key[i])
+                for slot, val in delta.items():
+                    row[slot] = val
+                moved.append((i, tuple(row)))
         nexts = []
-        if not deltas:
+        if not moved:
             silent_keys.add(key)
-            if is_legal is not None and not is_legal(config):
-                result.illegal_silent.append(config)
-            if accepts is not None and is_legal is not None:
-                if bool(accepts(config)) != bool(is_legal(config)):
-                    result.fake_certified.append(config)
+            if is_legal is not None:
+                plain = _thaw(names, nodes, key)
+                if not is_legal(plain):
+                    result.illegal_silent.append(plain)
+                if accepts is not None:
+                    if bool(accepts(plain)) != bool(is_legal(plain)):
+                        result.fake_certified.append(plain)
         else:
             seen_next = set()
-            for subset in _subsets(deltas):
-                nxt = {v: dict(state) for v, state in config.items()}
-                for v, delta in subset:
-                    nxt[v].update(delta)
-                nkey = _canon(net, names, nxt)
+            for subset in _subsets(moved):
+                nxt = list(key)
+                for i, row in subset:
+                    nxt[i] = row
+                nkey = tuple(nxt)
                 if nkey not in seen_next:
                     seen_next.add(nkey)
                     nexts.append(nkey)
@@ -202,7 +209,7 @@ def explore(net: Network, protocol: Protocol, starts: list[Config],
                 if c == GREY:
                     # back edge: extract the cycle from the grey path
                     i = path.index(nxt)
-                    result.cycle = [_thaw(net, names, k) for k in path[i:]]
+                    result.cycle = [_thaw(names, nodes, k) for k in path[i:]]
                     return result
                 if c == WHITE and nxt in succs:
                     color[nxt] = GREY

@@ -1,13 +1,14 @@
 """The certificate-backed oracle: subtree digests + a digest-keyed memo.
 
 The PLS-guided MST/MDST constructions take their *detector decision* —
-which ``(e, f)`` improvement to execute next — at the root (DESIGN.md,
-substitution 6: the paper's companion report implements this decision
-with convergecast/broadcast waves over the certificates; this repo
-substitutes a sequential decision procedure).  A root rule that simply
-read the whole configuration would leave the engine no choice but to
-invalidate every cached proposal on any write anywhere, the exact
-O(n)-rescan behavior the incremental enabled-set engine exists to avoid.
+which ``(e, f)`` improvement to execute next — at the root
+(EXPERIMENTS.md, "Substitutions", substitution 6: the paper's companion
+report implements this decision with convergecast/broadcast waves over
+the certificates; this repo substitutes a sequential decision
+procedure).  A root rule that simply read the whole configuration would
+leave the engine no choice but to invalidate every cached proposal on
+any write anywhere, the exact O(n)-rescan behavior the incremental
+enabled-set engine exists to avoid.
 
 This module removes the global read from the *transition function*:
 
@@ -27,10 +28,10 @@ This module removes the global read from the *transition function*:
   same digest — the engine's cached proposal, the from-scratch rescan the
   property tests cross-check against, a different daemon interleaving —
   returns the identical memoized decision.  Cached proposals can thus
-  never go stale relative to ``step``: the consulting rule is a pure
-  function of the 1-hop view (plus the write-once memo both evaluation
-  paths share), so the guided protocols run on the engine's ordinary
-  1-hop invalidation, like every other rule of the state model.
+  never go stale: the consulting rule is a pure function of the 1-hop
+  view (plus the write-once memo every evaluation shares), so the guided
+  protocols run on the engine's ordinary 1-hop invalidation, like every
+  other rule of the state model.
 
 The digest is the *certificate* backing the oracle: 64 bits of sha256,
 constant-size per register (the space table reports it), self-correcting

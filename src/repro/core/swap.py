@@ -23,14 +23,16 @@ Rule groups (every step writes the whole register atomically):
    counter overflow — and rebuild the tree toward the min-identity root;
 2. *switching*: an initiator with ``swt = w'`` waits until ``w`` and ``w'``
    show ``(d, _)`` and all its children show ``(_, s)``, then atomically
-   re-parents and updates its distance;
+   re-parents and updates its distance; a request that can never become
+   ready (an unknown or foreign target, the node's own child, or a
+   child holding a request of its own) is withdrawn;
 3. *mark maintenance*: ``mark`` is a pure function of the neighborhood
    (self-correcting: spurious marks collapse);
 4. *size rules*: marked nodes prune top-down (a node prunes when its parent
    is pruned or it is the root); unmarked nodes recompute ``1 + sum of
    children`` bottom-up once every child is concrete; overflow (> N) prunes
    the size entry (a full reset would discard valid election state and feed
-   the central-daemon livelock, see ``_best_claim``);
+   the central-daemon livelock, see the claim guard in the rule);
 5. *distance rules*: children of a node with a pending switch prune; NONE
    propagates downward; otherwise ``d = d(parent) + 1`` chases, and
    overflow (>= N) resets — this is what flushes parent-pointer cycles.
@@ -43,7 +45,7 @@ from __future__ import annotations
 from repro.core.trees import RootedTree
 from repro.graphs.network import Network
 from repro.labeling.malleable import MalleableLabel
-from repro.runtime.protocol import NodeView, Protocol
+from repro.runtime.protocol import Protocol
 from repro.runtime.registers import (
     NONE,
     RegisterSpec,
@@ -81,8 +83,8 @@ class MalleableTreeProtocol(Protocol):
     """Tree maintenance + the Section IV switch, as one guarded-rule layer."""
 
     name = "malleable-tree"
-    #: step and fast_step_slots filter every field against the current
-    #: register before returning, so the engine's no-op scan is redundant
+    #: the rule filters every field against the current register before
+    #: returning, so the engine's no-op scan is redundant
     exact_deltas = True
 
     def __init__(self) -> None:
@@ -106,25 +108,16 @@ class MalleableTreeProtocol(Protocol):
     # the transition function
     # ------------------------------------------------------------------
 
-    def step(self, view: NodeView) -> dict | None:
-        """The transition rule over a NodeView (the rescan reference)."""
-        own = view.state
-        intended = self._intended(view.net, view._config, view.node,
-                                  view.nbr_states())
-        delta = {k: v for k, v in intended.items() if own[k] != v}
-        return delta or None
-
     def fast_step_slots(self, schema):
-        """The same rule compiled to slot indices (Protocol.fast_step_slots).
+        """The transition rule, compiled to slot indices.
 
-        A line-by-line transliteration of :meth:`_intended` and its
-        helpers with field names resolved to row positions once, here.
-        In compositions (the guided constructions) the engine hands this
+        Field names are resolved to row positions once, here.  In
+        compositions (the guided constructions) the engine hands this
         rule a patched ``own`` row, so — like every compiled slot rule —
         it reads its own register exclusively through ``own`` and its
         neighbors through ``nbr_rows`` / ``config[u].row``.  The golden
-        suite, the incremental-vs-rescan cross-check, and the small-n
-        model checker pin it to the NodeView path.
+        suite, the cross-checking test referee, and the small-n model
+        checker pin it.
         """
         RID, PAR, D = schema.slot("rid"), schema.slot("par"), schema.slot("d")
         S, MARK, SWT = schema.slot("s"), schema.slot("mark"), schema.slot("swt")
@@ -132,8 +125,7 @@ class MalleableTreeProtocol(Protocol):
         def self_root(me: int) -> dict:
             return {RID: me, PAR: NONE, D: 0, S: 1, MARK: False, SWT: NONE}
 
-        def request_sane(net, config, me, own) -> bool:
-            # mirrors _switch_request_sane
+        def request_sane(net, config, me, own, nbr_rows) -> bool:
             swt = own[SWT]
             if swt not in net.neighbor_set(me):
                 return False
@@ -141,11 +133,29 @@ class MalleableTreeProtocol(Protocol):
                 return False
             st = config[swt].row
             if st[PAR] == me:
+                # re-parenting onto one's own child can never become
+                # ready: the wave requires the target to keep a concrete
+                # distance, but a child of the initiator prunes its
+                # distance — a contradiction only corrupted/stale
+                # requests can ask for
                 return False
-            return st[RID] == own[RID]
+            if st[RID] != own[RID]:
+                return False
+            # nested initiators: the outer one yields.  A child's pending
+            # switch marks this node (pruning its size) while this
+            # node's pending switch prunes the child's distance, so
+            # neither switch could ever become ready — a silent illegal
+            # configuration the small-n model checker found.  Switches
+            # are never nested in legal operation (a chain node raises
+            # its request only once its former chain child has left).
+            for _, kst in nbr_rows:
+                if kst[PAR] == me and kst[SWT] is not NONE:
+                    return False
+            return True
 
         def switch_ready(config, me, own, nbr_rows, bound) -> bool:
-            # mirrors _switch_ready
+            # Fig. 1(b): w and w' both (d, _), all children (_, s), self
+            # intact
             wst, wpst = config[own[PAR]].row, config[own[SWT]].row
             if wst[S] is not NONE or wst[D] is NONE:
                 return False
@@ -162,18 +172,30 @@ class MalleableTreeProtocol(Protocol):
             return True
 
         def intended(net, config, me, own, nbr_rows, bound) -> dict:
-            # mirrors _intended (structural/_best_claim inlined)
             rid, par = own[RID], own[PAR]
             d, s, swt = own[D], own[S], own[SWT]
 
-            # ---- 1. construction / adoption ----------------------------
+            # ---- 1. construction / adoption (the SST layer) -------------
             if par is NONE:
                 broken = rid != me
             else:
                 broken = (par not in net.neighbor_set(me)
                           or config[par].row[RID] != rid
                           or rid >= me)
-            # the best adoptable neighbor claim (see _best_claim)
+            # The best adoptable neighbor claim (rid, d, neighbor).
+            # Election-layer soundness guard: a claim only counts when
+            # its holder's labels could actually support a child right
+            # now — both counters concrete, no pending switch, unmarked.
+            # Without the guard a deterministic central daemon can starve
+            # the election forever: a broken node adopts a claim whose
+            # holder is mid-switch junk, the distance/size rules
+            # immediately prune the adopted labels to the forbidden
+            # (NONE, NONE) pair, the reset rule self-roots the node, and
+            # the better-claim check re-adopts — a two-step oscillation
+            # with no local fixpoint, so the node is always enabled and
+            # the adversary (e.g. central-max-id) never has to schedule
+            # anyone else.  With the guard the node settles (self-rooted)
+            # until its neighborhood clears.
             best = None
             for u, st in nbr_rows:
                 rid_u, d_u = st[RID], st[D]
@@ -188,14 +210,21 @@ class MalleableTreeProtocol(Protocol):
                 cand = (rid_u, d_u, u)
                 if best is None or cand < best:
                     best = cand
+            # a visibly better root claim makes the node out of date
             if not broken and best is not None and best[0] < rid:
                 broken = True
             if broken:
                 if best is None or best[0] >= me:
                     return self_root(me)
                 brid, bd, bpar = best
+                # s = 1 is a concrete placeholder: the bottom-up size
+                # fixpoint corrects it, and concreteness keeps the
+                # (NONE, NONE) reset rule from misfiring while neighbors
+                # still hold garbage requests
                 return {RID: brid, PAR: bpar, D: bd + 1, S: 1,
                         MARK: False, SWT: NONE}
+            # here: par is NONE with rid == me, or par is a neighbor
+            # sharing rid
 
             # mark = I am w (child requests a switch) or w' (a neighbor
             # targets me) or the wave is climbing through me
@@ -212,7 +241,7 @@ class MalleableTreeProtocol(Protocol):
             new_par, new_d = par, d
             new_swt = swt
             if swt is not NONE:
-                if not request_sane(net, config, me, own):
+                if not request_sane(net, config, me, own, nbr_rows):
                     new_swt = NONE
                 elif switch_ready(config, me, own, nbr_rows, bound):
                     new_par = swt
@@ -238,8 +267,16 @@ class MalleableTreeProtocol(Protocol):
                             break
                         total += cs
                 if total is not None:
-                    # overflow (> N) prunes instead of resetting — see
-                    # the rationale in _intended
+                    # overflow (> N) *prunes* the size instead of
+                    # resetting the whole register: the election state
+                    # (rid, par, d) may be perfectly valid while children
+                    # claim junk sizes, and a full reset reseeds fresh
+                    # d = 0 claims that let a deterministic central daemon
+                    # cycle size inflation against the distance flush
+                    # forever.  Sizes on genuine trees never exceed
+                    # n <= N, so legal operation is unaffected; parent
+                    # cycles are flushed by the distance chase, whose own
+                    # overflow still resets.
                     new_s = NONE if total > bound else total
 
             # ---- 5. distance rules --------------------------------------
@@ -259,9 +296,24 @@ class MalleableTreeProtocol(Protocol):
                         return self_root(me)
                     new_d = want
 
-            # forbidden label pairs reset — see the rationale in _intended
+            # (NONE, NONE) labels are forbidden by the scheme and never
+            # arise in legal operation (path prunes keep d, subtree
+            # prunes keep s); a node reaching it — e.g. on a parent cycle
+            # where neither counter can settle — resets, which is what
+            # breaks such cycles
             if new_d is NONE and new_s is NONE:
                 return self_root(me)
+            # marked ∧ distance-pruned is equally forbidden: marks live
+            # on the two root paths of a switch (which keep d and prune
+            # s) while distance prunes live strictly below the initiator
+            # (disjoint in every legal wave, since the new parent sits
+            # outside the moving subtree).  Without this reset a parent
+            # cycle can freeze forever: the members mutually sustain each
+            # other's marks, the mark hold rule freezes their
+            # (inconsistent) sizes, and the d = NONE prune wave never
+            # bottoms out — a silent illegal configuration the small-n
+            # model checker found.  Initiators holding a live switch
+            # request are exempt (they hold everything by design).
             if new_mark and new_d is NONE and new_swt is NONE:
                 return self_root(me)
             return {RID: rid, PAR: new_par, D: new_d, S: new_s,
@@ -276,214 +328,6 @@ class MalleableTreeProtocol(Protocol):
             return delta or None
 
         return rule
-
-    def _intended(self, net: Network, config, me: int, rows) -> dict:
-        if net is not self._bound_net:
-            self._bound_net = net
-            self._bound = net.n_bound
-        bound = self._bound
-        own = config[me]
-        rid, par = own["rid"], own["par"]
-        d, s, swt = own["d"], own["s"], own["swt"]
-
-        # ---- 1. construction / adoption --------------------------------
-        rebuilt = self._structural(net, config, me, rows, bound)
-        if rebuilt is not None:
-            return rebuilt
-        # here: par is NONE with rid == me, or par is a neighbor sharing rid
-
-        # mark = I am w (child requests a switch) or w' (a neighbor
-        # targets me) or the wave is climbing through me (a marked child)
-        new_mark = False
-        for _, st in rows:
-            if st["par"] == me and (st["swt"] is not NONE or st["mark"]):
-                new_mark = True
-                break
-            if st["swt"] == me:
-                new_mark = True
-                break
-
-        # ---- 2. switching ----------------------------------------------
-        new_par, new_d = par, d
-        new_swt = swt
-        if swt is not NONE:
-            if not self._switch_request_sane(net, config, me, own):
-                new_swt = NONE
-            elif self._switch_ready(config, me, own, rows, bound):
-                new_par = swt
-                new_d = config[swt]["d"] + 1
-                new_swt = NONE
-            # else: hold everything, waiting for the waves
-
-        # ---- 4. size rules ---------------------------------------------
-        new_s = s
-        if new_mark:
-            parent_pruned = (new_par is NONE
-                             or config[new_par]["s"] is NONE)
-            if parent_pruned:
-                new_s = NONE
-            # else: hold s until the prune wave descends to the parent
-        else:
-            total = 1
-            for _, st in rows:
-                if st["par"] == me:
-                    cs = st["s"]
-                    if cs is NONE:
-                        total = None  # hold (a wave below is collapsing)
-                        break
-                    total += cs
-            if total is not None:
-                # overflow (> N) *prunes* the size instead of resetting
-                # the whole register: the election state (rid, par, d)
-                # may be perfectly valid while children claim junk
-                # sizes, and a full reset reseeds fresh d = 0 claims
-                # that let a deterministic central daemon cycle size
-                # inflation against the distance flush forever.  Sizes
-                # on genuine trees never exceed n <= N, so legal
-                # operation is unaffected; parent cycles are flushed by
-                # the distance chase, whose own overflow still resets.
-                new_s = NONE if total > bound else total
-
-        # ---- 5. distance rules ------------------------------------------
-        if new_par is NONE:
-            new_d = 0
-        elif new_par == swt and new_swt is NONE and swt is not NONE:
-            pass  # new_d already set by the switch
-        else:
-            pst = config[new_par]
-            if pst["swt"] is not NONE:
-                new_d = NONE          # pre-switch pruning below the initiator
-            elif pst["d"] is NONE:
-                new_d = NONE          # pruning propagates downward
-            else:
-                want = pst["d"] + 1
-                if want >= bound:
-                    return self._self_root(me)
-                new_d = want
-
-        # (NONE, NONE) labels are forbidden by the scheme and never arise in
-        # legal operation (path prunes keep d, subtree prunes keep s); a node
-        # reaching it — e.g. on a parent cycle where neither counter can
-        # settle — resets, which is what breaks such cycles
-        if new_d is NONE and new_s is NONE:
-            return self._self_root(me)
-        # marked ∧ distance-pruned is equally forbidden: marks live on the
-        # two root paths of a switch (which keep d and prune s) while
-        # distance prunes live strictly below the initiator (disjoint in
-        # every legal wave, since the new parent sits outside the moving
-        # subtree).  Without this reset a parent cycle can freeze forever:
-        # the members mutually sustain each other's marks, the mark hold
-        # rule freezes their (inconsistent) sizes, and the d = NONE prune
-        # wave never bottoms out — a silent illegal configuration the
-        # small-n model checker found.  Initiators holding a live switch
-        # request are exempt (they hold everything by design).
-        if new_mark and new_d is NONE and new_swt is NONE:
-            return self._self_root(me)
-        return {"rid": rid, "par": new_par, "d": new_d, "s": new_s,
-                "mark": new_mark, "swt": new_swt}
-
-    # ------------------------------------------------------------------
-    # rule helpers
-    # ------------------------------------------------------------------
-
-    def _structural(self, net: Network, config, me: int, rows,
-                    bound: int) -> dict | None:
-        """The SST-style adoption layer; None when structurally sound."""
-        own = config[me]
-        rid, par = own["rid"], own["par"]
-        if par is NONE:
-            broken = rid != me
-        else:
-            broken = (par not in net.neighbor_set(me)
-                      or config[par]["rid"] != rid
-                      or rid >= me)
-        # a visibly better root claim makes the node out of date
-        best = self._best_claim(me, rows, bound)
-        if not broken and best is not None and best[0] < rid:
-            broken = True
-        if not broken:
-            return None
-        if best is None or best[0] >= me:
-            return self._self_root(me)
-        brid, bd, bpar = best
-        # s = 1 is a concrete placeholder: the bottom-up size fixpoint
-        # corrects it, and concreteness keeps the (NONE, NONE) reset rule
-        # from misfiring while neighbors still hold garbage requests
-        return {"rid": brid, "par": bpar, "d": bd + 1, "s": 1,
-                "mark": False, "swt": NONE}
-
-    @staticmethod
-    def _best_claim(me: int, rows, bound: int):
-        """The best adoptable neighbor claim (rid, d, neighbor) or None.
-
-        Election-layer soundness guard: a claim only counts when its
-        holder's labels could actually support a child right now — both
-        counters concrete, no pending switch, unmarked.  Without the
-        guard a deterministic central daemon can starve the election
-        forever: a broken node adopts a claim whose holder is mid-switch
-        junk, the distance/size rules immediately prune the adopted
-        labels to the forbidden ``(NONE, NONE)`` pair, the reset rule
-        self-roots the node, and the better-claim check re-adopts — a
-        two-step oscillation with no local fixpoint, so the node is
-        always enabled and the adversary (e.g. central-max-id) never has
-        to schedule anyone else.  With the guard the node settles
-        (self-rooted) until its neighborhood clears, forcing the daemon
-        to schedule the nodes that actually make progress.
-        """
-        best = None
-        for u, st in rows:
-            rid_u, d_u = st["rid"], st["d"]
-            if not isinstance(rid_u, int) or rid_u >= me:
-                continue
-            if d_u is NONE or not isinstance(d_u, int):
-                continue
-            if d_u + 1 >= bound:
-                continue
-            if st["s"] is NONE or st["mark"] or st["swt"] is not NONE:
-                continue  # holder cannot support a child mid-switch
-            cand = (rid_u, d_u, u)
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    @staticmethod
-    def _self_root(me: int) -> dict:
-        return {"rid": me, "par": NONE, "d": 0, "s": 1,
-                "mark": False, "swt": NONE}
-
-    @staticmethod
-    def _switch_request_sane(net: Network, config, me: int, own) -> bool:
-        swt = own["swt"]
-        if swt not in net.neighbor_set(me):
-            return False
-        if own["par"] is NONE or swt == own["par"]:
-            return False
-        st = config[swt]
-        if st["par"] == me:
-            # re-parenting onto one's own child can never become ready:
-            # the wave requires the target to keep a concrete distance,
-            # but a child of the initiator prunes its distance — a
-            # contradiction only corrupted/stale requests can ask for
-            return False
-        return st["rid"] == own["rid"]
-
-    @staticmethod
-    def _switch_ready(config, me: int, own, rows, bound: int) -> bool:
-        """Fig. 1(b): w and w' both (d, _), all children (_, s), self intact."""
-        wst, wpst = config[own["par"]], config[own["swt"]]
-        if wst["s"] is not NONE or wst["d"] is NONE:
-            return False
-        if wpst["s"] is not NONE or wpst["d"] is NONE:
-            return False
-        if wpst["d"] + 1 >= bound:
-            return False
-        if own["d"] is NONE or own["s"] is NONE:
-            return False
-        for _, st in rows:
-            if st["par"] == me:
-                if st["d"] is not NONE or st["s"] is NONE:
-                    return False
-        return True
 
     # ------------------------------------------------------------------
     # legality (for tests)

@@ -14,8 +14,6 @@ model:
   - ``WORK``: labels settle; every node aggregates its best improvement
     candidate (convergecast); when the root's subtree is fully acked and no
     candidate exists, the system is legal and **silent**;
-  - intermediate find phases where needed (MST aggregates the heaviest
-    cycle edge for the chosen non-tree edge);
   - ``SWAP``: the chosen pair is broadcast; the nodes of the chain execute
     their local switches in order (each fires when its former chain child
     has completed, Fig. 1a), and completion flows back up as
@@ -43,12 +41,7 @@ from repro.core.swap import MalleableTreeProtocol, tree_of_config
 from repro.core.trees import RootedTree
 from repro.graphs.network import Network
 from repro.labeling.nca import NCALabel, label_is_ancestor
-from repro.runtime.protocol import (
-    ComposedProtocol,
-    NodeView,
-    Protocol,
-    patched_config,
-)
+from repro.runtime.protocol import ComposedProtocol, Protocol, patched_config
 from repro.runtime.registers import (
     NONE,
     RegisterSpec,
@@ -70,7 +63,6 @@ __all__ = [
 ]
 
 WORK = "WORK"
-FINDF = "FINDF"
 SWAP = "SWAP"
 
 
@@ -98,32 +90,36 @@ def _payload_field(name: str):
 
 
 def _label_bits(net, value) -> int:
-    # conservative structural proxy; see DESIGN.md (the wire format is the
-    # measured Gilbert-Moore encoding)
+    # conservative structural proxy; see EXPERIMENTS.md, "Substitutions"
+    # (the label-bit proxy: the wire format is the measured Gilbert-Moore
+    # encoding)
     return 2 * net.id_bits()
 
 
 class SlotHooks(NamedTuple):
     """The task hooks of a :class:`PhaseLayer`, compiled to slot indices.
 
-    Each mirrors its NodeView hook, reading the node's own register
-    only through ``own`` and its neighbors through ``nbr_rows``:
+    Each reads the node's own register only through ``own`` and its
+    neighbors through ``nbr_rows``:
 
-    * ``candidate(me, own, nbr_rows)`` — :meth:`PhaseLayer.own_candidate`
-      (called only when the tree is sound); ``None``: always ``NONE``;
-    * ``settled(me, own, nbr_rows)`` — :meth:`PhaseLayer.labels_settled`;
-      ``None``: always True;
+    * ``candidate(me, own, nbr_rows)`` — this node's improvement
+      candidate (a tuple ordered so that smaller = better), or ``NONE``;
+      called only when the tree is sound.  ``None``: always ``NONE``;
+    * ``settled(me, own, nbr_rows)`` — whether this node's task labels
+      are locally consistent (asked in the WORK phase).  ``None``:
+      always True;
     * ``role(net, config, me, own, nbr_rows, bc)`` — what the SWAP
       command ``bc`` asks of this node.  The compiled rule computes it
       once per evaluation and payload and hands it to the next two;
-    * ``done(net, config, me, own, nbr_rows, bc, role)`` —
-      :meth:`PhaseLayer.phase_done` in the SWAP phase (every other phase
-      is done: the tasks' hooks return True outside SWAP);
+    * ``done(net, config, me, own, nbr_rows, bc, role)`` — whether this
+      node's own part of the SWAP phase is complete (every other phase
+      is done);
     * ``request(net, config, me, own, nbr_rows, bc, role)`` — the
-      tree-layer switch target :meth:`PhaseLayer.extra_rules` writes to
-      ``swt`` in the SWAP phase, or ``None``;
-    * ``transition(net, config, me, own, nbr_rows, phase, cand)`` —
-      :meth:`PhaseLayer.next_phase`, side effects included.
+      switch target the SWAP phase writes to the tree layer's ``swt``,
+      or ``None`` (no write);
+    * ``transition(net, config, me, own, nbr_rows, phase, cand)`` — the
+      root's move once its subtree acked: ``(next phase, payload)`` or
+      ``None`` (stay), side effects included.
     """
 
     candidate: Callable | None
@@ -149,146 +145,45 @@ class PhaseLayer(Protocol):
     memo), so the whole family reads only the 1-hop neighborhood, like
     every rule the incremental engine runs.
 
-    :meth:`step` is the reference the rescan, the cross-checking referee
-    and the model checker evaluate.  The engine runs
-    :meth:`fast_step_slots`, the same machinery compiled to slot indices
-    over the subclass's :meth:`slot_hooks`; a subclass that compiles no
-    hooks runs ``step`` through the slot adapter instead.
+    The layer's one rule is :meth:`fast_step_slots`: the machinery
+    compiled to slot indices over the subclass's :meth:`slot_hooks`.
+    The engine, the rescan and the model checker all run it.
     """
 
     name = "phase-layer"
-    phases: tuple[str, ...] = (WORK, SWAP)
-
-    # ------------------------------------------------------------------
-    # task hooks
-    # ------------------------------------------------------------------
-
-    def own_candidate(self, view: NodeView):
-        """This node's improvement candidate (a tuple ordered so that
-        smaller = better), or NONE."""
-        raise NotImplementedError
-
-    def extra_fields(self) -> list:
-        return []
-
-    def extra_rules(self, view: NodeView, intended: dict) -> None:
-        """Additional per-step updates (label fixpoints, switch roles)."""
-
-    def next_phase(self, view: NodeView, phase: str, cand):
-        """Root-only: (next phase, payload updates) when the subtree acked."""
-        raise NotImplementedError
-
-    def phase_done(self, view: NodeView, phase: str) -> bool:
-        """Whether this node's own part of the phase is complete."""
-        return True
-
-    def labels_settled(self, view: NodeView) -> bool:
-        """Whether this node's task labels are locally consistent (WORK)."""
-        return True
-
-    # ------------------------------------------------------------------
-    # shared machinery
-    # ------------------------------------------------------------------
 
     def register_spec(self, net: Network) -> RegisterSpec:
         return RegisterSpec([
-            enum_field("ph", self.phases, WORK),
+            enum_field("ph", (WORK, SWAP), WORK),
             flag_field("ack"),
             _payload_field("cand"),
             _payload_field("bc"),
-        ] + self.extra_fields())
+        ])
 
-    # tree-layer helpers ------------------------------------------------
-
-    @staticmethod
-    def tree_sound(view: NodeView) -> bool:
-        return (view["d"] is not NONE and view["s"] is not NONE
-                and not view["mark"] and view["swt"] is NONE)
-
-    @staticmethod
-    def children_of(view: NodeView) -> list[int]:
-        me = view.id
-        return [u for u in view.neighbors if view.nbr(u)["par"] == me]
-
-    @staticmethod
-    def is_root(view: NodeView) -> bool:
-        return view["par"] is NONE
-
-    def step(self, view: NodeView) -> dict | None:
-        cur = view.state
-        intended = dict()
-        children = self.children_of(view)
-
-        # ---- phase / broadcast copy-down --------------------------------
-        if self.is_root(view):
-            ph, bc = cur["ph"], cur["bc"]
-        else:
-            pst = view.nbr(view["par"]) if view["par"] in view.neighbors else None
-            if pst is not None and "ph" in pst:
-                ph, bc = pst["ph"], pst["bc"]
-            else:
-                ph, bc = cur["ph"], cur["bc"]
-        intended["ph"] = ph
-        intended["bc"] = bc
-
-        # ---- candidate aggregation --------------------------------------
-        own = self.own_candidate(view) if self.tree_sound(view) else NONE
-        best = own
-        for c in children:
-            cc = view.nbr(c)["cand"]
-            if cc is not NONE and (best is NONE or cc < best):
-                best = cc
-        intended["cand"] = best
-
-        # ---- acknowledgement --------------------------------------------
-        kids_ok = all(
-            view.nbr(c)["ack"] and view.nbr(c)["ph"] == ph for c in children
-        )
-        settled = (self.tree_sound(view)
-                   and (ph != WORK or self.labels_settled(view))
-                   and self.phase_done(view, ph)
-                   and cur["cand"] == best)
-        intended["ack"] = bool(kids_ok and settled)
-
-        # ---- root transition ---------------------------------------------
-        if self.is_root(view) and intended["ack"]:
-            move = self.next_phase(view, ph, best)
-            if move is not None:
-                nxt, payload = move
-                intended["ph"] = nxt
-                intended["bc"] = payload
-                intended["ack"] = False
-
-        # ---- task-specific extras -----------------------------------------
-        self.extra_rules(view, intended)
-
-        delta = {k: v for k, v in intended.items() if cur.get(k) != v}
-        return delta or None
-
-    def slot_hooks(self, schema) -> SlotHooks | None:
-        """The task hooks compiled to slot indices, or ``None`` (then
-        :meth:`fast_step_slots` declines and ``step`` runs through the
-        slot adapter).  A subclass overriding a NodeView hook must
-        override this too, or return ``None``."""
-        return None
+    def slot_hooks(self, schema) -> SlotHooks:
+        """The task hooks compiled to slot indices (see :class:`SlotHooks`)."""
+        raise NotImplementedError
 
     def fast_step_slots(self, schema):
-        """:meth:`step` compiled to slot indices over :meth:`slot_hooks`.
+        """The phase machinery compiled to slot indices over :meth:`slot_hooks`.
 
-        Mirrors ``step`` exactly, in its order: phase copy-down,
-        candidate aggregation, acknowledgement, the root transition (with
+        In order: phase copy-down (the root keeps its own phase and
+        broadcast; every other node copies its parent's), candidate
+        aggregation (the node's own candidate when its tree labels are
+        sound, else ``NONE``, folded with its children's), the
+        acknowledgement (every child acked this phase, the tree is
+        sound, the WORK labels are settled, the node's SWAP part is
+        done, and its candidate is current), the root transition (with
         the hook's side effects), then the switch request.  The SWAP
-        role is computed once per evaluation: ``phase_done`` asks it of
-        the register's own ``bc``, the switch request of the command in
+        role is computed once per evaluation: ``done`` asks it of the
+        register's own ``bc``, the switch request of the command in
         force, and the two are the same object unless the parent's
         broadcast or the root's transition just replaced it (copy-down
         hands the parent's payload object itself).  The parent row is
-        found by scanning ``nbr_rows``, the ``par in view.neighbors``
-        containment of ``step``.
+        found by scanning ``nbr_rows``, so a junk parent pointer that is
+        not a neighbor leaves the node's own phase in force.
         """
         hooks = self.slot_hooks(schema)
-        if hooks is None:
-            return None
         candidate, settled, role_of, done, request, transition = hooks
         PH, ACK, CAND, BC = schema.slots("ph", "ack", "cand", "bc")
         PAR, D, S = schema.slots("par", "d", "s")
@@ -369,78 +264,14 @@ class GuidedBFS(PhaseLayer):
     """
 
     name = "guided-bfs"
-    phases = (WORK, SWAP)
-
-    def own_candidate(self, view: NodeView):
-        if self.is_root(view):
-            return NONE
-        du = view["d"]
-        best = NONE
-        for v in view.neighbors:
-            st = view.nbr(v)
-            dv = st["d"]
-            if dv is NONE or st["rid"] != view["rid"]:
-                continue
-            if isinstance(dv, int) and dv + 1 < du:
-                cand = (-(du - dv - 1), view.id, v)
-                if best is NONE or cand < best:
-                    best = cand
-        return best
-
-    def next_phase(self, view: NodeView, phase: str, cand):
-        return _bfs_next_phase(phase, cand)
-
-    @staticmethod
-    def _commanded_switch(view: NodeView, bc):
-        """The still-executable switch command ``(u, v)`` addressed to this
-        node, or None.
-
-        A SWAP broadcast that is not (or no longer) a legal *improving*
-        switch — target not a neighbor, root identity disagreement, or
-        ``d(v) + 1 < d(u)`` failing — is treated as complete rather than
-        pending: a corrupted broadcast can command a switch the tree
-        layer will never accept (e.g. re-parenting onto the node's own
-        subtree), and waiting for it would wedge the phase machinery in
-        SWAP forever (a silent illegal island, or a livelock of raise /
-        sanity-clear cycles — both found by the small-n model checker).
-        Acking instead lets the root flush the phase and retry from
-        genuine WORK data.
-        """
-        if bc is NONE or not (isinstance(bc, tuple) and len(bc) == 2):
-            return None
-        u, v = bc
-        if view.id != u or view["par"] == v:
-            return None
-        st = view.nbr_or_none(v)
-        if st is None or st["rid"] != view["rid"]:
-            return None
-        du, dv = view["d"], st["d"]
-        if not (isinstance(du, int) and isinstance(dv, int) and dv + 1 < du):
-            return None
-        return u, v
-
-    def phase_done(self, view: NodeView, phase: str) -> bool:
-        if phase != SWAP:
-            return True
-        # done = re-parented, not addressed, or command impossible (abort)
-        return self._commanded_switch(view, view["bc"]) is None
-
-    def extra_rules(self, view: NodeView, intended: dict) -> None:
-        # the designated switcher raises the tree-layer request
-        if intended.get("ph") != SWAP:
-            return
-        cmd = self._commanded_switch(view, intended.get("bc", view["bc"]))
-        if cmd is None or view["swt"] is not NONE or view["par"] is NONE:
-            return
-        intended["swt"] = cmd[1]
 
     def slot_hooks(self, schema) -> SlotHooks:
-        """The hooks above compiled to slot indices; the SWAP role is
-        the :meth:`_commanded_switch` result."""
+        """The hooks compiled to slot indices; the SWAP role is the
+        still-executable switch command addressed to this node."""
         RID, PAR, D, SWT = schema.slots("rid", "par", "d", "swt")
 
         def candidate(me, own, nbr_rows):
-            # mirrors own_candidate
+            # the best improving neighbor: d(v) + 1 < d(u)
             if own[PAR] is NONE:
                 return NONE
             du = own[D]
@@ -456,8 +287,18 @@ class GuidedBFS(PhaseLayer):
             return best
 
         def role(net, config, me, own, nbr_rows, bc):
-            # mirrors _commanded_switch (nbr_or_none: junk-tolerant
-            # membership)
+            # The still-executable switch command (u, v) addressed to
+            # this node, or None.  A SWAP broadcast that is not (or no
+            # longer) a legal *improving* switch — target not a
+            # neighbor, root identity disagreement, or d(v) + 1 < d(u)
+            # failing — is treated as complete rather than pending: a
+            # corrupted broadcast can command a switch the tree layer
+            # will never accept (e.g. re-parenting onto the node's own
+            # subtree), and waiting for it would wedge the phase
+            # machinery in SWAP forever (a silent illegal island, or a
+            # livelock of raise / sanity-clear cycles — both found by
+            # the small-n model checker).  Acking instead lets the root
+            # flush the phase and retry from genuine WORK data.
             if bc is NONE or not (isinstance(bc, tuple) and len(bc) == 2):
                 return None
             u, v = bc
@@ -478,9 +319,11 @@ class GuidedBFS(PhaseLayer):
             return u, v
 
         def done(net, config, me, own, nbr_rows, bc, cmd):
+            # done = re-parented, not addressed, or command impossible
             return cmd is None
 
         def request(net, config, me, own, nbr_rows, bc, cmd):
+            # the designated switcher raises the tree-layer request
             if cmd is None or own[SWT] is not NONE or own[PAR] is NONE:
                 return None
             return cmd[1]
@@ -532,7 +375,8 @@ class NCALabelLayer(Protocol):
         def lam_bits(net_, value):
             if value is NONE:
                 return 1
-            return 1 + 2 * net_.id_bits()  # structural proxy (see DESIGN.md)
+            # structural proxy (EXPERIMENTS.md, "Substitutions")
+            return 1 + 2 * net_.id_bits()
 
         return RegisterSpec([
             custom_field("hv", lambda n, v: NONE,
@@ -542,56 +386,22 @@ class NCALabelLayer(Protocol):
                          lambda n, v, rng: NONE),
         ])
 
-    def step(self, view: NodeView) -> dict | None:
-        cur = view.state
-        me = view.id
-        # freeze during SWAP phases: the chain roles of Fig. 1(a) are
-        # derived from the *pre-swap* labels (Section V)
-        if cur.get("ph") == SWAP:
-            return None
-        children = [u for u in view.neighbors if view.nbr(u)["par"] == me]
-        # heavy child from the tree layer's certified sizes
-        hv = NONE
-        sizes = [(view.nbr(c)["s"], c) for c in children]
-        if children and all(s is not NONE for s, _ in sizes):
-            hv = _heavy_child(sizes)
-        # label derivation from the parent
-        lam = NONE
-        if view["par"] is NONE:
-            lam = ((me, 0),)
-        else:
-            pst = view.nbr(view["par"]) if view["par"] in view.neighbors else None
-            if pst is not None and pst.get("lam") not in (None, NONE):
-                lam = _child_label(pst["lam"], pst.get("hv") == me, me)
-        delta = {}
-        if cur["hv"] != hv:
-            delta["hv"] = hv
-        if lam is not NONE and cur["lam"] != lam:
-            delta["lam"] = lam
-        return delta or None
-
     def fast_step_slots(self, schema):
         """The label fixpoint compiled to slot indices.
 
-        Requires the tree layer's ``par``/``s`` fields in the schema (the
-        layer is only ever composed above them); returns ``None`` —
-        falling back to the NodeView adapter — otherwise.  ``ph`` is
-        resolved when present, mirroring ``state.get("ph")``.  Reads its
-        own (possibly composition-patched) register only through ``own``;
-        the parent row is located by scanning ``nbr_rows``, which matches
-        the ``par in view.neighbors`` containment semantics of
-        :meth:`step` (junk parent pointers compare unequal, they never
-        hash).
+        Composed above the tree layer, whose ``par``/``s`` fields it
+        reads; ``ph`` is resolved when a phase layer is present.  Reads
+        its own (possibly composition-patched) register only through
+        ``own``; the parent row is located by scanning ``nbr_rows``, so a
+        junk parent pointer that is not a neighbor derives no label
+        (junk pointers compare unequal, they never hash).
         """
-        index = schema.index
-        if "par" not in index or "s" not in index:
-            return None
-        HV, LAM = index["hv"], index["lam"]
-        PAR, S = index["par"], index["s"]
-        PH = index.get("ph")
+        HV, LAM, PAR, S = schema.slots("hv", "lam", "par", "s")
+        PH = schema.index.get("ph")
 
         def rule(net, config, me, own, nbr_rows) -> dict | None:
-            # freeze during SWAP phases (pre-swap labels, Section V)
+            # freeze during SWAP phases: the chain roles of Fig. 1(a) are
+            # derived from the *pre-swap* labels (Section V)
             if PH is not None and own[PH] == SWAP:
                 return None
             # heavy child from the tree layer's certified sizes
@@ -653,31 +463,11 @@ def _lam_depth(segments) -> int:
     return sum(d for _, d in segments) + len(segments) - 1
 
 
-def _nca_settled_at(view: NodeView) -> bool:
-    """Whether the NCA layer's fixpoint is locally stable (mirrors
-    :meth:`NCALabelLayer.step`)."""
-    me = view.id
-    children = [u for u in view.neighbors if view.nbr(u)["par"] == me]
-    sizes = [(view.nbr(c)["s"], c) for c in children]
-    if any(s is NONE for s, _ in sizes):
-        return False
-    hv = _heavy_child(sizes) if children else NONE
-    if view["hv"] != hv:
-        return False
-    if view["par"] is NONE:
-        return view["lam"] == ((me, 0),)
-    pst = view.nbr_or_none(view["par"])
-    if pst is None:
-        return False
-    plam = pst.get("lam")
-    if plam in (None, NONE):
-        return False
-    return view["lam"] == _child_label(plam, pst.get("hv") == me, me)
-
-
 def _nca_settled_slots(schema):
-    """:func:`_nca_settled_at` compiled to slot indices:
-    ``settled(me, own, nbr_rows) -> bool``."""
+    """Whether the NCA layer's fixpoint is locally stable at a node:
+    every child's size is concrete, and the node's heavy-child pointer
+    and label are the ones :class:`NCALabelLayer` derives from them and
+    from the parent's label.  ``settled(me, own, nbr_rows) -> bool``."""
     PAR, S, HV, LAM = schema.slots("par", "s", "hv", "lam")
 
     def settled(me, own, nbr_rows) -> bool:
@@ -713,98 +503,10 @@ class ChainSwapMixin:
     child has completed, ``a`` re-parents onto ``b`` first.
     """
 
-    @staticmethod
-    def _chain_role(view: NodeView, bc):
-        """(on_chain, target_id) for this node, or (False, None)."""
-        return _chain_role_of(
-            view.id, view["lam"], bc,
-            ((z, view.nbr(z).get("lam")) for z in view.neighbors))
-
-    @staticmethod
-    def _endpoint_feasible(view: NodeView, bc) -> bool:
-        """Whether the chain endpoint's commanded re-parent can still be
-        the decided improvement.
-
-        A genuine payload satisfies all three checks: the endpoint's own
-        label still equals the payload's frozen ``lam_a`` (the decision
-        was made about *this* node in *this* position — a mismatch means
-        the payload is stale or was decided over junk labels), the
-        target is not currently the endpoint's child (a direct register
-        check no corrupted label can fool), and the target's label does
-        not descend from ``lam_a`` (``b`` sits outside the detached
-        subtree by construction).  An infeasible command can never
-        become ready; its raise prunes the target's distance and marks
-        it, and the resulting raise/reset churn is a daemon cycle (three
-        variants found by the small-n model checker).  Such commands are
-        refused and acked as complete so the root flushes the phase,
-        retires the decision, and re-consults on the current tree.
-        """
-        st = view.nbr_or_none(bc[1])
-        if st is None:
-            return False
-        return _endpoint_feasible_of(view.id, view["lam"], bc,
-                                     st.get("par"), st.get("lam"))
-
-    def chain_phase_done(self, view: NodeView, bc) -> bool:
-        on_chain, target = self._chain_role(view, bc)
-        if not on_chain:
-            return True
-        if view["par"] == target:
-            return True
-        # impossible commands are acked as complete (abort) instead of
-        # waited on: the tree layer would never accept such a request
-        # (see _switch_request_sane), so holding the ack would wedge the
-        # phase in SWAP forever on a corrupted or stale broadcast
-        st = view.nbr_or_none(target)
-        if st is None or st["rid"] != view["rid"]:
-            return True
-        if view.id == bc[0] and not self._endpoint_feasible(view, bc):
-            return True
-        # the chain executes bottom-up: my turn comes once my former
-        # chain child has re-parented.  If that child is still attached
-        # to me but has *acknowledged* the SWAP phase, the chain below
-        # me is dead — its endpoint refused an infeasible command — and
-        # waiting would wedge the phase: ack too, so the abort cascades
-        # up and the root can flush and re-consult.
-        if (view.id != bc[0] and st["par"] == view.id
-                and st.get("ack") and st.get("ph") == SWAP):
-            return True
-        return False
-
-    def chain_extra_rules(self, view: NodeView, intended: dict) -> None:
-        if intended.get("ph") != SWAP:
-            return
-        bc = intended.get("bc", view["bc"])
-        on_chain, target = self._chain_role(view, bc)
-        if not on_chain or target is None:
-            return
-        if view["par"] == target or view["swt"] is not NONE:
-            return
-        if target not in view.neighbors:
-            return
-        # only raise requests the tree layer would accept (rid agreement,
-        # see _switch_request_sane) — re-raising an insane request fights
-        # the sanity rule forever on corrupted broadcasts
-        tst = view.nbr(target)
-        if tst["rid"] != view["rid"]:
-            return
-        if view.id == bc[0]:
-            # the subtree endpoint fires first — but never toward its own
-            # (label-judged) descendant, see _endpoint_feasible
-            if self._endpoint_feasible(view, bc):
-                intended["swt"] = target
-        else:
-            # an inner chain node fires once its former child has left it
-            if tst["par"] != view.id and tst["swt"] is NONE:
-                intended["swt"] = target
-
     def chain_slot_hooks(self, schema):
         """``(role, done, request)`` of :class:`SlotHooks` for the chain
-        swap: :meth:`_chain_role`, :meth:`chain_phase_done` and
-        :meth:`chain_extra_rules` compiled to slot indices.  The role is
-        computed by the same :func:`_chain_role_of` as the NodeView
-        path, so the label checks (and their abort branches) are one
-        definition."""
+        swap.  The role is :func:`_chain_role_of`: ``(on_chain,
+        target)``, derived from the node's frozen label."""
         RID, PAR, SWT = schema.slots("rid", "par", "swt")
         LAM, ACK, PH = schema.slots("lam", "ack", "ph")
 
@@ -813,7 +515,8 @@ class ChainSwapMixin:
                 me, own[LAM], bc, ((z, st[LAM]) for z, st in nbr_rows))
 
         def target_row(net, config, me, target):
-            # view.nbr_or_none: junk-tolerant membership
+            # the target's row, or None when it is not a neighbor
+            # (junk-tolerant membership)
             try:
                 if target in net.neighbor_set(me):
                     return config[target].row
@@ -822,35 +525,52 @@ class ChainSwapMixin:
             return None
 
         def done(net, config, me, own, nbr_rows, bc, chain_role):
-            # mirrors chain_phase_done
             on_chain, target = chain_role
             if not on_chain:
                 return True
             if own[PAR] == target:
                 return True
+            # impossible commands are acked as complete (abort) instead
+            # of waited on: the tree layer would never accept such a
+            # request (see the tree rule's request sanity check), so
+            # holding the ack would wedge the phase in SWAP forever on a
+            # corrupted or stale broadcast
             tst = target_row(net, config, me, target)
             if tst is None or tst[RID] != own[RID]:
                 return True
             if me == bc[0]:
                 return not _endpoint_feasible_of(me, own[LAM], bc,
                                                  tst[PAR], tst[LAM])
+            # the chain executes bottom-up: my turn comes once my former
+            # chain child has re-parented.  If that child is still
+            # attached to me but has *acknowledged* the SWAP phase, the
+            # chain below me is dead — its endpoint refused an
+            # infeasible command — and waiting would wedge the phase:
+            # ack too, so the abort cascades up and the root can flush
+            # and re-consult.
             return bool(tst[PAR] == me and tst[ACK] and tst[PH] == SWAP)
 
         def request(net, config, me, own, nbr_rows, bc, chain_role):
-            # mirrors chain_extra_rules
             on_chain, target = chain_role
             if not on_chain or target is None:
                 return None
             if own[PAR] == target or own[SWT] is not NONE:
                 return None
+            # only raise requests the tree layer would accept (rid
+            # agreement, see its request sanity check) — re-raising an
+            # insane request fights the sanity rule forever on corrupted
+            # broadcasts
             tst = target_row(net, config, me, target)
             if tst is None or tst[RID] != own[RID]:
                 return None
             if me == bc[0]:
+                # the subtree endpoint fires first — but never toward its
+                # own (label-judged) descendant, see _endpoint_feasible_of
                 if _endpoint_feasible_of(me, own[LAM], bc,
                                          tst[PAR], tst[LAM]):
                     return target
                 return None
+            # an inner chain node fires once its former child has left it
             if tst[PAR] != me and tst[SWT] is NONE:
                 return target
             return None
@@ -861,8 +581,7 @@ class ChainSwapMixin:
 def _chain_role_of(me: int, lam_raw, bc, nbr_lams):
     """(on_chain, target_id) for node ``me`` holding label ``lam_raw``
     under the SWAP payload ``bc``, or (False, None); ``nbr_lams`` yields
-    ``(neighbor, label)`` pairs in ascending neighbor order.  Shared by
-    the NodeView and slot paths of :class:`ChainSwapMixin`."""
+    ``(neighbor, label)`` pairs in ascending neighbor order."""
     if bc is NONE or not (isinstance(bc, tuple) and len(bc) == 5):
         return False, None
     a, b, x, lam_a_raw, lam_x_raw = bc
@@ -904,9 +623,25 @@ def _chain_role_of(me: int, lam_raw, bc, nbr_lams):
 
 def _endpoint_feasible_of(me: int, own_lam, bc, target_par,
                           lam_b_raw) -> bool:
-    """:meth:`ChainSwapMixin._endpoint_feasible` over plain values: the
-    endpoint ``me`` with label ``own_lam``, and the commanded target's
-    ``par`` and ``lam`` registers."""
+    """Whether the chain endpoint ``me`` (label ``own_lam``) can still
+    execute the commanded re-parent onto the target whose ``par`` and
+    ``lam`` registers are given — i.e. whether it can still be the
+    decided improvement.
+
+    A genuine payload satisfies all three checks: the endpoint's own
+    label still equals the payload's frozen ``lam_a`` (the decision was
+    made about *this* node in *this* position — a mismatch means the
+    payload is stale or was decided over junk labels), the target is not
+    currently the endpoint's child (a direct register check no corrupted
+    label can fool), and the target's label does not descend from
+    ``lam_a`` (``b`` sits outside the detached subtree by construction).
+    An infeasible command can never become ready; its raise prunes the
+    target's distance and marks it, and the resulting raise/reset churn
+    is a daemon cycle (three variants found by the small-n model
+    checker).  Such commands are refused and acked as complete so the
+    root flushes the phase, retires the decision, and re-consults on the
+    current tree.
+    """
     if target_par == me:
         return False  # the target is currently my own child
     if lam_b_raw in (None, NONE) or own_lam in (None, NONE):
@@ -940,7 +675,7 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
     MDST); we reproduce those certificates and their verifiers in
     :mod:`repro.labeling.mst_pls` / :mod:`repro.labeling.fr_pls` and
     :mod:`repro.certify.schemes`, and keep the wave-level detector out of
-    scope — see DESIGN.md, substitution 6.
+    scope — see EXPERIMENTS.md, "Substitutions", substitution 6.
 
     The decision procedure is consulted through the certificate-backed
     oracle (:mod:`repro.certify.oracle`): the root keys every consult by
@@ -951,19 +686,17 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
     view (plus the write-once memo shared by every evaluation path), and
     the composition runs on the engine's ordinary 1-hop invalidation.
 
-    Both evaluation paths share that memo and the issued-decision latch:
-    the engine's compiled rule (:meth:`slot_hooks`) and ``step`` (the
-    rescan, the referee, the model checker) consult, retire and latch in
-    the same order, so a retirement performed by either is seen by both.
+    Every evaluation of the compiled rule (:meth:`slot_hooks`) — the
+    engine's proposals, the rescan, the model checker — consults,
+    retires and latches through the same instance, so a retirement
+    performed by one is seen by all.
     """
-
-    phases = (WORK, SWAP)
 
     #: the root's rule is 1-hop *given* the oracle memo, but the memo is
     #: per-instance state fed by a whole-configuration thunk
     #: (``tree_of_config``) — a shard-local subgraph cannot evaluate it,
     #: so the guided constructions decline sharded execution until the
-    #: detector is fully local (ROADMAP item 5)
+    #: detector is register-resident
     shardable = False
 
     def __init__(self, digest: DigestLayer) -> None:
@@ -972,9 +705,6 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
         #: ``(key, payload)`` of the outstanding SWAP decision; compared
         #: at flush time to retire a decision that moved nothing
         self._issued: tuple[int, object] | None = None
-
-    def own_candidate(self, view: NodeView):
-        return NONE
 
     def on_topology_event(self, old_net: Network, new_net: Network,
                           event: object) -> bool:
@@ -991,27 +721,6 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
         self._oracle = CertifiedOracle()
         self._issued = None
         return True
-
-    def labels_settled(self, view: NodeView) -> bool:
-        # No explicit digest check is needed here: the DigestLayer runs
-        # earlier in the same composed atomic step, so any ack write is
-        # accompanied by a collateral refresh of the node's own ``ver``
-        # — acked children always carry their current subtree digest,
-        # which is what keys the root's consult.  Residual staleness
-        # windows (an ack bit written before a later remote change) are
-        # bounded by the one-shot retirement in :meth:`_flush`: a
-        # decision whose SWAP moved nothing is never replayed under the
-        # same key.  (A register-vs-expected comparison here would be
-        # tautological for exactly the layer-ordering reason above.)
-        return _nca_settled_at(view)
-
-    def phase_done(self, view: NodeView, phase: str) -> bool:
-        if phase != SWAP:
-            return True
-        return self.chain_phase_done(view, view["bc"])
-
-    def extra_rules(self, view: NodeView, intended: dict) -> None:
-        self.chain_extra_rules(view, intended)
 
     # -- the oracle boundary -------------------------------------------
 
@@ -1063,31 +772,26 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
         self._issued = None
         return WORK, NONE
 
-    def next_phase(self, view: NodeView, phase: str, cand):
-        key = self._digest.expected(view)
-        if phase == SWAP:
-            return self._flush(key, view["bc"])
-        net = view.net
-        config = view._config
-        payload = self._oracle.consult(
-            key, lambda: self._decide(net, config))
-        if payload is None:
-            return None
-        # recording the issued decision is idempotent across
-        # re-evaluations of this same guard state and does not affect
-        # this evaluation's result, so cached proposals and rescans stay
-        # in agreement
-        self._issued = (key, payload)
-        return SWAP, payload
-
     def slot_hooks(self, schema) -> SlotHooks:
         """The hooks compiled to slot indices: the NCA settledness check,
         the chain swap (:meth:`ChainSwapMixin.chain_slot_hooks`) and the
-        root transition with :meth:`next_phase`'s oracle side effects in
-        its order — the digest key from the (patched) own row, the SWAP
-        flush (:meth:`_flush`) with the register's own ``bc``, and a
-        consult whose thunk hands :meth:`_decide` the configuration
-        ``step`` would see (:func:`patched_config`)."""
+        root transition with its oracle side effects, in order: the
+        digest key from the (patched) own row, then either the SWAP
+        flush (:meth:`_flush`) with the register's own ``bc``, or a
+        consult whose thunk hands :meth:`_decide` the configuration with
+        the patched own row (:func:`patched_config`) and, on a decision,
+        the issued-decision latch.
+
+        No explicit digest check is needed in the settledness hook: the
+        :class:`DigestLayer` runs earlier in the same composed atomic
+        step, so any ack write is accompanied by a collateral refresh of
+        the node's own ``ver`` — acked children always carry their
+        current subtree digest, which is what keys the root's consult.
+        Residual staleness windows (an ack bit written before a later
+        remote change) are bounded by the one-shot retirement in
+        :meth:`_flush`: a decision whose SWAP moved nothing is never
+        replayed under the same key.
+        """
         role, done, request = self.chain_slot_hooks(schema)
         expected = self._digest.slot_expected(schema)
         BC = schema.slot("bc")
@@ -1100,6 +804,10 @@ class _OracleGuidedTask(ChainSwapMixin, PhaseLayer):
                 net, patched_config(schema, config, me, own)))
             if payload is None:
                 return None
+            # recording the issued decision is idempotent across
+            # re-evaluations of this same guard state and does not
+            # affect this evaluation's result, so cached proposals and
+            # rescans stay in agreement
             self._issued = (key, payload)
             return SWAP, payload
 

@@ -2,13 +2,19 @@
 
 A protocol defines, for every node, the transition function delta applied in
 one atomic step: read the node's own register and the registers of its
-neighbors, compute, write.  Concretely :meth:`Protocol.step` receives a
-:class:`NodeView` and returns either ``None`` (the node is *not enabled*:
-its register already holds what delta would write) or a dict of field
-updates (the node is *enabled*; applying the dict is its step).
+neighbors, compute, write.  A protocol states delta once, in one of two
+forms: :meth:`Protocol.fast_step_slots` compiles it to a slot-indexed
+rule over raw register rows, or :meth:`Protocol.step` states it over a
+:class:`NodeView` (the engine then runs it through
+:func:`adapt_step_to_slots`).  :func:`slot_rule` returns whichever the
+protocol defines, as one slot rule; the engine, the from-scratch rescan
+and the model checker all evaluate that rule.  A rule returns either
+``None`` (the node is *not enabled*: its register already holds what
+delta would write) or the field updates (the node is *enabled*; applying
+them is its step).
 
-Determinism requirement: ``step`` must be a pure function of the view (the
-node's state, its neighbors' states, and the incorruptible constants).  The
+Determinism requirement: the rule must be a pure function of the node's
+state, its neighbors' states, and the incorruptible constants.  The
 simulator relies on this to cache enabledness.
 """
 
@@ -22,8 +28,8 @@ from repro.runtime.registers import RegisterSpec
 from repro.runtime.schema import SlotState
 
 __all__ = ["NodeView", "Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
-           "OBS_ENTRYPOINTS", "effective_delta", "adapt_step_to_slots",
-           "patched_config"]
+           "OBS_ENTRYPOINTS", "effective_delta", "slot_rule",
+           "adapt_step_to_slots", "patched_config"]
 
 #: The rule surface of a protocol, in evaluation-preference order: the
 #: names a subclass may implement to define its transition function.
@@ -44,21 +50,24 @@ RULE_ENTRYPOINTS: tuple[str, ...] = ("step", "fast_step_slots",
 OBS_ENTRYPOINTS: tuple[str, ...] = ("probe_potential",)
 
 
-def effective_delta(protocol: "Protocol",
-                    view: "NodeView") -> dict[str, object] | None:
-    """The fields ``protocol.step`` would *actually change* at ``view``.
+def effective_delta(rule, net: Network, config,
+                    node: int) -> dict[int, object] | None:
+    """The slots the slot rule ``rule`` would *actually change* at ``node``.
 
-    Protocols may return updates that restate current values; enabledness
-    is defined on the effective write (register differs from what delta
-    would store), so those no-op fields are filtered out here.  Returns
-    ``None`` when the node is not enabled.  This is the single definition
-    of enabledness shared by the simulator's incremental engine and its
-    from-scratch cross-check rescan.
+    ``config`` maps every node to its :class:`SlotState` view; the rule
+    runs on the node's row and on neighbor rows read afresh from
+    ``net``.  Rules may return updates that restate current values;
+    enabledness is defined on the effective write (register differs from
+    what delta would store), so those no-op slots are filtered out here.
+    Returns ``None`` when the node is not enabled.  The from-scratch
+    evaluation behind :meth:`Simulator.rescan_enabled` and the model
+    checker.
     """
-    delta = protocol.step(view)
+    own = config[node].row
+    delta = rule(net, config, node, own,
+                 tuple((u, config[u].row) for u in net.neighbors(node)))
     if not delta:
         return None
-    own = view.state
     delta = {k: val for k, val in delta.items() if own[k] != val}
     return delta or None
 
@@ -176,9 +185,12 @@ class Protocol(ABC):
         e.g. parent lookups; raw rows via ``config[u].row``), ``own`` is
         the node's raw slot row, and ``nbr_rows`` is the ascending
         ``(neighbor, raw_row)`` pair sequence.  The returned delta is
-        keyed by **slot index** and must compute exactly what
-        :meth:`step` computes (the incremental-vs-rescan suite
-        cross-checks this at every scheduler selection).
+        keyed by **slot index**.  A protocol that defines this rule needs
+        no :meth:`step`: the compiled rule is then its only definition
+        of delta, and every evaluator runs it (see :func:`slot_rule`).
+        A protocol defining both (``sst``) must compute the same delta
+        on both paths; the cross-checking test referee compares them at
+        every scheduler selection.
 
         Inside a :class:`ComposedProtocol` the composition passes each
         layer a *patched* ``own`` row carrying the updates of the layers
@@ -187,7 +199,7 @@ class Protocol(ABC):
         ``config[node]`` (neighbors are always read unpatched, as the
         state model prescribes).
 
-        Default: ``None`` — the engine runs :meth:`step` through
+        Default: ``None`` — :func:`slot_rule` runs :meth:`step` through
         :func:`adapt_step_to_slots` over the Mapping-compatible views.
         """
         return None
@@ -236,8 +248,8 @@ class Protocol(ABC):
     #: refuses them at construction.
     shardable: bool = True
 
-    #: Set to True when :meth:`step` (and :meth:`fast_step_slots`) only ever
-    #: return *effective* writes — every returned field differs from the
+    #: Set to True when the protocol's rule (:func:`slot_rule`) only ever
+    #: returns *effective* writes — every returned field differs from the
     #: register's current value.  The engine then skips its per-proposal
     #: no-op filter.  Leave False (the default) when in doubt: returning a
     #: restating field with True silently corrupts enabledness.
@@ -334,14 +346,16 @@ class Protocol(ABC):
     def register_spec(self, net: Network) -> RegisterSpec:
         """The register layout each node uses on network ``net``."""
 
-    @abstractmethod
     def step(self, view: NodeView) -> dict[str, object] | None:
-        """The transition function delta.
+        """The transition function delta over a :class:`NodeView`.
 
         Return ``None`` (or an empty/no-op dict) when the register already
         holds what delta computes; otherwise return the new values for the
-        fields that change.
+        fields that change.  Implement this or :meth:`fast_step_slots`;
+        a protocol with a compiled rule need not define ``step``.
         """
+        raise NotImplementedError(
+            f"{self.name} defines its rule as fast_step_slots only")
 
     # -- observer surface (repro.obs probes; not part of the rule) --------
 
@@ -431,39 +445,16 @@ class ComposedProtocol(Protocol):
             spec = spec.merged(layer.register_spec(net))
         return spec
 
-    def step(self, view: NodeView) -> dict[str, object] | None:
-        updates: dict[str, object] = {}
-        current = view._config
-        node = view.node
-        for layer in self.layers:
-            if updates:
-                # overlay this node's pending writes for the next layer
-                patched = dict(current[node])
-                patched.update(updates)
-                overlay = _Overlay(current, node, patched)
-                layer_view = NodeView(view.net, node, overlay)
-            else:
-                layer_view = view
-            delta = layer.step(layer_view)
-            if delta:
-                updates.update(delta)
-        return updates or None
-
     def fast_step_slots(self, schema):
         """The composed slot-indexed fast path (see :class:`Protocol`).
 
-        Delegates to each layer's own compiled ``fast_step_slots`` rule
-        when the layer provides one; layers that do not are adapted
-        through :func:`adapt_step_to_slots`, so a composition always has
-        a slot path and compiled layers run index-first even beside a
-        sibling layer that steps through NodeView.  Semantics mirror
-        :meth:`step` exactly: each layer sees this node's register
-        patched with the updates of the layers below it, while neighbor
-        registers are read as they currently are.
+        Runs each layer's :func:`slot_rule` in order, so compiled
+        layers run index-first even beside a sibling layer that steps
+        through NodeView.  Each layer sees this node's register patched
+        with the updates of the layers below it (a private copy of the
+        row), while neighbor registers are read as they currently are.
         """
-        rules = [layer.fast_step_slots(schema) or
-                 adapt_step_to_slots(layer, schema)
-                 for layer in self.layers]
+        rules = [slot_rule(layer, schema) for layer in self.layers]
 
         def composed(net, config, node, own, nbr_rows, _rules=tuple(rules)):
             updates = None
@@ -513,25 +504,32 @@ def _safe_legal(layer: Protocol, net: Network, config) -> bool:
         return True
 
 
+def slot_rule(protocol: Protocol, schema):
+    """The one slot rule of ``protocol`` on ``schema``: its compiled
+    :meth:`Protocol.fast_step_slots` rule, else its name-keyed
+    :meth:`Protocol.step` through :func:`adapt_step_to_slots`."""
+    return (protocol.fast_step_slots(schema)
+            or adapt_step_to_slots(protocol, schema))
+
+
 def adapt_step_to_slots(protocol: Protocol, schema):
     """Wrap a name-keyed :meth:`Protocol.step` as a slot-indexed rule.
 
-    The bridge the simulator (and :class:`ComposedProtocol`, layer by
-    layer) uses for protocols that have no hand-compiled
-    ``fast_step_slots``: ``step`` runs over a NodeView whose own-register
-    entry is the (possibly patched) slot row handed down by the
-    composition, and the returned name-keyed delta is re-keyed to slot
-    indices.  Exactly as fast as ``step`` — the adapter
+    The bridge :func:`slot_rule` uses for protocols that have no
+    hand-compiled ``fast_step_slots``: ``step`` runs over a NodeView
+    whose own-register entry is the (possibly patched) slot row handed
+    down by the composition, and the returned name-keyed delta is
+    re-keyed to slot indices.  Exactly as fast as ``step`` — the adapter
     exists for semantic uniformity of the engine's slot plane, not for
     speed.
 
     Write-ownership audit (statics W-series): this bridge never mutates
     the rows it receives — the re-keyed delta is a fresh dict, the
     patched own register is wrapped read-only in a :class:`SlotState`
-    view, and the composition above (:meth:`ComposedProtocol.step` /
-    ``fast_step_slots``) copies before applying pending layer updates
-    (``dict(current[node])`` / ``own.copy()``).  The in-place ``cur``
-    writes in the composed slot rule land on that private copy only.
+    view, and the composition above
+    (:meth:`ComposedProtocol.fast_step_slots`) copies before applying
+    pending layer updates (``own.copy()``).  The in-place ``cur`` writes
+    in the composed slot rule land on that private copy only.
     """
     step = protocol.step
     index = schema.index
@@ -555,7 +553,7 @@ def patched_config(schema, config, node: int, own: list):
     register) a view with ``own`` patched in through a
     :class:`SlotState`.  Shared by :func:`adapt_step_to_slots` and by
     compiled rules that hand a configuration to name-keyed code (the
-    guided tasks' oracle thunk), so both see the register ``step`` does.
+    guided tasks' oracle thunk), so both see the patched register.
     """
     if config[node].row is own:
         return config
@@ -567,7 +565,7 @@ class _Overlay:
 
     __slots__ = ("_base", "_node", "_patched")
 
-    def __init__(self, base, node: int, patched: dict[str, object]) -> None:
+    def __init__(self, base, node: int, patched) -> None:
         self._base = base
         self._node = node
         self._patched = patched

@@ -16,10 +16,10 @@ Two access planes share that storage:
   :meth:`repro.runtime.protocol.Protocol.fast_step_slots`) read and
   write ``row[i]`` directly — no hashing, no wrappers;
 * **dict plane** (compatible): a :class:`SlotState` is a zero-copy
-  ``MutableMapping`` view over the same row, so every existing
-  ``step`` / ``is_legal`` / certifier / metrics call site that indexes
-  states by field name keeps working unchanged, and mutations through
-  either plane are visible to both.
+  ``MutableMapping`` view over the same row, so the name-keyed callers —
+  ``step`` rules of the protocols that define one, legality predicates,
+  certifiers, metrics — index states by field name, and mutations
+  through either plane are visible to both.
 
 Compatibility-view status: the Mapping plane is the *supported boundary
 API* — configurations enter and leave the runtime as plain dicts
@@ -28,9 +28,9 @@ API* — configurations enter and leave the runtime as plain dicts
 (legality predicates, verifiers, space accounting) should keep using
 field names.  It is deprecated only as an *engine-internal* hot-path
 representation: new per-move code (protocol fast paths, engine loops)
-must use slot indices via ``fast_step_slots``; dict-shaped deltas on the
-hot path survive as a fallback for protocols that have not been ported,
-not as a design point.
+must use slot indices via ``fast_step_slots``; a name-keyed ``step``
+runs on the hot path through the slot adapter, as a convenience for
+protocols without a compiled rule, not as a design point.
 """
 
 from __future__ import annotations

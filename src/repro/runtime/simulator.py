@@ -5,7 +5,7 @@ Implements the paper's execution and complexity model:
 * **Atomic step**: a node reads its own register and its neighbors'
   registers, applies the transition function, writes its register.
 * **Enabled node**: a node whose register differs from what the transition
-  function would write (equivalently, :meth:`Protocol.step` returns a
+  function would write (equivalently, the protocol's slot rule returns a
   non-trivial update).
 * **Scheduler step**: the daemon activates a non-empty subset of the enabled
   nodes; the activated nodes' writes are applied simultaneously, each based
@@ -33,7 +33,8 @@ Large batches (synchronous rounds, mass faults) skip the per-write
 bookkeeping entirely and raise a single *all-dirty* flag instead: one
 refresh pass over the whole network replaces thousands of set inserts.
 :meth:`Simulator.rescan_enabled` recomputes enabledness from scratch with
-no caches, for cross-checking the incremental state in tests.
+no caches (the same rule over freshly gathered neighbor rows), for
+cross-checking the incremental state in tests.
 
 Slot-indexed state
 ------------------
@@ -45,15 +46,13 @@ Node registers are stored as **slot rows** — plain lists indexed by the
 exposes the same storage as zero-copy
 :class:`~repro.runtime.schema.SlotState` Mapping views, so name-keyed
 callers (legality predicates, verifiers, metrics, tests) are unaffected.
-Every protocol runs on the raw rows through one slot rule per binding:
-its compiled :meth:`Protocol.fast_step_slots` rule, or else its
-name-keyed ``step`` bridged by :func:`adapt_step_to_slots`; the shard
-workers of :mod:`repro.runtime.sharding` are Simulators too, so they
-bind the same rule.  ``step`` over a :class:`NodeView` stays the
-first-principles reference that :meth:`Simulator.rescan_enabled`
-evaluates.  Configurations cross the
-boundary as plain dicts in both directions (``config=`` input,
-:func:`random_configuration`).
+Every protocol runs on the raw rows through one slot rule per binding
+(:func:`~repro.runtime.protocol.slot_rule`): its compiled
+:meth:`Protocol.fast_step_slots` rule, or else its name-keyed ``step``
+bridged by :func:`adapt_step_to_slots`; the shard workers of
+:mod:`repro.runtime.sharding` are Simulators too, so they bind the same
+rule.  Configurations cross the boundary as plain dicts in both
+directions (``config=`` input, :func:`random_configuration`).
 """
 
 from __future__ import annotations
@@ -65,12 +64,7 @@ from dataclasses import dataclass
 
 from repro.graphs.network import Network
 from repro.runtime.columns import ColumnStore
-from repro.runtime.protocol import (
-    NodeView,
-    Protocol,
-    adapt_step_to_slots,
-    effective_delta,
-)
+from repro.runtime.protocol import Protocol, effective_delta, slot_rule
 from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 
 __all__ = ["Simulator", "RunResult", "random_configuration"]
@@ -258,11 +252,11 @@ class Simulator:
 
         Runs at construction and again when the dynamics engine rebinds
         ``net``/``schema`` after a topology event.  Resolves the slot
-        rule (the protocol's ``fast_step_slots``, else its ``step``
-        through :func:`adapt_step_to_slots`), the per-node neighbor row
-        table, the write-impact filter, and :attr:`_repropose` — the one
-        per-node re-proposal kernel, bound here once so the hot paths pay
-        one call per refresh or per fused move, not one per node.
+        rule (:func:`~repro.runtime.protocol.slot_rule`), the per-node
+        neighbor row table, the write-impact filter, and
+        :attr:`_repropose` — the one per-node re-proposal kernel, bound
+        here once so the hot paths pay one call per refresh or per fused
+        move, not one per node.
 
         ``changed`` names the nodes whose neighborhood an event changed:
         only their neighbor rows are rebuilt (the caller drops a vanished
@@ -270,8 +264,7 @@ class Simulator:
         """
         protocol, net, schema = self.protocol, self.net, self.schema
         rows = self._state
-        rule = (protocol.fast_step_slots(schema)
-                or adapt_step_to_slots(protocol, schema))
+        rule = slot_rule(protocol, schema)
         self._slot_rule = rule
         # slot rows are mutated in place (never replaced) by _apply_batch
         # and overwrite, so these references stay valid for the binding
@@ -443,14 +436,15 @@ class Simulator:
     def rescan_enabled(self) -> list[int]:
         """Enabled nodes recomputed from scratch, bypassing every cache.
 
-        O(n) transition evaluations through the name-keyed ``step``
-        contract over the Mapping views; exists so tests can cross-check
-        the incrementally maintained enabled set — and the compiled slot
-        rules feeding it — against first principles.
+        O(n) evaluations of the binding's slot rule over neighbor rows
+        gathered afresh from the network, ignoring the cached proposals,
+        the dirty set and the neighbor row table; exists so tests can
+        cross-check the incrementally maintained enabled set against
+        first principles.
         """
-        net, config, proto = self.net, self.config, self.protocol
+        net, config, rule = self.net, self.config, self._slot_rule
         return [v for v in net.nodes
-                if effective_delta(proto, NodeView(net, v, config)) is not None]
+                if effective_delta(rule, net, config, v) is not None]
 
     def is_silent(self) -> bool:
         self._refresh()

@@ -70,10 +70,10 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
                             ) -> list[Finding]:
     """The composition machinery itself, held to the same W/L/D bar.
 
-    ``ComposedProtocol.step`` / ``fast_step_slots``,
+    ``ComposedProtocol.fast_step_slots``,
     :func:`~repro.runtime.protocol.adapt_step_to_slots` and
     :func:`~repro.runtime.protocol.effective_delta` sit between every
-    layer and the engine: an in-place mutation there would corrupt
+    layer and its evaluators: an in-place mutation there would corrupt
     *all* protocols at once, so the audit runs them through the same
     rules with an empty field universe (the bridges are field-agnostic
     by design — any literal field access in them would itself be a
@@ -83,11 +83,10 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
     if scopes is None:
         scopes = {}
     targets = (
-        ("step", runtime_protocol.ComposedProtocol.step),
         ("fast_step_slots",
          runtime_protocol.ComposedProtocol.fast_step_slots),
         ("step", runtime_protocol.adapt_step_to_slots),
-        ("step", runtime_protocol.effective_delta),
+        ("fast_step_slots", runtime_protocol.effective_delta),
     )
     ctx = LayerContext(
         protocol="<runtime>",

@@ -6,7 +6,7 @@ resolves each rule entrypoint (``step`` / ``fast_step_slots`` /
 source once, and locates the matching ``ast.FunctionDef`` by name and
 first line.  From each entrypoint it then walks the call graph —
 ``self.helper()`` through the MRO of the *concrete* class (so hook
-overrides like ``next_phase`` resolve to the subclass), bare names
+overrides like ``slot_hooks`` resolve to the subclass), bare names
 through the defining module, ``self._attr.method()`` through the live
 attribute — collecting every reachable function whose source lives in
 the repository (or in the module defining the layer's own classes, so

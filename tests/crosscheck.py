@@ -2,22 +2,26 @@
 
 Before every selection :class:`CrossCheckingScheduler` asserts that the
 simulator's incrementally maintained state equals a from-scratch
-evaluation of the name-keyed :meth:`Protocol.step` reference:
+evaluation:
 
-* the enabled set equals :meth:`Simulator.rescan_enabled`;
-* every enabled node's cached proposal equals ``effective_delta`` over
-  a fresh :class:`NodeView`, re-keyed to slot indices.
+* the enabled set equals :meth:`Simulator.rescan_enabled` (the same
+  slot rule, re-evaluated over neighbor rows rebuilt from the network);
+* every enabled node's cached proposal equals the effective delta of
+  the name-keyed referee (:func:`referee_rules.referee_step`: the
+  NodeView statement of the tree and guided layers, ``step`` for every
+  other protocol), re-keyed to slot indices.
 
 The engine proposes through one slot rule per binding (a compiled
 ``fast_step_slots`` rule, the ``adapt_step_to_slots`` bridge, or the
 columnar ``vector_step`` plane on all-dirty refreshes), so the second
-assertion pins each of those planes to ``step`` at every selection.
+assertion pins each of those planes to the referee at every selection.
 The wrapper forwards the incremental ``reset``/``notify`` hooks, so
 mirror-keeping daemons stay exercised too.
 """
 
 from repro.runtime import EnabledSet, Scheduler, Simulator
-from repro.runtime.protocol import NodeView, effective_delta
+
+from referee_rules import referee_delta, referee_step
 
 
 class CrossCheckingScheduler(Scheduler):
@@ -28,6 +32,7 @@ class CrossCheckingScheduler(Scheduler):
         self.name = f"xcheck({inner.name})"
         self.sim: Simulator | None = None
         self.checks = 0
+        self._referee = None
 
     def reset(self, enabled: EnabledSet) -> None:
         self.inner.reset(enabled)
@@ -41,13 +46,14 @@ class CrossCheckingScheduler(Scheduler):
         assert list(enabled) == sim.rescan_enabled(), (
             "incrementally maintained enabled set diverged from a "
             "from-scratch rescan")
+        if self._referee is None:
+            self._referee = referee_step(sim.protocol)
         index = sim.schema.index
         for v in enabled:
-            want = effective_delta(sim.protocol,
-                                   NodeView(sim.net, v, sim.config))
+            want = referee_delta(self._referee, sim.net, sim.config, v)
             want = {index[k]: val for k, val in want.items()}
             assert sim._proposal[v] == want, (
                 f"node {v}: cached proposal {sim._proposal[v]} != "
-                f"step's effective delta {want}")
+                f"the referee's effective delta {want}")
         self.checks += 1
         return self.inner.select(enabled)

@@ -22,6 +22,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,12 +46,20 @@ from repro.core.tasks import (
     guided_bfs_protocol,
     guided_mdst_protocol,
     guided_mst_protocol,
+    _endpoint_feasible_of,
 )
 from repro.graphs import random_connected_graph, ring
 from repro.runtime import Simulator, random_configuration
-from repro.runtime.protocol import ComposedProtocol, Protocol
+from repro.runtime.protocol import (
+    ComposedProtocol,
+    NodeView,
+    Protocol,
+    adapt_step_to_slots,
+)
 from repro.runtime.registers import NONE, RegisterSpec, flag_field
 from repro.statics import analyze_protocol
+
+from referee_rules import referee_step
 
 TASKS = sorted(CERTIFIERS)
 
@@ -183,7 +192,6 @@ class TestCertifiedOracle:
         net = cert.build_network(8, seed=6)
         cfg = cert.legitimate(net)
         layer = DigestLayer(fields=ORACLE_DIGEST_FIELDS)
-        from repro.runtime.protocol import NodeView
         want = config_digest(net, cfg, ORACLE_DIGEST_FIELDS)
         for v in net.nodes:
             assert layer.expected(NodeView(net, v, cfg)) == want[v]
@@ -221,16 +229,17 @@ def _guided(task_cls, name: str) -> ComposedProtocol:
 
 
 class _StepOnlyMST(GuidedMST):
-    """GuidedMST without its compiled rule: the engine runs ``step``
-    through the slot adapter."""
+    """GuidedMST whose engine rule is the name-keyed ``step`` of the test
+    referee, run through the slot adapter (the oracle operations stay
+    this instance's)."""
 
     def fast_step_slots(self, schema):
-        return None
+        return adapt_step_to_slots(
+            SimpleNamespace(step=referee_step(self)), schema)
 
 
 class _StepOnlyMDST(GuidedMDST):
-    def fast_step_slots(self, schema):
-        return None
+    fast_step_slots = _StepOnlyMST.fast_step_slots
 
 
 _FAST_PATH_FACTORIES = {
@@ -348,18 +357,19 @@ class TestEngineFastPaths:
 
     @pytest.mark.parametrize("factory", sorted(_FAST_PATH_FACTORIES))
     def test_fast_step_slots_equals_step(self, factory):
-        """Compiled rule ≡ ``step`` node by node, on corrupted states.
+        """Compiled rule ≡ the referee's name-keyed ``step`` node by
+        node, on corrupted states.
 
         Each path gets its own protocol instance, so the oracle side
         effects (consults, the issued-key latch, retirements) are
         compared too rather than shared."""
-        from repro.runtime.protocol import NodeView
         guided = factory.startswith("guided")
         fast_proto = _FAST_PATH_FACTORIES[factory]()
         step_proto = _FAST_PATH_FACTORIES[factory]()
         net = random_connected_graph(12, seed=13, weighted=guided)
         schema = fast_proto.register_spec(net).schema()
         rule = fast_proto.fast_step_slots(schema)
+        step = referee_step(step_proto)
         legit = get_certifier(factory).legitimate(net) if guided else None
         for seed in range(40 if guided else 4):
             cfg = random_configuration(net, fast_proto, seed=seed)
@@ -373,7 +383,7 @@ class TestEngineFastPaths:
             views = {v: schema.view(rows[v]) for v in net.nodes}
             for v in net.nodes:
                 nbr_rows = tuple((u, rows[u]) for u in net.neighbors(v))
-                want = _outcome(step_proto.step, NodeView(net, v, cfg))
+                want = _outcome(step, NodeView(net, v, cfg))
                 if isinstance(want, dict):
                     want = {schema.index[k]: val for k, val in want.items()}
                 got = _outcome(rule, net, views, v, rows[v], nbr_rows)
@@ -391,14 +401,13 @@ class TestEngineFastPaths:
         payload (a genuine stale decision), and keeps it when a junk
         ``bc`` replaced the payload (the decision never ran).  Either
         way the flush clears the issued-decision latch."""
-        from repro.runtime.protocol import NodeView
         cert = get_certifier("guided-mst")
         net = cert.build_network(8, seed=2)
         cfg = cert.legitimate(net)
         issued = ("stale", "decision")
         for v in net.nodes:
             cfg[v].update(ph=SWAP, ack=True, bc=flushed)
-        for path in ("slot", "step"):
+        for path in ("slot", "referee"):
             proto = cert.protocol()
             task = proto.layers[-1]
             sim = Simulator(net, proto, config=cfg)
@@ -413,7 +422,7 @@ class TestEngineFastPaths:
                 delta = {sim.schema.names[i]: val
                          for i, val in delta.items()}
             else:
-                delta = proto.step(NodeView(net, root, sim.config))
+                delta = referee_step(proto)(NodeView(net, root, sim.config))
             assert delta == {"ph": WORK, "ack": False, "bc": NONE}, path
             assert task._oracle.retired == int(retires), path
             assert task._oracle._memo[key] == (None if retires
@@ -424,13 +433,14 @@ class TestEngineFastPaths:
         (GuidedMST, _StepOnlyMST), (GuidedMDST, _StepOnlyMDST)])
     def test_compiled_rule_matches_step_adapter_on_the_engine(
             self, task_cls, step_only):
-        """The compiled rule and the ``step`` adapter drive the plain
-        engine (no referee, whose own ``step`` calls would perform the
-        oracle side effects) to the same configuration and the same
-        oracle counters.  Just after the root issues, the test issues a
-        junk decision in its place — memo entry, latch and every ``bc`` —
-        so some runs flush a SWAP that moved nothing and the one-shot
-        retirement is exercised."""
+        """The compiled rule and the referee's ``step`` (through the slot
+        adapter) drive the plain engine (no cross-checking scheduler,
+        whose own referee calls would perform the oracle side effects)
+        to the same configuration and the same oracle counters.  Just
+        after the root issues, the test issues a junk decision in its
+        place — memo entry, latch and every ``bc`` — so some runs flush
+        a SWAP that moved nothing and the one-shot retirement is
+        exercised."""
         junk = (1, 2, 3, ((99, 0),), "junk")
         retired = 0
         for seed in range(6):
@@ -538,12 +548,20 @@ class TestModelChecker:
         res = explore(net, proto, [legit], is_legal=never_legal)
         assert res.illegal_silent and not res.ok
 
-    @pytest.mark.parametrize("task", ["sst", "nca-build"])
-    def test_closure_and_convergence_under_all_daemons(self, task):
-        res = check_certifier(CERTIFIERS[task], n=4, corruption_draws=1,
-                              max_states=120_000)
-        assert res.ok, res.summary()
-        assert res.silent_states >= 1
+    @pytest.mark.parametrize("task,states,transitions", [
+        ("sst", 1714, 12279), ("nca-build", 7904, 66519)],
+        ids=["sst", "nca-build"])
+    def test_closure_and_convergence_under_all_daemons(self, task, states,
+                                                       transitions):
+        """The n = 4 explorations that complete at the ``certify
+        modelcheck`` defaults (seed 1, one corruption draw, fresh
+        instances, 200,000 states), pinned: the explored graph is a
+        function of the rule alone, so any change to it is a semantic
+        change."""
+        res = check_certifier(CERTIFIERS[task], n=4, seed=1,
+                              corruption_draws=1, max_states=200_000)
+        assert res.summary() == (
+            f"OK: {states} states, {transitions} transitions, 1 silent")
 
     def test_guided_bfs_bounded_exploration_is_clean(self):
         res = check_certifier(CERTIFIERS["guided-bfs"], n=4,
@@ -637,14 +655,30 @@ class TestModelCheckerFoundRegressions:
             rows[v]["ver"] = ver
         return net, proto, rows
 
+    @staticmethod
+    def _endpoint_verdict(net, proto, cfg, v):
+        """``(feasible, done)`` at chain endpoint ``v``: whether its
+        commanded re-parent is still feasible, and whether the compiled
+        chain hook acks its SWAP part as complete."""
+        schema = proto.register_spec(net).schema()
+        role, done, _ = proto.layers[-1].chain_slot_hooks(schema)
+        rows = {u: schema.row_of(cfg[u]) for u in net.nodes}
+        config = {u: schema.view(rows[u]) for u in net.nodes}
+        nbr_rows = tuple((u, rows[u]) for u in net.neighbors(v))
+        bc = cfg[v]["bc"]
+        target = cfg[bc[1]]
+        feasible = _endpoint_feasible_of(v, cfg[v]["lam"], bc,
+                                         target["par"], target["lam"])
+        chain_role = role(net, config, v, rows[v], nbr_rows, bc)
+        return feasible, done(net, config, v, rows[v], nbr_rows, bc,
+                              chain_role)
+
     def test_endpoint_refuses_own_descendant_target(self):
-        from repro.runtime.protocol import NodeView
         net, proto, cfg = self._mst_stale_payload_state()
-        task = proto.layers[-1]
-        view = NodeView(net, 10, cfg)
-        assert not task._endpoint_feasible(view, cfg[10]["bc"])
+        feasible, done = self._endpoint_verdict(net, proto, cfg, 10)
+        assert not feasible
         # the impossible command is acked as complete, not waited on
-        assert task.chain_phase_done(view, cfg[10]["bc"])
+        assert done
 
     def test_stale_payload_state_drains_to_legal_silence(self):
         from repro.baselines import kruskal_mst
@@ -705,7 +739,8 @@ class TestModelCheckerFoundRegressions:
 
     def test_stale_digest_state_has_no_daemon_cycle(self):
         net, proto, cfg = self._mst_stale_digest_state()
-        res = explore(net, proto, [cfg], max_states=200_000)
+        res = explore(net, proto, [cfg], max_states=200_000,
+                      is_legal=lambda config: proto.is_legal(net, config))
         assert res.cycle is None, "starved-digest replay livelock regression"
         assert not res.illegal_silent
 
@@ -739,13 +774,11 @@ class TestModelCheckerFoundRegressions:
         return net, proto, rows
 
     def test_junk_label_payload_refused(self):
-        from repro.runtime.protocol import NodeView
         net, proto, cfg = self._mst_junk_label_payload_state()
-        task = proto.layers[-1]
-        view = NodeView(net, 10, cfg)
+        feasible, done = self._endpoint_verdict(net, proto, cfg, 10)
         # both the lam_a-identity check and the own-child check refuse
-        assert not task._endpoint_feasible(view, cfg[10]["bc"])
-        assert task.chain_phase_done(view, cfg[10]["bc"])
+        assert not feasible
+        assert done
 
     def test_junk_label_payload_state_drains(self):
         from repro.baselines import kruskal_mst
@@ -803,6 +836,57 @@ class TestModelCheckerFoundRegressions:
         from repro.core.tasks import guided_mst_protocol
         net, proto, cfg = self._mst_junk_label_payload_state()
         res = explore(net, proto, [cfg], max_states=200_000,
-                      protocol_factory=guided_mst_protocol)
+                      protocol_factory=guided_mst_protocol,
+                      is_legal=lambda config: proto.is_legal(net, config))
         assert res.cycle is None, "junk-label payload livelock regression"
         assert not res.illegal_silent
+
+    def _mst_nested_switch_state(self):
+        """The fifth guided-mst witness: a silent illegal state on K4.
+
+        The SWAP chain of ``bc`` is 14 -> 5, then 13 -> 14.  Node 14
+        holds its chain request ``swt = 5`` but sits below node 13,
+        which holds a *foreign* request ``swt = 10``: the two switch
+        initiators are nested.  14's distance is pruned (its parent has
+        a pending switch) and 13's size is pruned (it is marked as 14's
+        old parent), so neither switch can ever become ready."""
+        from repro.certify.oracle import config_digest
+        from repro.core.tasks import ORACLE_DIGEST_FIELDS
+        cert = get_certifier("guided-mst")
+        net = cert.build_network(4, seed=1)
+        proto = cert.protocol()
+        bc = (14, 5, 13, ((5, 2),), ((5, 1),))
+        rows = {
+            5: dict(rid=5, par=NONE, d=0, s=NONE, mark=True, swt=NONE,
+                    hv=13, lam=((5, 0),), ph="SWAP", ack=False,
+                    cand=NONE, bc=bc),
+            10: dict(rid=5, par=5, d=1, s=NONE, mark=True, swt=NONE,
+                     hv=NONE, lam=((5, 0), (10, 0)), ph="SWAP", ack=False,
+                     cand=NONE, bc=bc),
+            13: dict(rid=5, par=5, d=1, s=NONE, mark=True, swt=10,
+                     hv=14, lam=((5, 1),), ph="SWAP", ack=False,
+                     cand=NONE, bc=bc),
+            14: dict(rid=5, par=13, d=NONE, s=1, mark=False, swt=5,
+                     hv=10, lam=((5, 2),), ph="SWAP", ack=False,
+                     cand=NONE, bc=bc),
+        }
+        for v, ver in config_digest(net, rows, ORACLE_DIGEST_FIELDS).items():
+            rows[v]["ver"] = ver
+        return net, proto, rows
+
+    def test_nested_switch_state_drains_to_legal_silence(self):
+        net, proto, cfg = self._mst_nested_switch_state()
+        assert sorted(net.edges) == [(5, 10), (5, 13), (5, 14), (10, 13),
+                                     (10, 14), (13, 14)]
+        sim = Simulator(net, proto, config=cfg)
+        result = sim.run(max_rounds=5000 * net.n)
+        assert result.silent
+        assert proto.is_legal(net, sim.config)
+
+    def test_nested_switch_state_has_no_daemon_cycle(self):
+        from repro.core.tasks import guided_mst_protocol
+        net, proto, cfg = self._mst_nested_switch_state()
+        res = explore(net, proto, [cfg], max_states=200_000,
+                      is_legal=lambda config: proto.is_legal(net, config),
+                      protocol_factory=guided_mst_protocol)
+        assert res.ok, res.summary()

@@ -1,6 +1,7 @@
 """End-to-end tests for the distributed MST (Corollary 6.1) and near-MDST
 (Corollary 8.1) protocols: tree layer + NCA labels + chain swaps + phases,
-with the root-side detector decision (see DESIGN.md, substitution 6)."""
+with the root-side detector decision (see EXPERIMENTS.md, "Substitutions",
+substitution 6)."""
 
 import pytest
 

@@ -512,8 +512,9 @@ class TestComposition:
             shardable = False
 
         contract = ComposedProtocol([SpanningTreeProtocol()]).rule_contract()
+        # a composition's one rule is its composed slot rule
         assert contract["entrypoints"] == {
-            "step": True, "fast_step_slots": True,
+            "step": False, "fast_step_slots": True,
             "vector_step": False, "interrupt_step": False}
         assert contract["shardable"] is True
         # one unshardable layer makes the whole atomic step unshardable

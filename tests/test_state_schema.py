@@ -11,13 +11,15 @@ Three pillars:
   configurations, encoding through the schema and reading back through
   the Mapping views reproduces the boundary dicts exactly — before,
   during, and after execution.
-* **Slot rule ≡ step, per selection**: entire executions — every
+* **Slot rule ≡ referee, per selection**: entire executions — every
   protocol family of the tier-1 suite under every daemon — run under the
-  cross-checking referee, which compares each cached slot-rule proposal
-  with the name-keyed ``step`` before every selection, and reproduce the
-  plain run's ``(rounds, moves, final configuration)`` bit-for-bit.
-  Protocols without a compiled ``fast_step_slots`` run through the
-  ``adapt_step_to_slots`` bridge.
+  cross-checking scheduler, which compares each cached slot-rule
+  proposal with the name-keyed referee (``referee_rules.py``: the
+  NodeView statement of the tree and guided layers, ``step`` elsewhere)
+  before every selection, and reproduce the plain run's ``(rounds,
+  moves, final configuration)`` bit-for-bit.  Protocols without a
+  compiled ``fast_step_slots`` run through the ``adapt_step_to_slots``
+  bridge.
 """
 
 import hashlib
@@ -199,10 +201,10 @@ class TestSlotViewEqualsDictView:
 
 
 class TestSlotRuleEqualsStep:
-    """Every protocol × daemon pair runs under the cross-checking referee,
-    which compares the engine's slot-rule proposals with ``step`` at every
-    selection — and the refereed (unfused) run reproduces the plain run
-    bit-for-bit."""
+    """Every protocol × daemon pair runs under the cross-checking
+    scheduler, which compares the engine's slot-rule proposals with the
+    name-keyed referee at every selection — and the refereed (unfused)
+    run reproduces the plain run bit-for-bit."""
 
     @staticmethod
     def _run(factory, net, sched_name, xcheck, drive):

@@ -274,19 +274,21 @@ class ProbeChaser(ProbedClean):
 
 
 class UncertifiedMST(GuidedMST):
-    """PR 1's bug, re-introduced on purpose: the root consults the
-    global detector directly, with no ``CertifiedOracle`` boundary, so
-    its rule reads far beyond the 1-hop view the engine invalidates."""
+    """PR 1's bug, re-introduced on purpose: the root's compiled
+    transition consults the global detector directly, with no
+    ``CertifiedOracle`` boundary, so its rule reads far beyond the 1-hop
+    view the engine invalidates."""
 
-    def next_phase(self, view, phase, cand):
-        if phase == SWAP:
-            return WORK, NONE
-        net = view.net
-        config = view._config
-        payload = self._decide(net, config)  # no consult(): global reads leak
-        if payload is None:
-            return None
-        return SWAP, payload
+    def slot_hooks(self, schema):
+        def transition(net, config, me, own, nbr_rows, phase, cand):
+            if phase == SWAP:
+                return WORK, NONE
+            payload = self._decide(net, config)  # no consult(): global reads leak
+            if payload is None:
+                return None
+            return SWAP, payload
+
+        return super().slot_hooks(schema)._replace(transition=transition)
 
 
 def _uncertified_protocol() -> ComposedProtocol:
@@ -394,6 +396,8 @@ def test_uncertified_oracle_caught_without_execution():
     leaks = [f for f in findings
              if f.series == "L" and f.layer == "UncertifiedMST"]
     assert leaks, "bypassing CertifiedOracle.consult must leak L-series"
+    # on the compiled rule: the one path the engine runs
+    assert {f.path for f in leaks} == {"fast_step_slots"}
     # the chain names the traversal from the entrypoint into the detector
     assert any("_decide" in " ".join(f.chain) or "_decide" in f.function
                for f in leaks)

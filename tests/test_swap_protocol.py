@@ -23,6 +23,7 @@ from repro.core.swap import (
     tree_of_config,
 )
 from repro.graphs import (
+    complete_graph,
     grid_graph,
     lollipop_graph,
     path_graph,
@@ -39,6 +40,8 @@ from repro.runtime import (
     corrupt_random_nodes,
     random_configuration,
 )
+
+from crosscheck import CrossCheckingScheduler
 
 NETS = [
     ring(8, seed=1),
@@ -294,3 +297,28 @@ class TestRecovery:
         result = sim.run(max_rounds=20 * net.n)
         assert result.silent
         assert tree_of_config(net, sim.config).edges() == tree.edges()
+
+    @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
+    def test_nested_switch_requests_recover(self, sched_name):
+        """Two nested switch initiators on K4: 14 requests a switch onto
+        5 while its parent 13 requests one onto 10.  13's request marks
+        it and prunes its size; 14 sits below a pending switch, so its
+        distance is pruned.  Neither switch can become ready; the outer
+        initiator must withdraw instead of holding a silent illegal
+        configuration."""
+        net = complete_graph(4)
+        a, b, c, d = sorted(net.nodes)
+        cfg = {
+            a: dict(rid=a, par=NONE, d=0, s=NONE, mark=True, swt=NONE),
+            b: dict(rid=a, par=a, d=1, s=NONE, mark=True, swt=NONE),
+            c: dict(rid=a, par=a, d=1, s=NONE, mark=True, swt=b),
+            d: dict(rid=a, par=c, d=NONE, s=1, mark=False, swt=a),
+        }
+        proto = MalleableTreeProtocol()
+        sched = CrossCheckingScheduler(ALL_SCHEDULER_FACTORIES[sched_name](3))
+        sim = Simulator(net, proto, sched, config=cfg)
+        sched.sim = sim
+        assert sim.enabled_nodes() == [c]  # the outer initiator yields
+        result = sim.run(max_rounds=20 * net.n)
+        assert result.silent and sched.checks > 0
+        assert proto.is_legal(net, sim.config)
