@@ -26,7 +26,7 @@ from __future__ import annotations
 from repro.baselines.sequential_mst import kruskal_mst
 from repro.core.trees import tree_from_edges
 from repro.graphs.network import Network
-from repro.runtime.protocol import NodeView, Protocol
+from repro.runtime.protocol import Protocol
 from repro.runtime.registers import (
     NONE,
     RegisterSpec,
@@ -58,25 +58,13 @@ class CompactNonSilentMST(Protocol):
             cfg[v]["par"] = tree.parent(v) or NONE
         return cfg
 
-    def step(self, view: NodeView) -> dict | None:
-        # perpetual verification wave: advance once every tree neighbor is
-        # at my counter or one ahead (mod MOD) — an unsynchronized unison
-        me = view.id
-        my = view["wave"]
-        tree_nbrs = [u for u in view.neighbors
-                     if view.nbr(u)["par"] == me or view["par"] == u]
-        behind = [u for u in tree_nbrs
-                  if (view.nbr(u)["wave"] - my) % self.MOD > self.MOD // 2]
-        if behind:
-            return None  # wait for laggards
-        return {"wave": (my + 1) % self.MOD}
-
     def fast_step_slots(self, schema):
         """The wave rule compiled to slot indices (Protocol.fast_step_slots).
 
-        A transliteration of :meth:`step`: every tree neighbor's lag test
-        is evaluated (no early exit) so junk wave values raise the same
-        TypeError at the same selection the NodeView path would.
+        Perpetual verification wave: advance once every tree neighbor is
+        at my counter or one ahead (mod MOD) — an unsynchronized unison.
+        Every tree neighbor's lag test is evaluated (no early exit), so a
+        junk wave value raises TypeError whatever the neighbor order.
         """
         PAR, WAVE = schema.slots("par", "wave")
         MOD = self.MOD

@@ -48,7 +48,7 @@ import hashlib
 from collections.abc import Callable, Mapping
 
 from repro.graphs.network import Network
-from repro.runtime.protocol import NodeView, Protocol
+from repro.runtime.protocol import Protocol
 from repro.runtime.registers import RegisterSpec, custom_field
 
 __all__ = ["DigestLayer", "CertifiedOracle", "DIGEST_BITS"]
@@ -64,7 +64,7 @@ def _digest(payload: str) -> int:
 
 def node_digest(node: int, content: tuple, kids: tuple) -> int:
     """The Merkle node formula shared by the runtime rule
-    (:meth:`DigestLayer.expected`), the assigner (:func:`config_digest`)
+    (:meth:`DigestLayer.slot_expected`), the assigner (:func:`config_digest`)
     and the local verifier (``repro.certify.schemes._ver_ok``) — one
     definition, so the three sites cannot drift apart."""
     return _digest(repr((node, content, kids)))
@@ -102,35 +102,17 @@ class DigestLayer(Protocol):
             ),
         ])
 
-    # ------------------------------------------------------------------
-
-    def expected(self, view: NodeView) -> int:
-        """The digest the 1-hop neighborhood dictates for this node."""
-        me = view.node
-        own = view.state
-        content = tuple(repr(own.get(f)) for f in self.fields)
-        kids = tuple(sorted(
-            (u, st.get("ver")) for u, st in view.nbr_states()
-            if st.get("par") == me))
-        return node_digest(me, content, kids)
-
-    def step(self, view: NodeView) -> dict | None:
-        want = self.expected(view)
-        if view.state.get("ver") != want:
-            return {"ver": want}
-        return None
-
     def slot_expected(self, schema):
-        """:meth:`expected` compiled to slot indices:
-        ``expected(me, own, nbr_rows) -> int``.
+        """The digest the 1-hop neighborhood dictates for a node,
+        compiled to slot indices: ``expected(me, own, nbr_rows) -> int``.
 
-        Mirrors :meth:`expected` exactly — the three digest sites
-        (runtime rule, assigner, verifier) still share
-        :func:`node_digest`, and covered fields absent from the schema
-        contribute ``repr(None)`` just as ``state.get`` does.  Reads its
-        own (possibly composition-patched) register only through ``own``.
-        Compiled once by :meth:`fast_step_slots` and by the oracle
-        consumers keying their consults on it.
+        The three digest sites (this runtime rule, the assigner and the
+        verifier) share :func:`node_digest`.  Covered fields absent from
+        the schema contribute ``repr(None)``, as the assigner's
+        ``state.get`` does.  Reads its own (possibly composition-patched)
+        register only through ``own``.  Compiled once by
+        :meth:`fast_step_slots` and by the oracle consumers keying their
+        consults on it.
         """
         index = schema.index
         VER = index["ver"]
@@ -151,8 +133,8 @@ class DigestLayer(Protocol):
         return expected
 
     def fast_step_slots(self, schema):
-        """The digest fixpoint compiled to slot indices (mirrors
-        :meth:`step` over :meth:`slot_expected`)."""
+        """The digest fixpoint compiled to slot indices: rewrite a stale
+        ``ver`` with :meth:`slot_expected`."""
         VER = schema.index["ver"]
         expected = self.slot_expected(schema)
 

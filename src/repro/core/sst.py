@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro.graphs.network import Network
 from repro.runtime.columns import NONE_SENTINEL
-from repro.runtime.protocol import NodeView, Protocol
+from repro.runtime.protocol import Protocol
 from repro.runtime.registers import (
     NONE,
     RegisterSpec,
@@ -57,13 +57,6 @@ class SpanningTreeProtocol(Protocol):
     #: re-evaluating either returns None until a neighbor changes
     settles_after_move = True
 
-    def __init__(self) -> None:
-        # per-network constant cache: n_bound is an incorruptible constant,
-        # re-reading it through two property hops per transition evaluation
-        # is measurable at engine call rates
-        self._bound_net: Network | None = None
-        self._bound1 = -1
-
     def register_spec(self, net: Network) -> RegisterSpec:
         return RegisterSpec([
             id_field("rid"),
@@ -71,87 +64,15 @@ class SpanningTreeProtocol(Protocol):
             counter_field("d", lambda n: n.n_bound),
         ])
 
-    def step(self, view: NodeView) -> dict | None:
-        """The transition rule over a NodeView (the rescan reference)."""
-        net, config, me = view.net, view._config, view.node
-        own = config[me]
-        # all reachable claims: my own candidacy plus every neighbor claim
-        # strictly better than my identity, with room left in the distance
-        # bound (claims at distance >= N cannot be extended)
-        best_rid, best_d = me, 0
-        if net is not self._bound_net:
-            self._bound_net = net
-            self._bound1 = net.n_bound - 1
-        bound1 = self._bound1  # d_u + 1 < bound  <=>  d_u < bound - 1
-        nbr_rows = view.nbr_states()
-        for _, st in nbr_rows:
-            rid_u, d_u = st["rid"], st["d"]
-            # junk values are skipped: incomparable ones raise out of the
-            # range test, comparable non-ints (floats, ...) are rejected by
-            # the isinstance gate.  The gate runs only for candidates that
-            # would improve ``best`` — rejected candidates never mutate
-            # ``best`` either way, so the accepted set is exactly the seed
-            # engine's isinstance-filter-first semantics.
-            try:
-                if (rid_u < me and -1 < d_u < bound1
-                        and (rid_u < best_rid or (rid_u == best_rid
-                                                  and d_u + 1 < best_d))
-                        and isinstance(rid_u, int) and isinstance(d_u, int)):
-                    best_rid, best_d = rid_u, d_u + 1
-            except TypeError:
-                continue
-        # stability: the current claim is valid and as good as the best
-        # available candidate (any valid parent achieving it is acceptable —
-        # the rule does not churn between equivalent parents)
-        rid, d = own["rid"], own["d"]
-        if rid == best_rid and d == best_d:
-            par = own["par"]
-            if par is NONE:
-                if rid == me and d == 0:
-                    return None
-            else:
-                # inline nbr_or_none: membership on the precomputed
-                # neighbor set, tolerating unhashable junk pointers
-                try:
-                    in_nbrs = par in net.neighbor_set(me)
-                except TypeError:
-                    in_nbrs = False
-                if in_nbrs:
-                    pst = config[par]
-                    if (pst["rid"] == rid and pst["d"] == d - 1
-                            and rid < me):
-                        return None
-        if best_rid == me:
-            delta = {}
-            if rid != me:
-                delta["rid"] = me
-            if own["par"] is not NONE:
-                delta["par"] = NONE
-            if d != 0:
-                delta["d"] = 0
-            return delta or None
-        # deterministic tie-break: the smallest neighbor offering the claim
-        # (nbr_rows is in ascending neighbor order, so first match wins)
-        par_d = best_d - 1
-        for par, st in nbr_rows:
-            if st["rid"] == best_rid and st["d"] == par_d:
-                break
-        delta = {}
-        if rid != best_rid:
-            delta["rid"] = best_rid
-        if own["par"] != par:
-            delta["par"] = par
-        if d != best_d:
-            delta["d"] = best_d
-        return delta or None
-
     def fast_step_slots(self, schema):
-        """The same rule compiled to slot indices (Protocol.fast_step_slots).
+        """The transition rule, compiled to slot indices
+        (Protocol.fast_step_slots).
 
-        A line-by-line transliteration of :meth:`step` with field
-        names resolved to row positions once, here; the golden suite and
-        the incremental-vs-rescan cross-check pin the two paths to each
-        other at every scheduler selection.
+        The protocol's one scalar statement of delta: every evaluator
+        runs it.  Field names resolve to row positions once, here.  The
+        name-keyed test referee (``tests/referee_rules.py``) restates the
+        rule over a NodeView, and the cross-checking grids compare the two
+        at every scheduler selection.
         """
         RID, PAR, D = schema.slot("rid"), schema.slot("par"), schema.slot("d")
         cache: list = []  # (net, bound1, adjacency_sets) per-net constants
@@ -167,12 +88,18 @@ class SpanningTreeProtocol(Protocol):
                 _c[:] = (net, net.n_bound - 1,
                          net.adjacency_sets)  # statics: ignore[L001]
             bound1 = _c[1]
+            # all reachable claims: my own candidacy plus every neighbor
+            # claim strictly better than my identity, with room left in
+            # the distance bound (d_u + 1 < bound  <=>  d_u < bound - 1)
             for _, st in nbr_rows:
                 rid_u, d_u = st[RID], st[D]
-                # improvement test first: once a good claim is adopted,
-                # most neighbors fail it in one comparison.  best_rid is
-                # always <= me, so rid_u < best_rid subsumes rid_u < me;
-                # the tie arm re-checks it for the best_rid == me start.
+                # junk values are skipped: incomparable ones raise out of
+                # the range test, comparable non-ints (floats, ...) fail
+                # the isinstance gate.  Improvement test first: once a
+                # good claim is adopted, most neighbors fail it in one
+                # comparison.  best_rid is always <= me, so
+                # rid_u < best_rid subsumes rid_u < me; the tie arm
+                # re-checks it for the best_rid == me start.
                 try:
                     if ((rid_u < best_rid
                          or (rid_u == best_rid and rid_u < me
@@ -183,6 +110,9 @@ class SpanningTreeProtocol(Protocol):
                         best_rid, best_d = rid_u, d_u + 1
                 except TypeError:
                     continue
+            # stability: the current claim is valid and as good as the
+            # best candidate (any parent realizing it is acceptable: the
+            # rule does not churn between equivalent parents)
             rid, d = own[RID], own[D]
             if rid == best_rid and d == best_d:
                 par = own[PAR]
@@ -208,6 +138,8 @@ class SpanningTreeProtocol(Protocol):
                 if d != 0:
                     delta[D] = 0
                 return delta or None
+            # deterministic tie-break: the smallest neighbor offering the
+            # claim (nbr_rows ascend by neighbor id, first match wins)
             par_d = best_d - 1
             for par, st in nbr_rows:
                 if st[RID] == best_rid and st[D] == par_d:
@@ -375,9 +307,6 @@ class SpanningTreeProtocol(Protocol):
         LIM = (2 ** 62) // K  # |value| < LIM keeps rid * K + d in int64
         if cols.id_space >= LIM:
             return None
-        if cols.np is None:
-            return self._compile_vector_py(RID, PAR, D, cols, LIM)
-
         np = cols.np
         starts = cols.nbr_offsets[:-1]
         nbr = cols.nbr_index
@@ -465,91 +394,6 @@ class SpanningTreeProtocol(Protocol):
                     bd = bda[k]
                     if d0 != bd:
                         delta[D] = bd
-                out[me] = delta
-            return out
-
-        return rule
-
-    def _compile_vector_py(self, RID, PAR, D, cols, LIM):
-        """The columnar rule on the ``array('q')`` fallback backend.
-
-        Same loop shape as :meth:`fast_step_slots` but over encoded
-        memoryviews and CSR positions — no per-node view or pair-list
-        indirection.  Python ints cannot overflow, so the only encoded
-        artifact to handle is the NONE sentinel (a NONE ``rid`` is never
-        a candidate, mirroring the scalar rule's TypeError skip).
-        """
-        off = cols.nbr_offsets
-        nbr = cols.nbr_index
-        nbr_ids = cols.nbr_ids
-        ids_list = cols.ids
-        n = cols.n
-        bound1 = cols.n_bound - 1
-        SENT = NONE_SENTINEL
-
-        def rule(store, active):
-            if not store.valid_slot(RID, PAR, D):
-                return None
-            rid = store.col(RID)
-            par = store.col(PAR)
-            d = store.col(D)
-            out = {}
-            for i in range(n):
-                me = ids_list[i]
-                lo = off[i]
-                hi = off[i + 1]
-                best_rid, best_d = me, 0
-                for e in range(lo, hi):
-                    j = nbr[e]
-                    rid_u = rid[j]
-                    if rid_u != SENT and rid_u < me:
-                        d_u = d[j]
-                        if (-1 < d_u < bound1
-                                and (rid_u < best_rid
-                                     or (rid_u == best_rid
-                                         and d_u + 1 < best_d))):
-                            best_rid, best_d = rid_u, d_u + 1
-                r0 = rid[i]
-                d0 = d[i]
-                p0 = par[i]
-                if r0 == best_rid and d0 == best_d:
-                    if p0 == SENT:
-                        if r0 == me and d0 == 0:
-                            continue
-                    else:
-                        stable = False
-                        for e in range(lo, hi):
-                            if nbr_ids[e] == p0:
-                                j = nbr[e]
-                                if (rid[j] == r0 and d[j] == d0 - 1
-                                        and r0 < me):
-                                    stable = True
-                                break
-                        if stable:
-                            continue
-                if best_rid == me:
-                    delta = {}
-                    if r0 != me:
-                        delta[RID] = me
-                    if p0 != SENT:
-                        delta[PAR] = NONE
-                    if d0 != 0:
-                        delta[D] = 0
-                else:
-                    par_d = best_d - 1
-                    w = -1
-                    for e in range(lo, hi):
-                        j = nbr[e]
-                        if rid[j] == best_rid and d[j] == par_d:
-                            w = nbr_ids[e]
-                            break
-                    delta = {}
-                    if r0 != best_rid:
-                        delta[RID] = best_rid
-                    if p0 != w:
-                        delta[PAR] = w
-                    if d0 != best_d:
-                        delta[D] = best_d
                 out[me] = delta
             return out
 

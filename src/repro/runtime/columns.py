@@ -25,29 +25,28 @@ Contract with the engine
   anything else is marked invalid for this sync; vector rules that need
   that column decline, and the engine falls back to the bit-identical
   scalar path.
-* **Optional numpy.**  ``numpy`` is used when importable (and not
-  disabled via the ``REPRO_NO_NUMPY`` environment variable — the CI
-  fallback gate); otherwise the columns are stdlib ``array('q')`` buffers
-  behind memoryviews.  Both backends must produce bit-identical runs —
-  the test grid pins them to each other.
-* **Enabled-mask column.**  The store carries the enabled-set membership
-  as a typed mask over node positions; :meth:`commit_enabled` diffs a
-  vector refresh's new enabled set against the engine's previous one and
-  refreshes the mask, so the engine's bookkeeping after a vectorized
-  refresh is one merge-diff instead of per-node bisection.
+* **numpy only.**  The store exists only where ``numpy`` is importable
+  and not disabled through the ``REPRO_NO_NUMPY`` environment variable
+  (the CI leg that emulates a numpy-less host).  Elsewhere the simulator
+  builds no store and runs the scalar slot rule, which the contract
+  above already requires to be bit-identical.
+* **Enabled-set diff.**  :func:`enabled_diff` merges a vector refresh's
+  new enabled set with the engine's previous one, so the engine's
+  bookkeeping after a vectorized refresh is one merge-diff instead of
+  per-node bisection.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from collections.abc import Mapping, Sequence
 
 from repro.graphs.network import Network
 from repro.runtime.registers import NONE
 from repro.runtime.schema import StateSchema
 
-__all__ = ["ColumnStore", "NONE_SENTINEL", "numpy_or_none"]
+__all__ = ["ColumnStore", "NONE_SENTINEL", "enabled_diff",
+           "numpy_or_none"]
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -59,7 +58,8 @@ NONE_SENTINEL = _INT64_MIN
 
 
 def numpy_or_none():
-    """The numpy module, or None (missing, or disabled for CI fallback)."""
+    """The numpy module, or None (missing, or disabled through the
+    ``REPRO_NO_NUMPY`` environment variable)."""
     if os.environ.get("REPRO_NO_NUMPY"):
         return None
     try:
@@ -91,18 +91,13 @@ class ColumnStore:
     """
 
     def __init__(self, schema: StateSchema, net: Network,
-                 rows: Mapping[int, list], backend: str | None = None) -> None:
-        if backend not in (None, "numpy", "array"):
-            raise ValueError(f"unknown backend {backend!r}")
+                 rows: Mapping[int, list]) -> None:
         np = numpy_or_none()
-        if backend == "numpy" and np is None:
-            raise RuntimeError("numpy backend requested but numpy is "
-                               "unavailable (or REPRO_NO_NUMPY is set)")
-        if backend == "array":
-            np = None
-        #: the numpy module when this store is numpy-backed, else None
+        if np is None:
+            raise RuntimeError("ColumnStore needs numpy (missing, or "
+                               "REPRO_NO_NUMPY is set)")
+        #: the numpy module, for the vector rules compiled on this store
         self.np = np
-        self.backend = "numpy" if np is not None else "array"
         self.schema = schema
         self.width = schema.width
         #: node identities in ascending order; position i holds ids[i]
@@ -138,21 +133,11 @@ class ColumnStore:
             offsets[i + 1] = len(nbr_index)
         self.min_degree = min_deg
         self.e = len(nbr_index)  # directed edge slots (2m)
-        if np is not None:
-            self.nbr_offsets = np.array(offsets, dtype=np.int64)
-            self.nbr_index = np.array(nbr_index, dtype=np.int64)
-            self.nbr_ids = np.array(nbr_ids, dtype=np.int64)
-            self.owner_index = np.array(owner_index, dtype=np.int64)
-            self.ids_arr = np.array(self.ids, dtype=np.int64)
-            self.enabled = np.zeros(self.n, dtype=bool)
-        else:
-            self.nbr_offsets = memoryview(array("q", offsets))
-            self.nbr_index = memoryview(array("q", nbr_index))
-            self.nbr_ids = memoryview(array("q", nbr_ids))
-            self.owner_index = memoryview(array("q", owner_index))
-            self.ids_arr = memoryview(array("q", self.ids))
-            self.enabled = bytearray(self.n)
-        self._zeros = bytes(self.n)  # fallback mask reset buffer
+        self.nbr_offsets = np.array(offsets, dtype=np.int64)
+        self.nbr_index = np.array(nbr_index, dtype=np.int64)
+        self.nbr_ids = np.array(nbr_ids, dtype=np.int64)
+        self.owner_index = np.array(owner_index, dtype=np.int64)
+        self.ids_arr = np.array(self.ids, dtype=np.int64)
 
         # -- columns ----------------------------------------------------
         self._cols: list = [None] * self.width
@@ -189,10 +174,7 @@ class ColumnStore:
             if not ok:
                 valid[s] = False
                 continue
-            if np is not None:
-                self._cols[s] = np.array(vals, dtype=np.int64)
-            else:
-                self._cols[s] = memoryview(array("q", vals))
+            self._cols[s] = np.array(vals, dtype=np.int64)
             valid[s] = True
         self.fresh = True
         return self
@@ -202,7 +184,7 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def col(self, slot: int):
-        """The typed column of ``slot`` (ndarray or ``int64`` memoryview).
+        """The typed ``int64`` column of ``slot``.
 
         Only meaningful while :attr:`fresh` and ``valid[slot]`` hold —
         vector rules check :meth:`valid_slot` and decline otherwise.
@@ -230,49 +212,34 @@ class ColumnStore:
             out.append(NONE if raw == NONE_SENTINEL else raw)
         return out
 
-    # ------------------------------------------------------------------
-    # the enabled-mask column
-    # ------------------------------------------------------------------
-
-    def commit_enabled(self, new_ids: Sequence[int],
-                       old_ids: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Diff + refresh the membership mask after a vector refresh.
-
-        ``new_ids``/``old_ids`` are ascending; returns ``(added,
-        removed)`` — each ascending, the shape ``Scheduler.notify``
-        expects.  The typed mask column is rebuilt to match ``new_ids``.
-        """
-        added: list[int] = []
-        removed: list[int] = []
-        i = j = 0
-        ni, no = len(new_ids), len(old_ids)
-        while i < ni and j < no:
-            a, b = new_ids[i], old_ids[j]
-            if a == b:
-                i += 1
-                j += 1
-            elif a < b:
-                added.append(a)
-                i += 1
-            else:
-                removed.append(b)
-                j += 1
-        if i < ni:
-            added.extend(new_ids[i:])
-        if j < no:
-            removed.extend(old_ids[j:])
-        pos = self.pos
-        en = self.enabled
-        if self.np is not None:
-            en[:] = False
-            if new_ids:
-                en[[pos[v] for v in new_ids]] = True
-        else:
-            en[:] = self._zeros
-            for v in new_ids:
-                en[pos[v]] = 1
-        return added, removed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnStore(n={self.n}, width={self.width}, "
-                f"backend={self.backend!r}, fresh={self.fresh})")
+                f"fresh={self.fresh})")
+
+
+def enabled_diff(new_ids: Sequence[int],
+                 old_ids: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``(added, removed)`` between two ascending enabled sets.
+
+    Both results ascend, the shape ``Scheduler.notify`` expects.
+    """
+    added: list[int] = []
+    removed: list[int] = []
+    i = j = 0
+    ni, no = len(new_ids), len(old_ids)
+    while i < ni and j < no:
+        a, b = new_ids[i], old_ids[j]
+        if a == b:
+            i += 1
+            j += 1
+        elif a < b:
+            added.append(a)
+            i += 1
+        else:
+            removed.append(b)
+            j += 1
+    if i < ni:
+        added.extend(new_ids[i:])
+    if j < no:
+        removed.extend(old_ids[j:])
+    return added, removed

@@ -185,12 +185,12 @@ class Protocol(ABC):
         e.g. parent lookups; raw rows via ``config[u].row``), ``own`` is
         the node's raw slot row, and ``nbr_rows`` is the ascending
         ``(neighbor, raw_row)`` pair sequence.  The returned delta is
-        keyed by **slot index**.  A protocol that defines this rule needs
-        no :meth:`step`: the compiled rule is then its only definition
+        keyed by **slot index**.  A protocol that defines this rule
+        defines no :meth:`step`: the compiled rule is its only statement
         of delta, and every evaluator runs it (see :func:`slot_rule`).
-        A protocol defining both (``sst``) must compute the same delta
-        on both paths; the cross-checking test referee compares them at
-        every scheduler selection.
+        The one second statement a protocol may carry is a columnar
+        :meth:`vector_step`, which must return exactly this rule's
+        deltas.
 
         Inside a :class:`ComposedProtocol` the composition passes each
         layer a *patched* ``own`` row carrying the updates of the layers
@@ -209,8 +209,9 @@ class Protocol(ABC):
 
         ``cols`` is the :class:`~repro.runtime.columns.ColumnStore` the
         simulator built for this ``(protocol, network)`` binding: one
-        typed ``int64`` column per field over all nodes, plus CSR
-        adjacency.  A protocol that opts in resolves its slots once and
+        typed ``int64`` numpy column per field over all nodes, plus CSR
+        adjacency (without numpy the simulator builds no store and never
+        calls this).  A protocol that opts in resolves its slots once and
         returns a rule
 
         ``rule(store, active) -> dict[int, dict[int, object]] | None``
@@ -351,8 +352,8 @@ class Protocol(ABC):
 
         Return ``None`` (or an empty/no-op dict) when the register already
         holds what delta computes; otherwise return the new values for the
-        fields that change.  Implement this or :meth:`fast_step_slots`;
-        a protocol with a compiled rule need not define ``step``.
+        fields that change.  Implement this or :meth:`fast_step_slots`,
+        not both: a protocol with a compiled rule defines no ``step``.
         """
         raise NotImplementedError(
             f"{self.name} defines its rule as fast_step_slots only")

@@ -27,8 +27,9 @@ neighborhood (complete adjacency + halo rows synchronized to the
 pre-round configuration), the per-round move sets — and therefore moves,
 rounds, silence, and the final configuration — are bit-identical to a
 single-process run on the same seed.  ``tests/test_sharding.py`` pins
-that equivalence at every round boundary, across shard counts and both
-column backends; it is the incremental≡rescan suite lifted to processes.
+that equivalence at every round boundary, across shard counts, on both
+CI legs (numpy columns, and the scalar slot rule without numpy); it is
+the incremental≡rescan suite lifted to processes.
 
 Every shard runs in its own forked worker process (fork start method:
 contexts are inherited, never pickled) with a private pipe.  A worker

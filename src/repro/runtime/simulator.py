@@ -63,7 +63,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.graphs.network import Network
-from repro.runtime.columns import ColumnStore
+from repro.runtime.columns import ColumnStore, enabled_diff, numpy_or_none
 from repro.runtime.protocol import Protocol, effective_delta, slot_rule
 from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 
@@ -223,15 +223,17 @@ class Simulator:
         self._settles = bool(getattr(protocol, "settles_after_move", False))
         self._bind_rules()
         # columnar bulk-evaluation plane: built only when the protocol
-        # compiles a vector rule for this binding (Protocol.vector_step);
-        # _refresh engages it on all-dirty passes, everything else stays
-        # on the scalar slot rule.  ``use_vector_rules=False`` is the
-        # testing escape hatch that forces the scalar path.
+        # compiles a vector rule for this binding (Protocol.vector_step)
+        # and numpy is available; _refresh engages it on all-dirty
+        # passes, everything else stays on the scalar slot rule.
+        # ``use_vector_rules=False`` is the testing escape hatch that
+        # forces the scalar path.
         self._columns: ColumnStore | None = None
         self._columns_net: Network | None = None  # the store's network
         self._vector_rule = None
         if (use_vector_rules
-                and type(protocol).vector_step is not Protocol.vector_step):
+                and type(protocol).vector_step is not Protocol.vector_step
+                and numpy_or_none() is not None):
             self._bind_columns()
         # telemetry seam: hook selection happens HERE, once, at setup.
         # With no recorder the engine runs the exact pre-telemetry byte
@@ -336,9 +338,7 @@ class Simulator:
         no vector refresh in between build no store.  A declined compile
         switches the columnar plane off for the rest of the run.
         """
-        backend = self._columns.backend if self._columns is not None else None
-        store = ColumnStore(self.schema, self.net, self._state,
-                            backend=backend)
+        store = ColumnStore(self.schema, self.net, self._state)
         vrule = self.protocol.vector_step(self.schema, store)
         self._columns = store if vrule is not None else None
         self._columns_net = self.net
@@ -409,7 +409,7 @@ class Simulator:
         proposal.update(delta_map)
         new_ids = sorted(delta_map)
         enabled = self._enabled
-        added, removed = store.commit_enabled(new_ids, enabled._list)
+        added, removed = enabled_diff(new_ids, enabled._list)
         # run_round and the select fast path hold aliases to these
         # internals: update them in place, never rebind
         enabled._set.clear()

@@ -8,8 +8,8 @@ evaluation:
   slot rule, re-evaluated over neighbor rows rebuilt from the network);
 * every enabled node's cached proposal equals the effective delta of
   the name-keyed referee (:func:`referee_rules.referee_step`: the
-  NodeView statement of the tree and guided layers, ``step`` for every
-  other protocol), re-keyed to slot indices.
+  NodeView statement of every compiled rule, ``step`` for a protocol
+  that has no compiled rule), re-keyed to slot indices.
 
 The engine proposes through one slot rule per binding (a compiled
 ``fast_step_slots`` rule, the ``adapt_step_to_slots`` bridge, or the
@@ -51,7 +51,8 @@ class CrossCheckingScheduler(Scheduler):
         index = sim.schema.index
         for v in enabled:
             want = referee_delta(self._referee, sim.net, sim.config, v)
-            want = {index[k]: val for k, val in want.items()}
+            if want is not None:  # None: the referee disagrees
+                want = {index[k]: val for k, val in want.items()}
             assert sim._proposal[v] == want, (
                 f"node {v}: cached proposal {sim._proposal[v]} != "
                 f"the referee's effective delta {want}")

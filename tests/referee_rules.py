@@ -1,25 +1,28 @@
-"""The name-keyed referee of the tree and guided layers.
+"""The name-keyed test referee of every compiled rule.
 
-The product states each rule of :class:`MalleableTreeProtocol`,
-:class:`PhaseLayer` (:class:`GuidedBFS`, the chain swap and the
-oracle-guided MST/MDST tasks) and :class:`NCALabelLayer` once, as the
-layer's compiled ``fast_step_slots`` rule.  This module keeps a second,
-independent statement of the same rules over :class:`NodeView` — field
-names instead of slot indices, one hook per method — so the
-cross-checking scheduler (``crosscheck.py``) and the slot-rule grids can
-compare every engine proposal against it.
+The product states each protocol's rule once, as its compiled
+``fast_step_slots`` rule (``sst`` adds its columnar ``vector_step``).
+This module keeps a second, independent statement of the same rules over
+:class:`NodeView` — field names instead of slot indices, one hook per
+method — so the cross-checking scheduler (``crosscheck.py``) and the
+slot-rule grids can compare every engine proposal against it.
 
 :func:`referee_step` is the entry point: it maps a protocol to a
-name-keyed ``step(view)``.  Tree and guided layers get their referee
-body; every other protocol (``sst``, the digest layer, the baselines,
-test fixtures) is its own referee through its ``step``.  The oracle
-operations of the guided MST/MDST referee (the digest key, the consult,
-the SWAP flush and the issued-decision latch) delegate to the product
-instance, so the memo and latch are shared with the engine's rule.
+name-keyed ``step(view)``.  ``sst`` (and its ``adhoc-bfs`` alias), the
+digest layer, ``compact-mst`` and the tree and guided layers get their
+referee body; every other protocol (``bgr-mdst``, test fixtures) is its
+own referee through its ``step``.  The oracle operations of the guided
+MST/MDST referee (the consult, the SWAP flush and the issued-decision
+latch) delegate to the product instance, so the memo and latch are
+shared with the engine's rule; its digest key comes from the digest
+layer's referee.
 """
 
 from __future__ import annotations
 
+from repro.baselines.compact_mst import CompactNonSilentMST
+from repro.certify.oracle import DigestLayer, node_digest
+from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import (
     SWAP,
@@ -36,7 +39,8 @@ from repro.core.tasks import (
 from repro.runtime.protocol import ComposedProtocol, NodeView, _Overlay
 from repro.runtime.registers import NONE
 
-__all__ = ["referee_step", "referee_delta"]
+__all__ = ["referee_step", "referee_delta", "DigestLayerReferee",
+           "SpanningTreeReferee"]
 
 
 def referee_step(protocol):
@@ -79,6 +83,123 @@ def referee_delta(step, net, config, node: int):
     own = config[node]
     delta = {k: val for k, val in delta.items() if own[k] != val}
     return delta or None
+
+
+# ----------------------------------------------------------------------
+# the spanning-tree layer (instruction 1 of Algorithms 1 and 3)
+# ----------------------------------------------------------------------
+
+class SpanningTreeReferee:
+    """:class:`SpanningTreeProtocol` (and ``adhoc-bfs``) over a NodeView."""
+
+    def __init__(self, product) -> None:
+        self.product = product
+
+    def step(self, view: NodeView) -> dict | None:
+        net, config, me = view.net, view._config, view.node
+        own = config[me]
+        # all reachable claims: my own candidacy plus every neighbor claim
+        # strictly better than my identity, with room left in the distance
+        # bound (claims at distance >= N cannot be extended)
+        best_rid, best_d = me, 0
+        bound1 = net.n_bound - 1  # d_u + 1 < bound  <=>  d_u < bound - 1
+        nbr_rows = view.nbr_states()
+        for _, st in nbr_rows:
+            rid_u, d_u = st["rid"], st["d"]
+            # junk values are skipped: incomparable ones raise out of the
+            # range test, comparable non-ints (floats, ...) are rejected by
+            # the isinstance gate
+            try:
+                if (rid_u < me and -1 < d_u < bound1
+                        and (rid_u < best_rid or (rid_u == best_rid
+                                                  and d_u + 1 < best_d))
+                        and isinstance(rid_u, int) and isinstance(d_u, int)):
+                    best_rid, best_d = rid_u, d_u + 1
+            except TypeError:
+                continue
+        # stability: the current claim is valid and as good as the best
+        # available candidate (any valid parent achieving it is acceptable)
+        rid, d = own["rid"], own["d"]
+        if rid == best_rid and d == best_d:
+            par = own["par"]
+            if par is NONE:
+                if rid == me and d == 0:
+                    return None
+            else:
+                pst = view.nbr_or_none(par)
+                if (pst is not None and pst["rid"] == rid
+                        and pst["d"] == d - 1 and rid < me):
+                    return None
+        if best_rid == me:
+            delta = {}
+            if rid != me:
+                delta["rid"] = me
+            if own["par"] is not NONE:
+                delta["par"] = NONE
+            if d != 0:
+                delta["d"] = 0
+            return delta or None
+        # deterministic tie-break: the smallest neighbor offering the claim
+        par_d = best_d - 1
+        for par, st in nbr_rows:
+            if st["rid"] == best_rid and st["d"] == par_d:
+                break
+        delta = {}
+        if rid != best_rid:
+            delta["rid"] = best_rid
+        if own["par"] != par:
+            delta["par"] = par
+        if d != best_d:
+            delta["d"] = best_d
+        return delta or None
+
+
+# ----------------------------------------------------------------------
+# the digest layer and the compact non-silent MST baseline
+# ----------------------------------------------------------------------
+
+class DigestLayerReferee:
+    """:class:`DigestLayer` over a NodeView."""
+
+    def __init__(self, product) -> None:
+        self.product = product
+
+    def expected(self, view: NodeView) -> int:
+        """The digest the 1-hop neighborhood dictates for this node."""
+        me = view.node
+        own = view.state
+        content = tuple(repr(own.get(f)) for f in self.product.fields)
+        kids = tuple(sorted(
+            (u, st.get("ver")) for u, st in view.nbr_states()
+            if st.get("par") == me))
+        return node_digest(me, content, kids)
+
+    def step(self, view: NodeView) -> dict | None:
+        want = self.expected(view)
+        if view.state.get("ver") != want:
+            return {"ver": want}
+        return None
+
+
+class CompactMSTReferee:
+    """:class:`CompactNonSilentMST` over a NodeView."""
+
+    def __init__(self, product) -> None:
+        self.product = product
+
+    def step(self, view: NodeView) -> dict | None:
+        # perpetual verification wave: advance once every tree neighbor is
+        # at my counter or one ahead (mod MOD) — an unsynchronized unison
+        mod = self.product.MOD
+        me = view.id
+        my = view["wave"]
+        tree_nbrs = [u for u in view.neighbors
+                     if view.nbr(u)["par"] == me or view["par"] == u]
+        behind = [u for u in tree_nbrs
+                  if (view.nbr(u)["wave"] - my) % mod > mod // 2]
+        if behind:
+            return None  # wait for laggards
+        return {"wave": (my + 1) % mod}
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +600,7 @@ class OracleTaskReferee(PhaseLayerReferee):
 
     def next_phase(self, view: NodeView, phase: str, cand):
         product = self.product
-        key = product._digest.expected(view)
+        key = DigestLayerReferee(product._digest).expected(view)
         if phase == SWAP:
             return product._flush(key, view["bc"])
         net = view.net
@@ -524,6 +645,9 @@ class NCALabelReferee:
 
 
 _REFEREES = {
+    SpanningTreeProtocol: SpanningTreeReferee,
+    DigestLayer: DigestLayerReferee,
+    CompactNonSilentMST: CompactMSTReferee,
     MalleableTreeProtocol: MalleableTreeReferee,
     NCALabelLayer: NCALabelReferee,
     GuidedBFS: GuidedBFSReferee,

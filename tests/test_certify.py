@@ -59,7 +59,7 @@ from repro.runtime.protocol import (
 from repro.runtime.registers import NONE, RegisterSpec, flag_field
 from repro.statics import analyze_protocol
 
-from referee_rules import referee_step
+from referee_rules import DigestLayerReferee, referee_step
 
 TASKS = sorted(CERTIFIERS)
 
@@ -194,7 +194,8 @@ class TestCertifiedOracle:
         layer = DigestLayer(fields=ORACLE_DIGEST_FIELDS)
         want = config_digest(net, cfg, ORACLE_DIGEST_FIELDS)
         for v in net.nodes:
-            assert layer.expected(NodeView(net, v, cfg)) == want[v]
+            assert DigestLayerReferee(layer).expected(
+                NodeView(net, v, cfg)) == want[v]
 
     def test_memo_is_write_once_per_key(self):
         oracle = CertifiedOracle()
@@ -413,7 +414,8 @@ class TestEngineFastPaths:
             sim = Simulator(net, proto, config=cfg)
             root = next(v for v in net.nodes
                         if sim.config[v]["par"] is NONE)
-            key = task._digest.expected(NodeView(net, root, sim.config))
+            key = DigestLayerReferee(task._digest).expected(
+                NodeView(net, root, sim.config))
             task._oracle._memo[key] = issued
             task._issued = (key, issued)
             if path == "slot":
@@ -690,10 +692,18 @@ class TestModelCheckerFoundRegressions:
         assert tree_of_config(net, sim.config).edges() == kruskal_mst(net)
 
     def test_stale_payload_state_has_no_daemon_cycle(self):
+        """Fresh-instance semantics, as its siblings.  The shared-instance
+        mode reports one illegal silent state from this witness: a memo
+        artifact (EXPERIMENTS.md, "Model-checker modes")."""
+        from repro.core.tasks import guided_mst_protocol
         net, proto, cfg = self._mst_stale_payload_state()
-        res = explore(net, proto, [cfg], max_states=150_000)
+        res = explore(net, proto, [cfg], max_states=150_000,
+                      protocol_factory=guided_mst_protocol,
+                      is_legal=lambda config: proto.is_legal(net, config))
         assert res.cycle is None, "livelock regression"
         assert not res.illegal_silent
+        assert res.summary() == (
+            "OK: 7050 states, 44151 transitions, 1 silent")
 
     def _mst_stale_digest_state(self):
         """The second PR-4 guided-mst livelock witness: node 14 defected

@@ -7,18 +7,18 @@ Three pillars, mirroring ``test_state_schema``'s structure one plane up:
   sentinel, everything else invalidates the column), the CSR adjacency
   mirrors the network, the aligned row references are zero-copy, and
   engine writes drop :attr:`ColumnStore.fresh` so the next vector
-  refresh re-syncs.
-* **Backend equality**: the numpy backend and the stdlib ``array('q')``
-  fallback (the ``REPRO_NO_NUMPY`` CI gate) encode identical columns and
-  drive bit-identical executions.
-* **Column path ≡ slot path ≡ step, golden**: entire executions of
+  refresh re-syncs.  The store needs numpy; these tests skip without it.
+* **With and without numpy**: a run with numpy (columnar refreshes) and
+  a ``REPRO_NO_NUMPY`` run (no store: the scalar slot rule, as on a
+  numpy-less host) are bit-identical.
+* **Column path ≡ slot path ≡ referee, golden**: entire executions of
   every vectorized protocol — ``sst`` and its ``adhoc-bfs`` alias —
   produce bit-identical
   ``(rounds, moves, final configuration)`` across the full daemon grid
   whether the engine vectorizes all-dirty refreshes
   (``use_vector_rules=True``) or stays on the compiled slot rules, with
   and without the cross-checking referee comparing every cached
-  proposal with the name-keyed ``step`` at every selection.  The
+  proposal with the name-keyed referee at every selection.  The
   ``sst``+``cert-digest`` composition rides the same grid: it never
   vectorizes (a composition has no vector rule), so the flag must leave
   its execution untouched.
@@ -42,7 +42,12 @@ from repro.runtime import (
     random_configuration,
 )
 from repro.runtime import simulator as simulator_module
-from repro.runtime.columns import NONE_SENTINEL, ColumnStore, numpy_or_none
+from repro.runtime.columns import (
+    NONE_SENTINEL,
+    ColumnStore,
+    enabled_diff,
+    numpy_or_none,
+)
 
 from crosscheck import CrossCheckingScheduler
 
@@ -68,6 +73,12 @@ def _hash(config) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+#: the store exists only where numpy does
+needs_numpy = pytest.mark.skipif(
+    numpy_or_none() is None,
+    reason="numpy unavailable (or REPRO_NO_NUMPY set): no column store")
+
+
 def _sst_sim(n=10, seed=3, cfg_seed=5, **kw) -> Simulator:
     net = random_connected_graph(n, seed=seed)
     proto = SpanningTreeProtocol()
@@ -76,6 +87,7 @@ def _sst_sim(n=10, seed=3, cfg_seed=5, **kw) -> Simulator:
                      **kw)
 
 
+@needs_numpy
 class TestColumnStoreContract:
     def test_engine_builds_the_store_only_when_vectorizable(self,
                                                             monkeypatch):
@@ -179,54 +191,57 @@ class TestColumnStoreContract:
         sim.run_round()  # central daemon: scalar moves, columns untouched
         assert not sim._columns.fresh
 
-    def test_commit_enabled_diffs_and_masks(self):
-        sim = _sst_sim()
-        store = sim._columns
-        ids = store.ids
-        old = [ids[1], ids[3]]
-        new = [ids[0], ids[3], ids[4]]
-        added, removed = store.commit_enabled(new, old)
-        assert added == [ids[0], ids[4]]
-        assert removed == [ids[1]]
-        want = {store.pos[v] for v in new}
-        assert {i for i in range(store.n) if store.enabled[i]} == want
-        added, removed = store.commit_enabled([], new)
-        assert (added, removed) == ([], new)
-        assert not any(store.enabled)
 
-    def test_explicit_backend_selection(self):
-        sim = _sst_sim()
-        arr = ColumnStore(sim.schema, sim.net, sim._state, backend="array")
-        assert arr.backend == "array" and arr.np is None
-        with pytest.raises(ValueError):
-            ColumnStore(sim.schema, sim.net, sim._state, backend="torch")
+def test_enabled_diff():
+    old = [2, 5]
+    new = [1, 5, 7]
+    assert enabled_diff(new, old) == ([1, 7], [2])
+    assert enabled_diff([], new) == ([], new)
+
+
+def test_store_needs_numpy(monkeypatch):
+    sim = _sst_sim(use_vector_rules=False)
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    with pytest.raises(RuntimeError, match="numpy"):
+        ColumnStore(sim.schema, sim.net, sim._state)
 
 
 class TestBackendEquality:
-    """numpy columns ≡ array('q') columns, cellwise and run-wise."""
+    """A numpy run ≡ a ``REPRO_NO_NUMPY`` run, which builds no store."""
 
-    def test_encoded_columns_match_cellwise(self):
-        if numpy_or_none() is None:
-            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+    @needs_numpy
+    def test_encoded_columns_match_cellwise(self, monkeypatch):
+        """After every synchronous round, the numpy store's columns hold
+        exactly the no-store run's rows, cell by cell (NONE as the
+        sentinel)."""
         sim = _sst_sim(n=14, seed=11, cfg_seed=13)
-        a = ColumnStore(sim.schema, sim.net, sim._state,
-                        backend="numpy").sync()
-        b = ColumnStore(sim.schema, sim.net, sim._state,
-                        backend="array").sync()
-        assert a.valid == b.valid
-        for s in range(sim.schema.width):
-            if a.valid[s]:
-                assert [int(x) for x in a.col(s)] == list(b.col(s))
-        for name in ("nbr_offsets", "nbr_index", "nbr_ids", "owner_index",
-                     "ids_arr"):
-            assert [int(x) for x in getattr(a, name)] == list(
-                getattr(b, name))
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        bare = _sst_sim(n=14, seed=11, cfg_seed=13)
+        monkeypatch.delenv("REPRO_NO_NUMPY")
+        assert sim._columns is not None and bare._columns is None
+        store = sim._columns
+        width = sim.schema.width
+        rounds = 0
+        while True:
+            store.sync()
+            assert store.valid_slot(*range(width))
+            for s in range(width):
+                want = [NONE_SENTINEL if bare._state[v][s] is NONE
+                        else bare._state[v][s] for v in store.ids]
+                assert [int(x) for x in store.col(s)] == want, (
+                    f"slot {s} diverged after {rounds} rounds")
+            moved, moved_bare = sim.run_round(), bare.run_round()
+            assert moved == moved_bare
+            if not moved:
+                break
+            rounds += 1
+            assert rounds < 1_000
+        assert rounds > 0 and sim.is_silent() and bare.is_silent()
 
+    @needs_numpy
     @pytest.mark.parametrize("proto_name", sorted(GRID_PROTOCOLS))
     def test_full_run_bit_identity_across_backends(self, proto_name,
                                                    monkeypatch):
-        if numpy_or_none() is None:
-            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
         net = random_connected_graph(10, seed=17)
         outcomes = []
         for disable in ("", "1"):
@@ -234,22 +249,20 @@ class TestBackendEquality:
             proto = GRID_PROTOCOLS[proto_name]()
             cfg = random_configuration(net, proto, seed=19)
             sim = Simulator(net, proto, config=cfg)
-            if proto_name in VECTOR_PROTOCOLS:
-                assert sim._columns.backend == (
-                    "array" if disable else "numpy")
-            else:
-                assert sim._columns is None
+            assert (sim._columns is not None) == (
+                proto_name in VECTOR_PROTOCOLS and not disable)
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
         assert outcomes[0] == outcomes[1], (
-            f"{proto_name}: array('q') backend diverged from numpy")
+            f"{proto_name}: the run without numpy diverged")
 
 
 class TestColumnPathEqualsScalarPaths:
     """Golden bit-identity over the protocol × daemon grid: vectorized and
     slot-scalar runs, each plain and under the cross-checking referee
-    (every cached proposal compared with ``step`` at every selection)."""
+    (every cached proposal compared with the name-keyed referee at every
+    selection)."""
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("proto_name", sorted(GRID_PROTOCOLS))
@@ -268,7 +281,8 @@ class TestColumnPathEqualsScalarPaths:
             if xcheck:
                 sched.sim = sim
             assert (sim._vector_rule is not None) == (
-                vector and proto_name in VECTOR_PROTOCOLS)
+                vector and proto_name in VECTOR_PROTOCOLS
+                and numpy_or_none() is not None)
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
@@ -276,6 +290,7 @@ class TestColumnPathEqualsScalarPaths:
             f"{proto_name} under {sched_name}: the engine planes "
             f"diverged: {outcomes}")
 
+    @needs_numpy
     def test_synchronous_rounds_actually_vectorize(self):
         sim = _sst_sim(n=16, seed=41, cfg_seed=43)
         calls = []

@@ -82,6 +82,7 @@ from repro.runtime.dynamics.schedules import (
 from repro.runtime.faults import corrupt_nodes, inject_faults
 
 from crosscheck import CrossCheckingScheduler
+from referee_rules import SpanningTreeReferee
 
 # name -> (factory, weighted network needed)
 FAMILIES = {
@@ -94,12 +95,15 @@ FAMILIES = {
 
 
 class StepOnlySST(SpanningTreeProtocol):
-    """SST without its compiled slot rule: every binding, including the
-    rebinding after a topology event, runs ``step`` through the
-    ``adapt_step_to_slots`` bridge."""
+    """SST whose engine rule is the referee's name-keyed ``step``: every
+    binding, including the rebinding after a topology event, runs it
+    through the ``adapt_step_to_slots`` bridge."""
 
     def fast_step_slots(self, schema):
         return None
+
+    def step(self, view):
+        return SpanningTreeReferee(self).step(view)
 
 
 # FAMILIES plus the SST variant that pins the adapter engine path
@@ -767,8 +771,7 @@ def _assert_nbr_rows_fresh(sim):
 def _assert_store_fresh(sim):
     """The lazily rebound column store equals a freshly built one."""
     store = sim._columns
-    fresh = ColumnStore(sim.schema, sim.net, sim._state,
-                        backend=store.backend)
+    fresh = ColumnStore(sim.schema, sim.net, sim._state)
     for name in ("nbr_offsets", "nbr_index", "nbr_ids", "owner_index",
                  "ids_arr"):
         assert list(getattr(store, name)) == list(getattr(fresh, name))
@@ -780,15 +783,18 @@ def _assert_store_fresh(sim):
 
 
 class TestIncrementalRebinding:
-    @pytest.mark.parametrize("backend", ["numpy", "array"])
+    @pytest.mark.parametrize("backend", ["numpy", "none"])
     def test_rows_and_columns_after_every_event(self, backend,
                                                 monkeypatch):
+        """With numpy the store is rebuilt lazily after every event;
+        without it the simulator never builds one."""
         if backend == "numpy" and numpy_or_none() is None:
             pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1" if backend == "array"
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1" if backend == "none"
                            else "")
+        columnar = backend == "numpy"
         sim = _sst_sim(scheduler="synchronous")
-        assert sim._columns.backend == backend
+        assert (sim._columns is not None) == columnar
         built = []
 
         class CountingStore(ColumnStore):
@@ -807,15 +813,17 @@ class TestIncrementalRebinding:
             apply_event(sim, event, check=True)
             _assert_nbr_rows_fresh(sim)
             assert built == []  # the event itself builds no store
-            # an all-dirty refresh rebinds the columns, once
+            # an all-dirty refresh rebinds the columns, once (never
+            # without numpy)
             sim._dirty_all = True
             sim.enabled_set()
-            assert built == [1]
-            assert sim._columns.backend == backend
-            _assert_store_fresh(sim)
+            assert built == [1] * columnar
+            assert (sim._columns is not None) == columnar
+            if columnar:
+                _assert_store_fresh(sim)
             sim._dirty_all = True
             sim.enabled_set()
-            assert built == [1]
+            assert built == [1] * columnar
             built.clear()
             assert sim.run(max_rounds=50_000).silent
             assert sim.enabled_nodes() == sim.rescan_enabled()

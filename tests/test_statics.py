@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.bgr_mdst import BigMemoryMDST
 from repro.certify.oracle import DigestLayer
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
@@ -453,14 +454,18 @@ def test_json_report_schema():
 
 
 def test_rule_contract_metadata():
-    # one name-keyed reference (step) plus the compiled planes
+    # a name-keyed rule (step) or the compiled planes
     assert RULE_ENTRYPOINTS == ("step", "fast_step_slots", "vector_step",
                                 "interrupt_step")
     contract = SpanningTreeProtocol().rule_contract()
     assert set(contract["entrypoints"]) == set(RULE_ENTRYPOINTS)
-    assert contract["entrypoints"]["step"] is True
-    assert contract["entrypoints"]["fast_step_slots"] is True
+    assert contract["entrypoints"] == {
+        "step": False, "fast_step_slots": True, "vector_step": True,
+        "interrupt_step": True}
     assert contract["layers"] is None
+    # bgr-mdst has no compiled rule: its step is its one statement
+    bgr = BigMemoryMDST().rule_contract()["entrypoints"]
+    assert bgr["step"] is True and bgr["fast_step_slots"] is False
 
     composed = guided_mst_protocol().rule_contract()
     layer_classes = [layer["class"] for layer in composed["layers"]]
