@@ -29,7 +29,6 @@ is reused there for recovery after faults.
 from __future__ import annotations
 
 from repro.graphs.network import Network
-from repro.runtime.columns import NONE_SENTINEL
 from repro.runtime.protocol import Protocol
 from repro.runtime.registers import (
     NONE,
@@ -288,122 +287,11 @@ class SpanningTreeProtocol(Protocol):
 
         return impact
 
-    def vector_step(self, schema, cols):
-        """The same rule over typed columns (Protocol.vector_step).
-
-        Claims pack into one comparison key ``rid * K + dist`` with
-        ``K = n_bound`` (dists live in ``[0, n_bound)``), so "adopt the
-        best reachable claim" becomes one segment-min over the CSR edge
-        arrays and stability one segment-or.  Deltas are rebuilt
-        per-enabled-node in plain Python ints, byte-identical to
-        :meth:`fast_step_slots`.  Declines (scalar fallback) whenever a
-        needed column failed to encode or value magnitudes could
-        overflow the packed key.
-        """
-        RID, PAR, D = schema.slots("rid", "par", "d")
-        if cols.n < 2 or cols.e == 0 or cols.min_degree == 0:
-            return None  # reduceat segments must all be non-empty
-        K = cols.n_bound
-        LIM = (2 ** 62) // K  # |value| < LIM keeps rid * K + d in int64
-        if cols.id_space >= LIM:
-            return None
-        np = cols.np
-        starts = cols.nbr_offsets[:-1]
-        nbr = cols.nbr_index
-        nbr_ids = cols.nbr_ids
-        owner = cols.owner_index
-        ids_arr = cols.ids_arr
-        ids_list = cols.ids
-        E = cols.e
-        bound1 = K - 1
-        SENT = NONE_SENTINEL
-        BIG = np.int64(2 ** 63 - 1)
-        edge_range = np.arange(E, dtype=np.int64)
-        seed_key = ids_arr * K  # every node's own candidacy: (me, 0)
-
-        def rule(store, active):
-            if not store.valid_slot(RID, PAR, D):
-                return None
-            rid = store.col(RID)
-            par = store.col(PAR)
-            d = store.col(D)
-            # magnitude guard: junk (or NONE-encoded) rid/d beyond the
-            # packable range declines to the scalar path, which handles
-            # arbitrary ints
-            if int(rid.min()) <= -LIM or int(rid.max()) >= LIM:
-                return None
-            if int(d.min()) <= -LIM or int(d.max()) >= LIM:
-                return None
-            rid_e = rid[nbr]
-            d_e = d[nbr]
-            cand = (rid_e < ids_arr[owner]) & (d_e > -1) & (d_e < bound1)
-            key_e = np.where(cand, rid_e * K + d_e + 1, BIG)
-            best_key = np.minimum(seed_key,
-                                  np.minimum.reduceat(key_e, starts))
-            best_rid = best_key // K
-            best_d = best_key - best_rid * K
-            # stability: claim matches the best, and the parent realizes
-            # it (root claims need par = NONE, rid = me, d = 0)
-            par_none = par == SENT
-            root_ok = par_none & (rid == ids_arr) & (d == 0)
-            pmatch = ((nbr_ids == par[owner]) & (rid_e == rid[owner])
-                      & (d_e == d[owner] - 1))
-            pok = np.logical_or.reduceat(pmatch, starts)
-            stable = ((rid == best_rid) & (d == best_d)
-                      & (root_ok | (~par_none & pok & (rid < ids_arr))))
-            en_pos = np.nonzero(~stable)[0]
-            if en_pos.size == 0:
-                return {}
-            # tie-break witness: first (= smallest-id) edge offering the
-            # best claim; only read for non-root adoptions, which always
-            # have one (the claim came from some neighbor)
-            wmask = (rid_e == best_rid[owner]) & (d_e == best_d[owner] - 1)
-            first = np.minimum.reduceat(
-                np.where(wmask, edge_range, E), starts)
-            wpar = nbr_ids[np.minimum(first, E - 1)]
-            # decode the enabled slice to plain Python ints (tolist):
-            # delta reprs feed golden hashes, numpy scalars must not leak
-            en = en_pos.tolist()
-            bra = best_rid[en_pos].tolist()
-            bda = best_d[en_pos].tolist()
-            ra = rid[en_pos].tolist()
-            da = d[en_pos].tolist()
-            pa = par[en_pos].tolist()
-            wa = wpar[en_pos].tolist()
-            out = {}
-            for k, i in enumerate(en):
-                me = ids_list[i]
-                br = bra[k]
-                r0 = ra[k]
-                d0 = da[k]
-                p0 = pa[k]
-                delta = {}
-                if br == me:
-                    if r0 != me:
-                        delta[RID] = me
-                    if p0 != SENT:
-                        delta[PAR] = NONE
-                    if d0 != 0:
-                        delta[D] = 0
-                else:
-                    if r0 != br:
-                        delta[RID] = br
-                    w = wa[k]
-                    if p0 != w:
-                        delta[PAR] = w
-                    bd = bda[k]
-                    if d0 != bd:
-                        delta[D] = bd
-                out[me] = delta
-            return out
-
-        return rule
-
     def probe_potential(self, net: Network, config) -> int:
         """Packed-claim sum: the telemetry layer's convergence potential.
 
         Every node contributes its claim packed into the comparison key
-        the columnar rule already uses — ``rid * n_bound + d`` — so the
+        ``rid * n_bound + d`` (the write-impact filter's packing), so the
         sum strictly descends as nodes adopt smaller root claims and
         ghost-root distances are flushed upward then dropped.  Junk
         claims (non-int fields, values outside the packable range, as an

@@ -96,7 +96,6 @@ class TraceRecorder:
             # every binding runs on a slot rule; the key stays so that
             # trace headers keep their shape
             "slot": True,
-            "vector": sim._vector_rule is not None,
             "fused_capable": sim._notify is None,
         }
         extra = dict(self._header_extra)

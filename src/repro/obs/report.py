@@ -117,8 +117,8 @@ def render_report(header: dict[str, Any], rows: list[dict[str, Any]],
 
     # the per-round table (head and tail when the trace is long)
     base_cols = ["round", "moves", "enabled_start", "enabled_end"]
-    optional = [c for c in ("selections", "dirty_peak", "settled", "vector",
-                            "potential", "certified", "per_shard")
+    optional = [c for c in ("selections", "dirty_peak", "settled", "potential",
+                            "certified", "per_shard")
                 if any(c in row for row in rows)]
     columns = base_cols + optional
     shown = rows

@@ -138,8 +138,8 @@ def _build_registry() -> dict[str, Workload]:
         # small enough to run to silence in milliseconds: CI records its
         # full convergence trace on every change
         Workload(name="smoke-sst-48", topo_params=_params(n=48, seed=42), **acceptance),
-        # the columnar-engine scale tier (nightly): one multi-million-move
-        # run to silence
+        # the single-process scale tier (nightly): one multi-million-move
+        # central-daemon run to silence through the scalar slot rule
         Workload(name="sst-65536", topo_params=_params(n=65536, seed=42), **acceptance),
         # The sharded scale tier (nightly): a million-node implicit grid
         # over 8 worker processes — the whole-network adjacency never

@@ -35,7 +35,6 @@ from repro.runtime.protocol import (
     adapt_step_to_slots,
     effective_delta,
 )
-from repro.runtime.columns import ColumnStore, NONE_SENTINEL, numpy_or_none
 from repro.runtime.schema import SlotState, StateSchema
 from repro.runtime.scheduler import (
     EnabledSet,
@@ -82,9 +81,6 @@ __all__ = [
     "ComposedProtocol",
     "SlotState",
     "StateSchema",
-    "ColumnStore",
-    "NONE_SENTINEL",
-    "numpy_or_none",
     "EnabledSet",
     "Scheduler",
     "SynchronousScheduler",

@@ -20,14 +20,12 @@ Two layers:
   Surviving nodes keep their register rows *by identity* (the engine's
   rows-mutated-in-place contract), joiners get bottom or spec-sampled
   states, the slot rule is recompiled with the neighbor rows of the
-  touched nodes rebuilt (the column plane rebinds lazily, at the next
-  all-dirty refresh), the protocol's interrupt section runs at the
+  touched nodes rebuilt, the protocol's interrupt section runs at the
   touched nodes, and exactly the event's write-neighborhood is marked
   dirty — so the incremental :class:`~repro.runtime.scheduler.EnabledSet`
-  stays coherent, provable
-  on demand against :meth:`Simulator.rescan_enabled` (``check=True``,
-  the event-boundary proof obligation the dynamics tests run
-  everywhere).
+  stays coherent, provable on demand against
+  :meth:`Simulator.rescan_enabled` (``check=True``, the event-boundary
+  proof obligation the dynamics tests run everywhere).
 """
 
 from __future__ import annotations
@@ -258,8 +256,7 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     # recompile the scalar rule path for the new binding, rebuilding the
     # neighbor rows of the touched nodes only.  Survivor rows are the
     # same list objects, so the rebuilt rows alias live state exactly as
-    # construction did.  The column plane rebinds itself at the next
-    # all-dirty refresh (Simulator._bind_columns).
+    # construction did.
     sim._bind_rules(touched)
 
     # ---- protocol lifecycle hook -------------------------------------
@@ -286,8 +283,6 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
                 dirty.update(new_net.neighbors(v))
 
     # ---- dirty-set accounting + proof obligation ---------------------
-    # (the column store, rebuilt at the next vector refresh, encodes the
-    # post-interrupt rows then)
     if invalidate_all:
         sim._dirty_all = True
         sim._dirty.clear()

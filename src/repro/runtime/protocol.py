@@ -38,7 +38,7 @@ __all__ = ["NodeView", "Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
 #: overrides — one definition of "the rule surface" shared by the
 #: runtime, the analyzer, and the docs.
 RULE_ENTRYPOINTS: tuple[str, ...] = ("step", "fast_step_slots",
-                                     "vector_step", "interrupt_step")
+                                     "interrupt_step")
 
 #: The observer surface: probe callbacks the telemetry layer
 #: (:mod:`repro.obs`) invokes *between* atomic steps, never from inside
@@ -188,9 +188,6 @@ class Protocol(ABC):
         keyed by **slot index**.  A protocol that defines this rule
         defines no :meth:`step`: the compiled rule is its only statement
         of delta, and every evaluator runs it (see :func:`slot_rule`).
-        The one second statement a protocol may carry is a columnar
-        :meth:`vector_step`, which must return exactly this rule's
-        deltas.
 
         Inside a :class:`ComposedProtocol` the composition passes each
         layer a *patched* ``own`` row carrying the updates of the layers
@@ -204,38 +201,8 @@ class Protocol(ABC):
         """
         return None
 
+    # always None: perfbench/tracer.py still wraps this name
     def vector_step(self, schema, cols):
-        """Compile the columnar bulk-evaluation path, or return ``None``.
-
-        ``cols`` is the :class:`~repro.runtime.columns.ColumnStore` the
-        simulator built for this ``(protocol, network)`` binding: one
-        typed ``int64`` numpy column per field over all nodes, plus CSR
-        adjacency (without numpy the simulator builds no store and never
-        calls this).  A protocol that opts in resolves its slots once and
-        returns a rule
-
-        ``rule(store, active) -> dict[int, dict[int, object]] | None``
-
-        evaluating **every** node of the network in one call (the engine
-        invokes it exactly on all-dirty refreshes — synchronous rounds
-        and bulk-dirty batches; ``active`` is reserved for masked
-        partial evaluation and is currently always ``None``).  The
-        result maps each *enabled* node to its slot-keyed delta — the
-        exact dict :meth:`fast_step_slots` would return for that node,
-        with plain Python values (``int`` / ``NONE``, never numpy
-        scalars: reprs feed golden hashes and certificate digests).
-
-        Returning ``None`` — at compile time *or* from the compiled rule
-        at call time — declines the refresh: the engine falls back to
-        the bit-identical scalar slot path.  Rules must decline whenever
-        a column they actually read failed to encode
-        (``store.valid_slot``), and may decline on any value range their
-        vectorized arithmetic cannot represent.
-
-        Default: ``None`` — no columnar path; the store is not built.
-        A :class:`ComposedProtocol` keeps the default, so compositions
-        always run on the scalar slot rule.
-        """
         return None
 
     #: Whether the rule surface is sound under partitioned (sharded)

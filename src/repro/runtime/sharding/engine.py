@@ -1,16 +1,15 @@
 """Shard-parallel synchronous-daemon execution.
 
 One :class:`ShardWorker` per shard runs an ordinary :class:`Simulator`
-(columnar plane and all) on the shard-local subgraph — its owned nodes
+on the shard-local subgraph — its owned nodes
 plus their 1-hop halo — and the :class:`ShardedSimulator` drives them
 through lock-step synchronous rounds:
 
 1. **halo ingest** — rows shipped by neighbor shards at the previous
    round edge are written over the local halo registers;
 2. **refresh** — the all-dirty flag is raised (halo writes plus last
-   round's own writes invalidate everything near a frontier, and the
-   all-dirty pass is exactly the one the columnar plane accelerates) and
-   the incremental engine re-proposes;
+   round's own writes invalidate everything near a frontier) and the
+   incremental engine re-proposes;
 3. **enabled-mask reconciliation** — the shard keeps only the enabled
    nodes it *owns*.  Halo nodes evaluate over incomplete neighborhoods,
    so their proposals are structurally garbage; ownership filtering is
@@ -27,8 +26,7 @@ neighborhood (complete adjacency + halo rows synchronized to the
 pre-round configuration), the per-round move sets — and therefore moves,
 rounds, silence, and the final configuration — are bit-identical to a
 single-process run on the same seed.  ``tests/test_sharding.py`` pins
-that equivalence at every round boundary, across shard counts, on both
-CI legs (numpy columns, and the scalar slot rule without numpy); it is
+that equivalence at every round boundary, across shard counts; it is
 the incremental≡rescan suite lifted to processes.
 
 Every shard runs in its own forked worker process (fork start method:
@@ -206,10 +204,7 @@ class ShardWorker:
         if halo_updates:
             for v, row in halo_updates.items():
                 rows[v][:] = row
-            if sim._columns is not None:
-                sim._columns.fresh = False
-        # everything near a frontier may have changed; the all-dirty pass
-        # is also the one the columnar plane vectorizes
+        # everything near a frontier may have changed
         sim._dirty_all = True
         sim._refresh()
         owned = self._owned_set

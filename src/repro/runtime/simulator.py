@@ -63,7 +63,6 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.graphs.network import Network
-from repro.runtime.columns import ColumnStore, enabled_diff, numpy_or_none
 from repro.runtime.protocol import Protocol, effective_delta, slot_rule
 from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 
@@ -144,7 +143,6 @@ class Simulator:
         config: Config | None = None,
         invariant: Callable[[Network, Config], bool] | None = None,
         rng: random.Random | None = None,
-        use_vector_rules: bool = True,
         recorder: object | None = None,
     ) -> None:
         self.net = net
@@ -183,10 +181,11 @@ class Simulator:
         self.invariant = invariant
         self.moves = 0
         self.rounds = 0
-        # cold-path engagement counters (never touched by the fused loop):
-        # settle-retirements taken through _apply_batch and successful
-        # columnar refreshes.  The telemetry layer diffs them per round.
+        # cold-path engagement counter (never touched by the fused loop):
+        # settle-retirements taken through _apply_batch.  The telemetry
+        # layer diffs it per round.
         self.stat_settle_retired = 0
+        # always 0: perfbench/trial.py still reads this name
         self.stat_vector_refreshes = 0
         self._invariant_violations = 0
         # incremental enabledness machinery: valid proposals for every
@@ -222,19 +221,6 @@ class Simulator:
         # claims about the rule itself.
         self._settles = bool(getattr(protocol, "settles_after_move", False))
         self._bind_rules()
-        # columnar bulk-evaluation plane: built only when the protocol
-        # compiles a vector rule for this binding (Protocol.vector_step)
-        # and numpy is available; _refresh engages it on all-dirty
-        # passes, everything else stays on the scalar slot rule.
-        # ``use_vector_rules=False`` is the testing escape hatch that
-        # forces the scalar path.
-        self._columns: ColumnStore | None = None
-        self._columns_net: Network | None = None  # the store's network
-        self._vector_rule = None
-        if (use_vector_rules
-                and type(protocol).vector_step is not Protocol.vector_step
-                and numpy_or_none() is not None):
-            self._bind_columns()
         # telemetry seam: hook selection happens HERE, once, at setup.
         # With no recorder the engine runs the exact pre-telemetry byte
         # path — no per-move branch anywhere below; with one, the
@@ -329,21 +315,6 @@ class Simulator:
 
         self._repropose = repropose
 
-    def _bind_columns(self) -> None:
-        """Build the column store for the current binding and compile the
-        protocol's vector rule on it.
-
-        Runs at construction, and after a topology event at the first
-        all-dirty refresh (:meth:`_vector_refresh`), so event bursts with
-        no vector refresh in between build no store.  A declined compile
-        switches the columnar plane off for the rest of the run.
-        """
-        store = ColumnStore(self.schema, self.net, self._state)
-        vrule = self.protocol.vector_step(self.schema, store)
-        self._columns = store if vrule is not None else None
-        self._columns_net = self.net
-        self._vector_rule = vrule
-
     def _refresh(self) -> None:
         """Re-propose every dirty node, settling the incremental state.
 
@@ -352,16 +323,11 @@ class Simulator:
         the all-dirty flag.  The kernel feeds the resulting enabled-set
         deltas to the scheduler's incremental hooks and prunes the active
         round's pending set.
-
-        All-dirty passes of vectorized protocols go through the columnar
-        plane (:meth:`_vector_refresh`) instead of the per-node kernel; a
-        declined vector evaluation falls through to the scalar pass.
         """
         if self._dirty_all:
-            if self._vector_rule is None or not self._vector_refresh():
-                self._dirty_all = False
-                self._dirty.clear()
-                self._repropose(self._all_nodes)
+            self._dirty_all = False
+            self._dirty.clear()
+            self._repropose(self._all_nodes)
         elif self._dirty:
             items = sorted(self._dirty)
             self._dirty.clear()
@@ -369,59 +335,6 @@ class Simulator:
         if not self._sched_synced:
             self.scheduler.reset(self._enabled)
             self._sched_synced = True
-
-    def _vector_refresh(self) -> bool:
-        """One all-dirty re-proposal through the columnar plane.
-
-        Returns False when the compiled rule declines (stale or
-        unencodable columns, value ranges its arithmetic cannot pack) —
-        the caller then runs the scalar per-node pass, which handles
-        everything.  On success the engine state (proposal table, enabled
-        set, pending round set, scheduler notify) ends exactly as the
-        scalar all-dirty pass would leave it.
-        """
-        if self._columns_net is not self.net:
-            # a topology event rebound the network: the CSR arrays and
-            # the compiled rule describe the old one
-            self._bind_columns()
-            if self._vector_rule is None:
-                return False
-        store = self._columns
-        if not store.fresh:
-            store.sync()
-        delta_map = self._vector_rule(store, None)
-        if delta_map is None:
-            return False
-        # the rule evaluated every node: the dirty flags are consumed
-        # (only after success — a decline must leave them raised)
-        self._dirty_all = False
-        self._dirty.clear()
-        if not self._exact_deltas:
-            rows = self._state
-            for v in list(delta_map):
-                delta = _effective(rows[v], delta_map[v])
-                if delta is None:
-                    del delta_map[v]
-                else:
-                    delta_map[v] = delta
-        proposal = self._proposal
-        proposal.update(dict.fromkeys(self._all_nodes))
-        proposal.update(delta_map)
-        new_ids = sorted(delta_map)
-        enabled = self._enabled
-        added, removed = enabled_diff(new_ids, enabled._list)
-        # run_round and the select fast path hold aliases to these
-        # internals: update them in place, never rebind
-        enabled._set.clear()
-        enabled._set.update(new_ids)
-        enabled._list[:] = new_ids
-        if self._pending is not None and removed:
-            self._pending.difference_update(removed)
-        if (self._sched_synced and (added or removed)
-                and self._notify is not None):
-            self._notify(added, removed)
-        self.stat_vector_refreshes += 1
-        return True
 
     def enabled_nodes(self) -> list[int]:
         """All currently enabled nodes, ascending."""
@@ -510,12 +423,6 @@ class Simulator:
                 olds.append({s: row[s] for s in delta})
             for s, val in delta.items():
                 row[s] = val
-        store = self._columns
-        if store is not None and writes:
-            # the columns go stale here; _vector_refresh resyncs on demand
-            # (write-through would cost about what the resync does, and is
-            # pure waste on central-daemon runs that never vectorize)
-            store.fresh = False
         if bulk:
             # bulk batch (synchronous round): one flag
             # instead of per-write neighborhood set maintenance
@@ -625,7 +532,6 @@ class Simulator:
             adjacency = net.adjacency
             impact = self._write_impact
             settles = self._settles
-            store = self._columns
             repropose = self._repropose
             # latched for the round (reassigning them mid-round from an
             # invariant callback is not a supported pattern)
@@ -670,9 +576,6 @@ class Simulator:
                         for s, val in delta.items():
                             row[s] = val
                     self.moves += 1
-                    if store is not None:
-                        store.fresh = False
-                        store = None  # stale once is stale enough
                     if settles:
                         # the mover provably landed disabled: retire
                         proposal[v] = None
@@ -713,8 +616,7 @@ class Simulator:
         enabled_start = len(self._enabled)
         if not enabled_start:
             return False
-        moves, vector, settled = (self.moves, self.stat_vector_refreshes,
-                                  self.stat_settle_retired)
+        moves, settled = self.moves, self.stat_settle_retired
         select, refresh = self.scheduler.select, self._refresh
         counts = [0, 0]  # selections, dirty peak
 
@@ -734,8 +636,7 @@ class Simulator:
         self._obs.on_round(
             self, moves=self.moves - moves, enabled_start=enabled_start,
             enabled_end=len(self._enabled), selections=counts[0],
-            dirty_peak=counts[1], vector=self.stat_vector_refreshes - vector,
-            settled=self.stat_settle_retired - settled)
+            dirty_peak=counts[1], settled=self.stat_settle_retired - settled)
         return True
 
     def run_steps(self, max_moves: int) -> int:
@@ -839,9 +740,5 @@ class Simulator:
             raise KeyError(f"unknown fields: {sorted(unknown)}")
         for name, val in updates.items():
             row[index[name]] = val
-        if self._columns is not None:
-            # adversarial writes bypass the write-through; resync the
-            # columns from the rows on the next vector refresh
-            self._columns.fresh = False
         self._dirty.add(node)
         self._dirty.update(self.net.neighbors(node))

@@ -5,7 +5,7 @@ footing: a rule reads only its 1-hop view and writes only its own
 register, atomically.  This package proves the *shape* of those
 contracts — locality, write ownership, schema coverage, determinism, and
 agreement between the rule implementations each protocol may carry
-(``step`` / ``fast_step_slots`` / ``vector_step``) — by AST inspection of
+(``step`` / ``fast_step_slots``) — by AST inspection of
 the registered protocols, before any test executes a single move.  In
 the spirit of proof-labeling schemes, well-formedness of the rules
 themselves carries part of the proof.

@@ -6,11 +6,10 @@ node's register (own or a neighbor's), a local scratch dict, a compiled
 slot index, an unordered set.  Full dataflow analysis is out of scope —
 instead this module exploits the repo's rigid rule-surface calling
 conventions (``step(self, view)``, ``fast_step_slots(self, schema)``
-with its compiled ``rule(net, config, node, own, nbr_rows)``,
-``vector_step(self, schema, cols)`` with its compiled
-``rule(store, active, patch)``) to seed parameter tags by name, then
-propagates tags through the straight-line assignments, loop targets and
-comprehension generators of each function scope.  Two derived shapes
+with its compiled ``rule(net, config, node, own, nbr_rows)``) to seed
+parameter tags by name, then propagates tags through the straight-line
+assignments, loop targets and comprehension generators of each function
+scope.  Two derived shapes
 keep their register tag: a comprehension re-packing ``(id, register)``
 pairs (``children = [(u, st) for u, st in nbr_rows if ...]``) is itself
 a neighbor-row sequence, and a call to a nested helper ``def`` carries
@@ -45,8 +44,6 @@ class Tag:
     NBR_ROWS = "NBR_ROWS"    #: the (neighbor, register) pair sequence
     SCHEMA = "SCHEMA"        #: a StateSchema
     SINDEX = "SINDEX"        #: schema.index (name -> slot table)
-    COLS = "COLS"            #: a ColumnStore (the columnar state plane)
-    COLROWS = "COLROWS"      #: ColumnStore.rows (the aligned row list)
     LOCALDICT = "LOCALDICT"  #: a scratch dict owned by the rule
     SETVAL = "SETVAL"        #: an unordered set/frozenset value
     NODE = "NODE"            #: a node identity
@@ -83,8 +80,6 @@ PARAM_TAGS: dict[str, str] = {
     "nbr_rows": Tag.NBR_ROWS,
     "rows": Tag.NBR_ROWS,
     "schema": Tag.SCHEMA,
-    "cols": Tag.COLS,
-    "store": Tag.COLS,
     "node": Tag.NODE,
     "me": Tag.NODE,
     "intended": Tag.LOCALDICT,
@@ -205,16 +200,12 @@ class ScopeEnv:
             return Tag.SINDEX
         if base == Tag.ROW and node.attr == "row":
             return Tag.ROW  # SlotState.row: same register, raw plane
-        if base == Tag.COLS and node.attr == "rows":
-            return Tag.COLROWS  # the store's aligned slot rows
         return Tag.OTHER
 
     def _tag_subscript(self, node: ast.Subscript) -> str:
         base = self.tag(node.value)
         if base == Tag.CONFIG:
             return Tag.ROW
-        if base == Tag.COLROWS:
-            return Tag.ROW  # cols.rows[i]: one node's register row
         if base == Tag.SINDEX:
             key = node.slice
             if isinstance(key, ast.Constant) and isinstance(key.value, str):

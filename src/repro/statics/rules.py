@@ -14,8 +14,7 @@ class; the registry at the bottom is what the analyzer runs):
 * **D (determinism)** — no ambient randomness or clocks, no iteration
   over unordered sets feeding a proposal.
 * **C (path consistency)** — the literal read/write field sets of
-  ``step`` / ``fast_step_slots`` / ``vector_step`` agree
-  field-for-field.
+  ``step`` / ``fast_step_slots`` agree field-for-field.
 """
 
 from __future__ import annotations
@@ -200,8 +199,7 @@ class WriteOwnershipRule(Rule):
 # ----------------------------------------------------------------------
 
 #: Rule paths that traffic in compiled slot indices (S002 applies).
-_SLOT_PATHS = frozenset({"fast_step_slots", "vector_step",
-                         "interrupt_step"})
+_SLOT_PATHS = frozenset({"fast_step_slots", "interrupt_step"})
 
 
 class SchemaCoverageRule(Rule):
@@ -381,8 +379,7 @@ class DeterminismRule(Rule):
 class PathConsistencyRule(Rule):
     rule_id = "C001"
     series = "C"
-    title = ("step / fast_step_slots / vector_step read and write the "
-             "same fields")
+    title = "step / fast_step_slots read and write the same fields"
 
     def check_layer(self, ctx: LayerContext, paths: list[RulePath],
                     scopes: dict[int, ScopeMap]) -> list[Finding]:
@@ -456,16 +453,6 @@ class PathConsistencyRule(Rule):
                         field = self._key_field(sm, node.args[0])
                         if field is not None:
                             reads.add(field)
-                    elif (func.attr in ("col", "valid_slot")
-                            and base_tag == Tag.COLS):
-                        # columnar reads: store.col(SLOT) materializes the
-                        # field's column; valid_slot guards the same
-                        # dependency (decline-to-scalar still *consumed*
-                        # the field)
-                        for arg in node.args:
-                            field = self._key_field(sm, arg)
-                            if field is not None:
-                                reads.add(field)
                 elif isinstance(node, ast.Dict) and owned:
                     for key in node.keys:
                         field = self._key_field(sm, key)

@@ -2,7 +2,7 @@
 
 The analyzer works on *instances*, not on import paths: given a layer it
 resolves each rule entrypoint (``step`` / ``fast_step_slots`` /
-``vector_step`` / ...) through the class MRO, parses the defining module's
+``interrupt_step``) through the class MRO, parses the defining module's
 source once, and locates the matching ``ast.FunctionDef`` by name and
 first line.  From each entrypoint it then walks the call graph —
 ``self.helper()`` through the MRO of the *concrete* class (so hook

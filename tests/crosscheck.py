@@ -12,9 +12,8 @@ evaluation:
   that has no compiled rule), re-keyed to slot indices.
 
 The engine proposes through one slot rule per binding (a compiled
-``fast_step_slots`` rule, the ``adapt_step_to_slots`` bridge, or the
-columnar ``vector_step`` plane on all-dirty refreshes), so the second
-assertion pins each of those planes to the referee at every selection.
+``fast_step_slots`` rule or the ``adapt_step_to_slots`` bridge), so the
+second assertion pins that rule to the referee at every selection.
 The wrapper forwards the incremental ``reset``/``notify`` hooks, so
 mirror-keeping daemons stay exercised too.
 """

@@ -1,7 +1,7 @@
 """The name-keyed test referee of every compiled rule.
 
 The product states each protocol's rule once, as its compiled
-``fast_step_slots`` rule (``sst`` adds its columnar ``vector_step``).
+``fast_step_slots`` rule.
 This module keeps a second, independent statement of the same rules over
 :class:`NodeView` — field names instead of slot indices, one hook per
 method — so the cross-checking scheduler (``crosscheck.py``) and the

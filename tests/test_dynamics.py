@@ -19,8 +19,7 @@ Five pillars:
   set must equal a from-scratch rescan, and at every subsequent
   scheduler selection the cross-checking referee also compares each
   cached proposal with ``step`` — for five protocol families under
-  every daemon, on the adapter, compiled-slot and columnar engine
-  paths.
+  every daemon, on the adapter and compiled-slot engine paths.
 * **Churn phase integration** — ``execute()`` runs the churn phase with
   super-stabilization metrics, traces carry schema-v2 event rows
   byte-identically across repeats, and the fault-injection field
@@ -54,8 +53,6 @@ from repro.runtime import (
     Simulator,
     random_configuration,
 )
-from repro.runtime import simulator as simulator_module
-from repro.runtime.columns import ColumnStore, numpy_or_none
 from repro.runtime.dynamics import (
     ChurnSchedule,
     EdgeAdd,
@@ -658,13 +655,13 @@ class TestApplyGuards:
 # ----------------------------------------------------------------------
 
 
-def _churn_grid_run(proto_name, sched_name, kind, **sim_kwargs):
+def _churn_grid_run(proto_name, sched_name, kind):
     factory, weighted = PATH_FAMILIES[proto_name]
     net = _headroom_net(n=8, seed=21, weighted=weighted, headroom=3)
     proto = factory()
     cfg = random_configuration(net, proto, seed=22)
     sched = CrossCheckingScheduler(ALL_SCHEDULER_FACTORIES[sched_name](23))
-    sim = Simulator(net, proto, sched, config=cfg, **sim_kwargs)
+    sim = Simulator(net, proto, sched, config=cfg)
     sched.sim = sim
     assert sim.run(max_rounds=50_000).silent
 
@@ -685,25 +682,19 @@ class TestIncrementalAcrossEvents:
         _churn_grid_run(proto_name, sched_name, kind)
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
-    @pytest.mark.parametrize("proto_name,paths", [
-        pytest.param("sst-step-only", dict(use_vector_rules=False),
-                     id="adapter-path"),
-        pytest.param("sst", dict(use_vector_rules=False), id="slot-path"),
-        pytest.param("sst", dict(), id="columnar-path"),
+    @pytest.mark.parametrize("proto_name", [
+        pytest.param("sst-step-only", id="adapter-path"),
+        pytest.param("sst", id="slot-path"),
     ])
-    def test_engine_paths(self, sched_name, proto_name, paths):
-        _churn_grid_run(proto_name, sched_name, "mixed", **paths)
+    def test_engine_paths(self, sched_name, proto_name):
+        _churn_grid_run(proto_name, sched_name, "mixed")
 
     def test_engine_paths_agree_on_moves(self):
-        # the adapter, compiled-slot and columnar paths must execute the
-        # identical churn run
+        # the adapter and compiled-slot paths must execute the identical
+        # churn run
         outcomes = set()
-        for proto_name, paths in (("sst-step-only",
-                                   dict(use_vector_rules=False)),
-                                  ("sst", dict(use_vector_rules=False)),
-                                  ("sst", dict())):
-            m = _churn_grid_run(proto_name, "central-random", "mixed",
-                                **paths)
+        for proto_name in ("sst-step-only", "sst"):
+            m = _churn_grid_run(proto_name, "central-random", "mixed")
             outcomes.add((m["resilience_rounds_total"],
                           m["resilience_moves_total"],
                           json.dumps(m["event_kinds"], sort_keys=True)))
@@ -768,41 +759,11 @@ def _assert_nbr_rows_fresh(sim):
             assert row is rows[u]
 
 
-def _assert_store_fresh(sim):
-    """The lazily rebound column store equals a freshly built one."""
-    store = sim._columns
-    fresh = ColumnStore(sim.schema, sim.net, sim._state)
-    for name in ("nbr_offsets", "nbr_index", "nbr_ids", "owner_index",
-                 "ids_arr"):
-        assert list(getattr(store, name)) == list(getattr(fresh, name))
-    assert ((store.ids, store.pos, store.n, store.e, store.min_degree,
-             store.m, store.n_bound, store.id_space)
-            == (fresh.ids, fresh.pos, fresh.n, fresh.e, fresh.min_degree,
-                fresh.m, fresh.n_bound, fresh.id_space))
-    assert all(a is b for a, b in zip(store.rows, fresh.rows, strict=True))
-
-
 class TestIncrementalRebinding:
-    @pytest.mark.parametrize("backend", ["numpy", "none"])
-    def test_rows_and_columns_after_every_event(self, backend,
-                                                monkeypatch):
-        """With numpy the store is rebuilt lazily after every event;
-        without it the simulator never builds one."""
-        if backend == "numpy" and numpy_or_none() is None:
-            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1" if backend == "none"
-                           else "")
-        columnar = backend == "numpy"
+    def test_rows_after_every_event(self):
+        """The neighbor-row table is rebound in place after every event,
+        and all-dirty refreshes on the revised network settle."""
         sim = _sst_sim(scheduler="synchronous")
-        assert (sim._columns is not None) == columnar
-        built = []
-
-        class CountingStore(ColumnStore):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(simulator_module, "ColumnStore", CountingStore)
         sched = ChurnSchedule("mixed", seed=31)
         kinds = set()
         for _ in range(24):
@@ -812,19 +773,8 @@ class TestIncrementalRebinding:
             kinds.add(event.kind)
             apply_event(sim, event, check=True)
             _assert_nbr_rows_fresh(sim)
-            assert built == []  # the event itself builds no store
-            # an all-dirty refresh rebinds the columns, once (never
-            # without numpy)
             sim._dirty_all = True
-            sim.enabled_set()
-            assert built == [1] * columnar
-            assert (sim._columns is not None) == columnar
-            if columnar:
-                _assert_store_fresh(sim)
-            sim._dirty_all = True
-            sim.enabled_set()
-            assert built == [1] * columnar
-            built.clear()
+            assert sim.enabled_nodes() == sim.rescan_enabled()
             assert sim.run(max_rounds=50_000).silent
             assert sim.enabled_nodes() == sim.rescan_enabled()
         assert len(kinds) >= 4, kinds

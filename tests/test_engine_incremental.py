@@ -23,6 +23,7 @@ import pytest
 
 from repro.baselines.compact_mst import CompactNonSilentMST
 from repro.baselines.dim_bfs import AdHocBFSProtocol
+from repro.certify.oracle import DigestLayer
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import (
@@ -33,6 +34,7 @@ from repro.core.tasks import (
 from repro.graphs import random_connected_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
+    ComposedProtocol,
     EnabledSet,
     Simulator,
     StarvingScheduler,
@@ -46,6 +48,9 @@ from crosscheck import CrossCheckingScheduler
 PROTOCOLS = {
     "sst": (SpanningTreeProtocol, False, True),
     "adhoc-bfs": (AdHocBFSProtocol, False, True),
+    "sst+digest": (lambda: ComposedProtocol(
+        [SpanningTreeProtocol(), DigestLayer(fields=("rid", "par", "d"))],
+        name="sst+digest"), False, True),
     "malleable-tree": (MalleableTreeProtocol, False, True),
     "guided-bfs": (guided_bfs_protocol, False, True),
     "guided-mst": (guided_mst_protocol, True, True),

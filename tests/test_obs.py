@@ -3,9 +3,8 @@
 The claims under test, in the order the PR makes them:
 
 * **determinism** — a trace is a pure function of the pinned run: two
-  recordings are byte-identical, and the slot and columnar engine paths
-  produce byte-identical rows and totals (their headers differ only in
-  the self-describing ``engine`` capability field);
+  recordings are byte-identical, and the header's self-describing
+  ``engine`` field names the one slot-rule path;
 * **the pinned acceptance trajectory** — on acceptance-sst-512 the per
   round rows sum to exactly the pinned 17,265 moves / 19 rounds, and
   the trace validates;
@@ -56,7 +55,7 @@ def _env():
     return env
 
 
-def _acceptance_sim(n=48, recorder=None, **kwargs):
+def _acceptance_sim(n=48, recorder=None):
     """The acceptance workload's shape at any n (see obs.workloads)."""
     net = build_network("random", {"n": n, "seed": 42}, random.Random(0))
     proto, _ = build_protocol("sst")
@@ -64,7 +63,7 @@ def _acceptance_sim(n=48, recorder=None, **kwargs):
                              {"seed": 7})
     scheduler = SCHEDULERS["central-random"](3)
     return Simulator(net, proto, scheduler, config=config,
-                     recorder=recorder, **kwargs)
+                     recorder=recorder)
 
 
 def _run_to_silence(sim):
@@ -73,9 +72,9 @@ def _run_to_silence(sim):
     return sim
 
 
-def _record(path, n=48, **kwargs):
+def _record(path, n=48):
     recorder = TraceRecorder(path)
-    sim = _run_to_silence(_acceptance_sim(n=n, recorder=recorder, **kwargs))
+    sim = _run_to_silence(_acceptance_sim(n=n, recorder=recorder))
     recorder.finalize(silent=sim.is_silent())
     return sim
 
@@ -92,19 +91,15 @@ def test_repeat_recordings_are_byte_identical(tmp_path):
     assert validate_trace(a) == []
 
 
-def test_slot_and_column_paths_emit_identical_rows(tmp_path):
-    """The columnar plane is an optimization, not a semantics change —
-    so the trace *rows* (and totals) must agree byte for byte, and only
-    the header's self-describing ``engine`` field may differ."""
-    a, b = tmp_path / "vector.jsonl", tmp_path / "scalar.jsonl"
-    _record(a)
-    _record(b, use_vector_rules=False)
-    lines_a, lines_b = a.read_bytes().splitlines(), b.read_bytes().splitlines()
-    assert lines_a[1:] == lines_b[1:]  # every row + the end record
-    header_a, header_b = json.loads(lines_a[0]), json.loads(lines_b[0])
-    assert header_b["engine"]["vector"] is False
-    header_a.pop("engine"), header_b.pop("engine")
-    assert header_a == header_b
+def test_header_names_the_one_engine_path(tmp_path):
+    """Every single-process run evaluates through the slot rule, so the
+    header's ``engine`` field is constant and rows carry no ``vector``
+    count."""
+    path = tmp_path / "t.jsonl"
+    _record(path)
+    header, rows, _ = read_trace(path)
+    assert header["engine"] == {"slot": True, "fused_capable": True}
+    assert rows and not any("vector" in row for row in rows)
 
 
 def test_observed_run_is_bit_identical_to_unobserved(tmp_path):

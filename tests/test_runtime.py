@@ -9,7 +9,11 @@ Uses two tiny self-stabilizing toy protocols:
   check that the engine does not mistake perpetual motion for convergence.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +38,6 @@ from repro.runtime import (
     inject_random_faults,
     max_register_bits,
     node_register_bits,
-    numpy_or_none,
     random_configuration,
 )
 
@@ -492,9 +495,8 @@ class TestComposition:
             ComposedProtocol([])
 
     def test_single_layer_composition_runs_like_its_layer(self):
-        """A composition runs on the scalar slot rule even when its layer
-        compiles a vector rule, and reaches the same execution (the bare
-        layer vectorizes wherever numpy is available)."""
+        """A one-layer composition runs its layer's slot rule and reaches
+        the bare layer's execution."""
         net = random_connected_graph(12, seed=21)
         outcomes = []
         for proto in (SpanningTreeProtocol(),
@@ -503,12 +505,8 @@ class TestComposition:
             sim = Simulator(net, proto, SynchronousScheduler(), config=cfg)
             result = sim.run(max_rounds=1_000)
             assert result.silent
-            outcomes.append((sim._columns is not None, result.rounds,
-                             result.moves, sim.config))
-        (plain_cols, *plain), (comp_cols, *comp) = outcomes
-        assert plain_cols == (numpy_or_none() is not None)
-        assert not comp_cols
-        assert plain == comp
+            outcomes.append((result.rounds, result.moves, sim.config))
+        assert outcomes[0] == outcomes[1]
 
     def test_composition_contract_offers_only_scalar_rules(self):
         class Unshardable(MaxIdFlood):
@@ -518,7 +516,7 @@ class TestComposition:
         # a composition's one rule is its composed slot rule
         assert contract["entrypoints"] == {
             "step": False, "fast_step_slots": True,
-            "vector_step": False, "interrupt_step": False}
+            "interrupt_step": False}
         assert contract["shardable"] is True
         # one unshardable layer makes the whole atomic step unshardable
         mixed = ComposedProtocol([MaxIdFlood(), Unshardable()])
@@ -557,3 +555,55 @@ class TestFaultsAndMetrics:
         bits = node_register_bits(net, sim.spec, sim.config)
         assert all(b == 10 for b in bits.values())
         assert max_register_bits(net, sim.spec, sim.config) == 10
+
+
+#: Runs in a fresh interpreter: numpy-free imports must hold for every
+#: daemon and for sharded workers.  A finder that fails any numpy import
+#: is inherited by the forked shard workers, where a failed import
+#: surfaces as a ShardCrashError.
+_NO_NUMPY_SCRIPT = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise RuntimeError("the engine imported numpy")
+
+sys.meta_path.insert(0, NoNumpy())
+
+from repro.core.sst import SpanningTreeProtocol
+from repro.graphs import random_connected_graph
+from repro.graphs.implicit import build_topology
+from repro.obs.workloads import WORKLOADS
+from repro.runtime import (CentralRandomScheduler, Simulator,
+                           SynchronousScheduler, random_configuration)
+from repro.runtime.sharding import ShardedSimulator, plan_partition
+
+net = random_connected_graph(64, seed=5)
+for sched in (SynchronousScheduler(), CentralRandomScheduler(3)):
+    proto = SpanningTreeProtocol()
+    sim = Simulator(net, proto, sched,
+                    config=random_configuration(net, proto, seed=7))
+    assert sim.run(max_rounds=10_000).silent
+
+w = WORKLOADS["smoke-shard-sst-512"]
+topo = build_topology(w.topology, w.topo)
+with ShardedSimulator(topo, SpanningTreeProtocol,
+                      plan_partition(topo, w.shards),
+                      init_seed=w.init_args["seed"]) as sharded:
+    assert sharded.run_round() > 0
+assert "numpy" not in sys.modules
+print("ok")
+"""
+
+
+def test_engine_runs_without_numpy():
+    """The synchronous and central daemons and a sharded round never
+    import numpy, whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -27,6 +27,8 @@ import hashlib
 import pytest
 
 from repro.baselines.compact_mst import CompactNonSilentMST
+from repro.baselines.dim_bfs import AdHocBFSProtocol
+from repro.certify.oracle import DigestLayer
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import (
@@ -37,6 +39,7 @@ from repro.core.tasks import (
 from repro.graphs import random_connected_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
+    ComposedProtocol,
     NONE,
     Protocol,
     RegisterSpec,
@@ -51,6 +54,10 @@ from crosscheck import CrossCheckingScheduler
 
 PROTOCOLS = {
     "sst": (SpanningTreeProtocol, False),
+    "adhoc-bfs": (AdHocBFSProtocol, False),
+    "sst+digest": (lambda: ComposedProtocol(
+        [SpanningTreeProtocol(), DigestLayer(fields=("rid", "par", "d"))],
+        name="sst+digest"), False),
     "malleable-tree": (MalleableTreeProtocol, False),
     "guided-bfs": (guided_bfs_protocol, False),
     "guided-mst": (guided_mst_protocol, True),

@@ -455,13 +455,11 @@ def test_json_report_schema():
 
 def test_rule_contract_metadata():
     # a name-keyed rule (step) or the compiled planes
-    assert RULE_ENTRYPOINTS == ("step", "fast_step_slots", "vector_step",
-                                "interrupt_step")
+    assert RULE_ENTRYPOINTS == ("step", "fast_step_slots", "interrupt_step")
     contract = SpanningTreeProtocol().rule_contract()
     assert set(contract["entrypoints"]) == set(RULE_ENTRYPOINTS)
     assert contract["entrypoints"] == {
-        "step": False, "fast_step_slots": True, "vector_step": True,
-        "interrupt_step": True}
+        "step": False, "fast_step_slots": True, "interrupt_step": True}
     assert contract["layers"] is None
     # bgr-mdst has no compiled rule: its step is its one statement
     bgr = BigMemoryMDST().rule_contract()["entrypoints"]
