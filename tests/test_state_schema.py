@@ -1,6 +1,6 @@
 """The slot-indexed state plane, pinned to the name-keyed views and step.
 
-Three pillars:
+Four pillars:
 
 * **Schema/view contract**: a :class:`StateSchema` compiles a
   ``RegisterSpec`` into a stable name → slot table, and a
@@ -20,6 +20,11 @@ Three pillars:
   moves, final configuration)`` bit-for-bit.  Protocols without a
   compiled ``fast_step_slots`` run through the ``adapt_step_to_slots``
   bridge.
+* **Out-of-domain registers**: a transient fault may leave any value in
+  a register — bools, strings, floats, unhashable lists, ints far past
+  64 bits.  The slot rule must read such a value exactly as the referee
+  does, the incremental enabled set must stay equal to a rescan after
+  every round, and the run must drain the junk to a legal silent tree.
 """
 
 import hashlib
@@ -291,6 +296,70 @@ class TestSlotRuleEqualsStep:
         assert sim.run_round()
         assert sched.checks > 0
         assert sim.enabled_nodes() == sim.rescan_enabled()
+
+
+#: values no register domain holds: ``True`` equals ``1`` but is a bool,
+#: the ints straddle the 64-bit range, ``[1]`` is unhashable
+JUNK = [True, "garbage", -1, 0.5, 2 ** 63 - 1, 2 ** 63, -(2 ** 63), [1]]
+
+#: the protocols whose registers include the ``rid``/``par``/``d`` tree
+JUNK_PROTOCOLS = ("sst", "adhoc-bfs", "sst+digest")
+
+
+class TestOutOfDomainRegisters:
+    """Junk register values run through the slot rule, refereed at every
+    selection, and drain to a legal silent configuration."""
+
+    @staticmethod
+    def _drain(proto, net, sched_name, corrupt):
+        sched = CrossCheckingScheduler(
+            ALL_SCHEDULER_FACTORIES[sched_name](23))
+        sim = Simulator(net, proto, sched,
+                        config=random_configuration(net, proto, seed=22))
+        sched.sim = sim
+        corrupt(sim)
+        assert sim.enabled_nodes() == sim.rescan_enabled()
+        rounds = 0
+        while sim.run_round():
+            rounds += 1
+            assert rounds < 1_000
+            assert sim.enabled_nodes() == sim.rescan_enabled()
+        assert sched.checks > 0
+        assert sim.is_silent() and not sim.rescan_enabled()
+        assert proto.is_legal(net, sim.config)
+        # is_legal compares with ``==``, so also rule out a junk value
+        # that merely equals a legal one (``True == 1``)
+        for v in net.nodes:
+            for name in ("rid", "par", "d"):
+                value = sim.config[v][name]
+                assert value is NONE or type(value) is int, (v, name, value)
+
+    @pytest.mark.parametrize("junk", JUNK, ids=repr)
+    @pytest.mark.parametrize("proto_name", JUNK_PROTOCOLS)
+    def test_junk_in_each_tree_field_drains(self, proto_name, junk):
+        net = random_connected_graph(10, seed=21)
+        proto = PROTOCOLS[proto_name][0]()
+        victims = dict(zip(("rid", "par", "d"), sorted(net.nodes)[-3:]))
+
+        def corrupt(sim):
+            for name, v in victims.items():
+                sim.overwrite(v, {name: junk})
+                assert sim.config[v][name] == junk
+
+        self._drain(proto, net, "central-random", corrupt)
+
+    @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
+    def test_every_register_junk_drains(self, sched_name):
+        """Every node's ``rid``, ``par`` and ``d`` hold junk at once."""
+        net = random_connected_graph(10, seed=21)
+        fields = ("rid", "par", "d")
+
+        def corrupt(sim):
+            for i, v in enumerate(sorted(net.nodes)):
+                sim.overwrite(v, {name: JUNK[(i + k) % len(JUNK)]
+                                  for k, name in enumerate(fields)})
+
+        self._drain(SpanningTreeProtocol(), net, sched_name, corrupt)
 
 
 class TestBatchAwareStepping:
