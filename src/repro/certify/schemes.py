@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro._bits import (
@@ -246,10 +246,13 @@ class LocalCertifier(ABC):
                     nbr_states: NbrStates) -> bool:
         """The pure local verifier (1-hop reads only)."""
 
-    def verify(self, net: Network, config: Config) -> VerificationOutcome:
-        """Run the local verifier at every node of a configuration."""
+    def verify(self, net: Network, config: Config,
+               nodes: Iterable[int] | None = None) -> VerificationOutcome:
+        """Run the local verifier at every node of a configuration, or
+        only at ``nodes`` (in their order): each verdict reads one closed
+        neighbourhood, so a subset's verdicts equal the full pass's."""
         rejecting = []
-        for v in net.nodes:
+        for v in net.nodes if nodes is None else nodes:
             nbrs = [(u, config[u]) for u in net.neighbors(v)]
             try:
                 ok = self.verify_node(net, v, config[v], nbrs)

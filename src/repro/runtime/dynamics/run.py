@@ -12,11 +12,19 @@ extension, ongoing churn:
   nodes the event touched?
 
 :func:`run_churn` drives a live simulator through a seeded schedule of
-events, waits out re-silence after each wave, samples the verifier every
-round, and aggregates both answers: per-wave re-silence costs plus a
-rejection-distance histogram whose mass within :data:`NEAR_RADIUS` hops
-is the *certification-flicker locality* metric reported by the churn
-campaigns.
+events, waits out re-silence after each wave, reads the verifier's
+rejecting set after every round, and aggregates both answers: per-wave
+re-silence costs plus a rejection-distance histogram whose mass within
+:data:`NEAR_RADIUS` hops is the *certification-flicker locality* metric
+reported by the churn campaigns.
+
+The verifier is local: a node's verdict reads its own registers, its
+neighbours' registers and its incident edges, plus the public bounds
+``n_bound``/``id_space``/``weight_space``.  So the rejecting set is kept
+across rounds and waves (:class:`_LocalVerdicts`) and only *stale* nodes
+are re-verified: those whose closed neighbourhood holds a row that
+changed since the last sample, or that an event touched.  The result is
+the whole-network verdict at every round, which ``check=True`` asserts.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ import random
 from typing import Any
 
 from repro.graphs.network import Network
-from repro.runtime.dynamics.apply import apply_event
+from repro.runtime.dynamics.apply import EventReport, apply_event
+from repro.runtime.dynamics.events import NodeCrash
 from repro.runtime.dynamics.schedules import ChurnSchedule
 
 __all__ = ["NEAR_RADIUS", "bfs_distances", "run_churn"]
@@ -52,6 +61,68 @@ def bfs_distances(net: Network, sources: tuple[int, ...]) -> dict[int, int]:
     return dist
 
 
+def _bounds(net: Network) -> tuple[int, int, int]:
+    """The public constants a verdict may read besides its neighbourhood."""
+    return net.n_bound, net.id_space, net.weight_space()
+
+
+class _LocalVerdicts:
+    """A certifier's rejecting set on a live simulator, kept exact by
+    re-verifying only the nodes whose verdict can have changed.
+
+    Rows are diffed against a per-node copy taken at the last sample
+    (not read from the engine's dirty set, which synchronous rounds
+    replace by a bulk flag).  A changed row makes its node and every
+    neighbour stale; an event makes each touched node's closed
+    neighbourhood stale, and a change of the public bounds makes every
+    node stale.
+    """
+
+    def __init__(self, cert: Any, sim: Any) -> None:
+        self.cert = cert
+        self.sim = sim
+        self.bounds = _bounds(sim.net)
+        self.rows = {v: row[:] for v, row in sim._state.items()}
+        self.stale = set(sim.net.nodes)
+        self.rejecting: set[int] = set()
+
+    def after_event(self, report: EventReport) -> None:
+        net = self.sim.net
+        event = report.event
+        if isinstance(event, NodeCrash):
+            # a crashed node may still be queued from a wave that ran
+            # no rounds; the revision has no neighbour row to verify it by
+            self.rows.pop(event.node, None)
+            self.stale.discard(event.node)
+            self.rejecting.discard(event.node)
+        bounds = _bounds(net)
+        if bounds != self.bounds:
+            self.bounds = bounds
+            self.stale.update(net.nodes)
+            return
+        for v in report.touched:
+            self.stale.add(v)
+            self.stale.update(net.neighbors(v))
+
+    def after_round(self) -> set[int]:
+        """Re-verify the stale nodes; the current rejecting set."""
+        net = self.sim.net
+        rows = self.rows
+        stale = self.stale
+        for v, row in self.sim._state.items():
+            if rows.get(v) != row:
+                rows[v] = row[:]
+                stale.add(v)
+                stale.update(net.neighbors(v))
+        if stale:
+            nodes = sorted(stale)
+            outcome = self.cert.verify(net, self.sim.config, nodes=nodes)
+            self.rejecting.difference_update(nodes)
+            self.rejecting.update(outcome.rejecting)
+            stale.clear()
+        return self.rejecting
+
+
 def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
               certifier_key: str | None = None,
               recorder: Any = None, check: bool = False,
@@ -61,8 +132,11 @@ def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
     Each wave draws one feasible event from a :class:`ChurnSchedule`,
     applies it (``check=True`` adds the event-boundary rescan proof
     obligation), then runs rounds until the configuration is silent
-    again, sampling the ``certifier_key`` verifier every round to build
-    the rejection-locality histogram.  ``recorder`` (a
+    again.  After every round the ``certifier_key`` verifier's rejecting
+    set, re-verified at the stale nodes only, feeds the
+    rejection-locality histogram; ``check=True`` also asserts after every
+    round that it equals the whole-network verdict (RuntimeError if
+    not).  ``recorder`` (a
     :class:`~repro.obs.probes.TraceRecorder` already attached to
     ``sim``) gets one v2 ``event`` row per wave.
 
@@ -74,10 +148,10 @@ def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
     base = random.Random(seed)
     sched = ChurnSchedule(kind, base.getrandbits(63))
     init_rng = random.Random(base.getrandbits(63))
-    cert = None
+    verdicts = None
     if certifier_key is not None:
         from repro.certify.schemes import get_certifier
-        cert = get_certifier(certifier_key)
+        verdicts = _LocalVerdicts(get_certifier(certifier_key), sim)
 
     wave_rows: list[dict[str, Any]] = []
     event_kinds: dict[str, int] = {}
@@ -95,6 +169,8 @@ def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
             recorder.event_row(event=event.to_dict(), n=report.n,
                                enabled=report.enabled_after)
         event_kinds[event.kind] = event_kinds.get(event.kind, 0) + 1
+        if verdicts is not None:
+            verdicts.after_event(report)
         interrupt_writes_total += report.interrupt_writes
         dist = None  # hop distances, computed at the wave's first rejection
 
@@ -108,11 +184,19 @@ def run_churn(sim: Any, *, kind: str, waves: int, seed: int,
                     f"(kind={kind}, wave {len(wave_rows) + 1})")
             sim.run_round()
             rounds += 1
-            if cert is not None:
-                outcome = cert.verify(sim.net, sim.config)
-                if outcome.rejecting and dist is None:
+            if verdicts is not None:
+                rejecting = verdicts.after_round()
+                if check:
+                    full = verdicts.cert.verify(sim.net, sim.config).rejecting
+                    if rejecting != set(full):
+                        raise RuntimeError(
+                            f"incremental rejecting set diverged from the "
+                            f"whole-network verdict after {event} (kind="
+                            f"{kind}, wave {len(wave_rows) + 1}, round "
+                            f"{rounds}): {sorted(rejecting)} != {list(full)}")
+                if rejecting and dist is None:
                     dist = bfs_distances(sim.net, report.touched)
-                for v in outcome.rejecting:
+                for v in rejecting:
                     d = dist.get(v, -1)  # -1: unreachable from the event
                     rejection_hist[d] = rejection_hist.get(d, 0) + 1
                     rejections_total += 1

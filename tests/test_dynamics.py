@@ -1,6 +1,6 @@
 """The dynamic-network & churn scenario engine (ROADMAP item 3).
 
-Five pillars:
+Six pillars:
 
 * **Event model round-trip** — events serialize to canonical JSON,
   stream through JSONL files byte-identically, and reject malformed
@@ -20,6 +20,9 @@ Five pillars:
   scheduler selection the cross-checking referee also compares each
   cached proposal with ``step`` — for five protocol families under
   every daemon, on the adapter and compiled-slot engine paths.
+* **Incremental ≡ whole-network verdicts** — ``run_churn`` re-verifies
+  only stale nodes, and with ``check=True`` its kept rejecting set must
+  equal the full verifier's after every round, for every churn kind.
 * **Churn phase integration** — ``execute()`` runs the churn phase with
   super-stabilization metrics, traces carry schema-v2 event rows
   byte-identically across repeats, and the fault-injection field
@@ -34,6 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.dim_bfs import AdHocBFSProtocol
+from repro.certify.schemes import get_certifier
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import guided_bfs_protocol, guided_mst_protocol
@@ -69,6 +73,7 @@ from repro.runtime.dynamics import (
     revise,
     run_churn,
 )
+from repro.runtime.dynamics.run import _LocalVerdicts
 from repro.runtime.dynamics.schedules import (
     SCHEDULE_KINDS,
     _crashable_nodes,
@@ -655,7 +660,7 @@ class TestApplyGuards:
 # ----------------------------------------------------------------------
 
 
-def _churn_grid_run(proto_name, sched_name, kind):
+def _churn_grid_run(proto_name, sched_name, kind, certifier_key=None):
     factory, weighted = PATH_FAMILIES[proto_name]
     net = _headroom_net(n=8, seed=21, weighted=weighted, headroom=3)
     proto = factory()
@@ -665,7 +670,8 @@ def _churn_grid_run(proto_name, sched_name, kind):
     sched.sim = sim
     assert sim.run(max_rounds=50_000).silent
 
-    metrics = run_churn(sim, kind=kind, waves=2, seed=9, check=True)
+    metrics = run_churn(sim, kind=kind, waves=2, seed=9,
+                        certifier_key=certifier_key, check=True)
     assert metrics["silent"]
     assert metrics["events"] >= 1
     assert sim.enabled_nodes() == sim.rescan_enabled()
@@ -745,6 +751,86 @@ class TestIncrementalAcrossEvents:
         a = _churn_grid_run("sst", "central-random", "mixed")
         b = _churn_grid_run("sst", "central-random", "mixed")
         assert a == b
+
+
+class TestIncrementalVerdicts:
+    """run_churn keeps the verifier's rejecting set across rounds and
+    waves, re-verifying only stale nodes; with ``check=True`` it asserts
+    after every round that the set equals the whole-network verdict."""
+
+    @pytest.mark.parametrize("sched_name", ["central-random", "synchronous"])
+    @pytest.mark.parametrize("proto_name", ["sst", "guided-bfs"])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_grid(self, kind, proto_name, sched_name):
+        _churn_grid_run(proto_name, sched_name, kind,
+                        certifier_key=proto_name)
+
+    def test_grid_sees_rejections(self):
+        # the referee is not vacuous: the grid's churn makes verdicts flip
+        m = _churn_grid_run("sst", "synchronous", "mixed",
+                            certifier_key="sst")
+        assert m["rejections"] > 0
+
+    def test_check_raises_on_divergence(self, monkeypatch):
+        monkeypatch.setattr(_LocalVerdicts, "after_round",
+                            lambda self: {-1})
+        with pytest.raises(RuntimeError, match="whole-network verdict"):
+            _churn_grid_run("sst", "synchronous", "mixed",
+                            certifier_key="sst")
+
+    def test_verify_subset_equals_full_pass_restricted(self):
+        sim = _sst_sim()
+        cert = get_certifier("sst")
+        for v in sim.net.nodes[::2]:
+            sim.overwrite(v, {"d": 0})
+        full = cert.verify(sim.net, sim.config).rejecting
+        assert full
+        nodes = sim.net.nodes[1:]
+        part = cert.verify(sim.net, sim.config, nodes=nodes).rejecting
+        assert part == tuple(v for v in full if v in nodes)
+
+    def test_public_bound_change_restales_every_node(self):
+        # an edge added with a fresh top weight widens weight_space, a
+        # bound any verdict may read: the next sample is a full pass
+        net = _headroom_net(weighted=True)
+        proto = SpanningTreeProtocol()
+        sim = Simulator(net, proto, ALL_SCHEDULER_FACTORIES["synchronous"](1),
+                        config=random_configuration(net, proto, seed=2))
+        assert sim.run(max_rounds=50_000).silent
+        verdicts = _LocalVerdicts(get_certifier("sst"), sim)
+        verdicts.after_round()
+        u, v = next((u, v) for u in net.nodes for v in net.nodes
+                    if u < v and not net.has_edge(u, v))
+        verdicts.after_event(apply_event(sim, EdgeAdd(u, v)))
+        assert sim.net.weight_space() > net.weight_space()
+        assert verdicts.stale == set(sim.net.nodes)
+
+    def test_crash_of_a_queued_node_leaves_the_verdicts(self):
+        # a node queued as stale by a wave that ran no rounds, then
+        # crashed: it must leave the stale and the rejecting set alike
+        sim = _sst_sim()
+        cert = get_certifier("sst")
+        verdicts = _LocalVerdicts(cert, sim)
+        assert verdicts.after_round() == set()
+        victim = next(v for v in sim.net.nodes if _crashable(sim.net, v))
+        other = next(u for u in sim.net.nodes
+                     if u != victim and not sim.net.has_edge(u, victim))
+        verdicts.after_event(apply_event(sim, EdgeAdd(victim, other)))
+        assert victim in verdicts.stale
+        verdicts.after_event(apply_event(sim, NodeCrash(victim)))
+        assert victim not in verdicts.stale
+        sim.run_round()
+        full = cert.verify(sim.net, sim.config).rejecting
+        assert verdicts.after_round() == set(full)
+        assert victim not in verdicts.rejecting
+
+
+def _crashable(net, v):
+    try:
+        revise(net, NodeCrash(v))
+    except EventError:
+        return False
+    return True
 
 
 def _assert_nbr_rows_fresh(sim):
