@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.fr import fuerer_raghavachari
 from repro.graphs.network import Network
-from repro.runtime.protocol import NodeView, Protocol
+from repro.runtime.protocol import Protocol
 from repro.runtime.registers import RegisterSpec, counter_field, custom_field
 
 __all__ = ["BigMemoryMDST"]
@@ -71,18 +71,23 @@ class BigMemoryMDST(Protocol):
             self._target_cache = cached
         return cached[1]
 
-    def step(self, view: NodeView) -> dict | None:
-        target = self._target(view.net)
-        delta = {}
-        if view["tree_copy"] != target:
-            delta["tree_copy"] = target
-        # perpetual gossip: advance once no neighbor lags behind
-        my = view["beat"]
-        lag = [u for u in view.neighbors
-               if (view.nbr(u)["beat"] - my) % self.MOD > self.MOD // 2]
-        if not lag:
-            delta["beat"] = (my + 1) % self.MOD
-        return delta or None
+    def fast_step_slots(self, schema):
+        """Copy the target tree; advance the beat once no neighbor lags."""
+        TREE, BEAT = schema.slots("tree_copy", "beat")
+        mod, half = self.MOD, self.MOD // 2
+
+        def rule(net, config, node, own, nbr_rows):
+            target = self._target(net)
+            delta = {}
+            if own[TREE] != target:
+                delta[TREE] = target
+            # perpetual gossip: advance once no neighbor lags behind
+            my = own[BEAT]
+            if not any((st[BEAT] - my) % mod > half for _, st in nbr_rows):
+                delta[BEAT] = (my + 1) % mod
+            return delta or None
+
+        return rule
 
     def is_legal(self, net: Network, config) -> bool:
         target = self._target(net)

@@ -20,7 +20,8 @@ self-stabilization plus the certification contract:
   corrupted start can produce fools the certificate scheme.
 
 Every state is expanded by the protocol's one slot rule
-(:func:`~repro.runtime.protocol.slot_rule`, the rule the engine runs).
+(:meth:`~repro.runtime.protocol.Protocol.fast_step_slots`, the rule the
+engine runs).
 States are tuples of slot-row tuples in ascending node order; a state's
 successors patch only the movers' rows.
 
@@ -58,7 +59,7 @@ from repro.certify.schemes import (
     single_register_corruptions,
 )
 from repro.graphs.network import Network
-from repro.runtime.protocol import Protocol, effective_delta, slot_rule
+from repro.runtime.protocol import Protocol, effective_delta
 from repro.runtime.schema import SlotState
 
 __all__ = ["ModelCheckResult", "explore", "check_certifier"]
@@ -133,7 +134,7 @@ def explore(net: Network, protocol: Protocol, starts: list[Config],
     nodes = sorted(net.nodes)
     position = {v: i for i, v in enumerate(nodes)}
     order = [(position[v], v) for v in net.nodes]
-    shared_rule = slot_rule(protocol, schema) \
+    shared_rule = protocol.fast_step_slots(schema) \
         if protocol_factory is None else None
     result = ModelCheckResult()
     succs: dict[object, list] = {}
@@ -152,7 +153,7 @@ def explore(net: Network, protocol: Protocol, starts: list[Config],
             break
         rows = [list(row) for row in key]
         config = {v: SlotState(schema, rows[i]) for i, v in enumerate(nodes)}
-        rule = shared_rule or slot_rule(protocol_factory(), schema)
+        rule = shared_rule or protocol_factory().fast_step_slots(schema)
         moved = []
         for i, v in order:
             delta = effective_delta(rule, net, config, v)

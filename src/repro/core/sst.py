@@ -70,7 +70,7 @@ class SpanningTreeProtocol(Protocol):
         The protocol's one scalar statement of delta: every evaluator
         runs it.  Field names resolve to row positions once, here.  The
         name-keyed test referee (``tests/referee_rules.py``) restates the
-        rule over a NodeView, and the cross-checking grids compare the two
+        rule field by field, and the cross-checking grids compare the two
         at every scheduler selection.
         """
         RID, PAR, D = schema.slot("rid"), schema.slot("par"), schema.slot("d")

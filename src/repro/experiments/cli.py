@@ -192,10 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs.cli import register_obs
     register_obs(sub)
 
-    # the dynamics engine registers `python -m repro churn`
-    from repro.runtime.dynamics.cli import register_churn
-    register_churn(sub)
-
     campaign = sub.add_parser("campaign", help="declarative experiment sweeps")
     csub = campaign.add_subparsers(dest="subcommand", required=True)
 

@@ -17,6 +17,7 @@ from typing import Any
 from repro.analysis import fit_log_exponent, format_csv, format_table, growth_ratios
 from repro.experiments.campaigns import EXCLUDED_DAEMONS
 from repro.experiments.campaigns import nca as nca_campaign
+from repro.runtime.dynamics.run import NEAR_RADIUS
 from repro.runtime.scheduler import ALL_SCHEDULER_FACTORIES
 
 __all__ = ["claim_verdict", "render_experiment", "render_records"]
@@ -288,6 +289,60 @@ def _render_p81(records):
     return tables, []
 
 
+def _render_churn(records):
+    """The super-stabilization tables of the churn campaigns: re-silence
+    per wave (single event vs batched churn, aggregated across daemons)
+    and how the verifier's rejections distribute over BFS distance from
+    each event's touched nodes."""
+    churned = [r for r in records if _metrics(r).get("churn")]
+    waves: dict[tuple, list[dict[str, Any]]] = {}
+    near: dict[tuple, dict[str, Any]] = {}
+    for r in churned:
+        spec, churn = _spec(r), _metrics(r)["churn"]
+        proto, kind = spec.get("protocol", "?"), churn.get("kind", "?")
+        waves.setdefault(
+            (proto, kind, int(spec.get("events", {}).get("waves", 0))),
+            []).append(churn)
+        agg = near.setdefault((proto, kind),
+                              {"total": 0, "near": 0, "hist": {}})
+        agg["total"] += churn.get("rejections", 0)
+        agg["near"] += churn.get("rejections_near", 0)
+        for d, c in churn.get("rejection_hist", {}).items():
+            agg["hist"][d] = agg["hist"].get(d, 0) + c
+    resilience = []
+    for (proto, kind, n_waves), churns in sorted(waves.items()):
+        events = sum(c["events"] for c in churns)
+        rounds_tot = sum(c["resilience_rounds_total"] for c in churns)
+        moves_tot = sum(c["resilience_moves_total"] for c in churns)
+        resilience.append((
+            proto, kind, n_waves, len(churns), events,
+            f"{rounds_tot / max(events, 1):.1f}",
+            max(c["resilience_rounds_max"] for c in churns),
+            f"{moves_tot / max(events, 1):.1f}",
+            max(c["resilience_moves_max"] for c in churns),
+            sum(c["interrupt_writes"] for c in churns),
+            "yes" if all(c["silent"] for c in churns) else "NO",
+        ))
+    locality = []
+    for (proto, kind), agg in sorted(near.items()):
+        total, close = agg["total"], agg["near"]
+        hist = " ".join(f"{d}:{c}" for d, c in
+                        sorted(agg["hist"].items(),
+                               key=lambda kv: int(kv[0])))
+        locality.append((proto, kind, total, close,
+                         f"{close / total:.3f}" if total else "-",
+                         hist or "-"))
+    return [("re-silence after topology events (mean/max per wave, "
+             "aggregated across daemons)",
+             ["protocol", "kind", "waves", "runs", "events", "rounds/ev",
+              "rounds max", "moves/ev", "moves max", "interrupt",
+              "re-silent"], resilience),
+            (f"verifier-rejection locality (near = within {NEAR_RADIUS} "
+             f"hops of the event)",
+             ["protocol", "kind", "rejections", "near", "locality",
+              "hist dist:count"], locality)], []
+
+
 def _render_generic(records):
     """Fallback: label columns plus the union of scalar metric keys."""
     keys: list[str] = []
@@ -333,6 +388,7 @@ _RENDERERS = {
     "EXP-ABL": _render_abl,
     "EXP-F2": _render_f2,
     "EXP-P81": _render_p81,
+    "EXP-CHURN": _render_churn,
 }
 
 

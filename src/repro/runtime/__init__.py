@@ -29,10 +29,8 @@ from repro.runtime.registers import (
     NONE,
 )
 from repro.runtime.protocol import (
-    NodeView,
     Protocol,
     ComposedProtocol,
-    adapt_step_to_slots,
     effective_delta,
 )
 from repro.runtime.schema import SlotState, StateSchema
@@ -74,9 +72,7 @@ __all__ = [
     "edge_field",
     "custom_field",
     "NONE",
-    "NodeView",
     "effective_delta",
-    "adapt_step_to_slots",
     "Protocol",
     "ComposedProtocol",
     "SlotState",

@@ -15,7 +15,8 @@ this package makes the change happen.  It has four pieces:
 * :mod:`~repro.runtime.dynamics.run` — the super-stabilization
   measurement loop: re-silence rounds/moves per churn wave plus the
   certification-flicker locality histogram, feeding the ``churn``
-  campaign family and the ``python -m repro churn`` CLI.
+  campaign family (``python -m repro campaign run --campaign churn``;
+  ``campaign report`` renders its EXP-CHURN tables).
 """
 
 from repro.runtime.dynamics.apply import EventError, EventReport, apply_event, revise

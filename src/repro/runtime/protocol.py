@@ -2,13 +2,10 @@
 
 A protocol defines, for every node, the transition function delta applied in
 one atomic step: read the node's own register and the registers of its
-neighbors, compute, write.  A protocol states delta once, in one of two
-forms: :meth:`Protocol.fast_step_slots` compiles it to a slot-indexed
-rule over raw register rows, or :meth:`Protocol.step` states it over a
-:class:`NodeView` (the engine then runs it through
-:func:`adapt_step_to_slots`).  :func:`slot_rule` returns whichever the
-protocol defines, as one slot rule; the engine, the from-scratch rescan
-and the model checker all evaluate that rule.  A rule returns either
+neighbors, compute, write.  A protocol states delta once, as the
+slot-indexed rule its :meth:`Protocol.fast_step_slots` compiles over raw
+register rows; the engine, the from-scratch rescan and the model checker
+all evaluate that rule.  A rule returns either
 ``None`` (the node is *not enabled*: its register already holds what
 delta would write) or the field updates (the node is *enabled*; applying
 them is its step).
@@ -21,24 +18,22 @@ simulator relies on this to cache enabledness.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 from repro.graphs.network import Network
 from repro.runtime.registers import RegisterSpec
 from repro.runtime.schema import SlotState
 
-__all__ = ["NodeView", "Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
-           "OBS_ENTRYPOINTS", "effective_delta", "slot_rule",
-           "adapt_step_to_slots", "patched_config"]
+__all__ = ["Protocol", "ComposedProtocol", "RULE_ENTRYPOINTS",
+           "OBS_ENTRYPOINTS", "effective_delta", "patched_config"]
 
-#: The rule surface of a protocol, in evaluation-preference order: the
-#: names a subclass may implement to define its transition function.
+#: The rule surface of a protocol: the compiled transition rule and the
+#: optional topology-interrupt rule.
 #: ``repro.statics`` analyzes exactly these entrypoints, and
 #: :meth:`Protocol.rule_contract` reports which of them a class actually
 #: overrides — one definition of "the rule surface" shared by the
 #: runtime, the analyzer, and the docs.
-RULE_ENTRYPOINTS: tuple[str, ...] = ("step", "fast_step_slots",
-                                     "interrupt_step")
+RULE_ENTRYPOINTS: tuple[str, ...] = ("fast_step_slots", "interrupt_step")
 
 #: The observer surface: probe callbacks the telemetry layer
 #: (:mod:`repro.obs`) invokes *between* atomic steps, never from inside
@@ -72,111 +67,20 @@ def effective_delta(rule, net: Network, config,
     return delta or None
 
 
-class NodeView:
-    """Everything a node may legally read during one atomic step.
-
-    Exposes the node's incorruptible constants (its id, its neighbors, the
-    incident edge weights, the bounds ``n_bound`` and ``id_space``), its own
-    register, and its neighbors' registers.  Nothing else: protocols written
-    against this interface cannot cheat by peeking at global state.
-    """
-
-    __slots__ = ("net", "node", "_config")
-
-    def __init__(self, net: Network, node: int,
-                 config: Mapping[int, Mapping[str, object]]) -> None:
-        self.net = net
-        self.node = node
-        self._config = config
-
-    # -- incorruptible constants --------------------------------------
-
-    @property
-    def id(self) -> int:
-        return self.node
-
-    @property
-    def neighbors(self) -> tuple[int, ...]:
-        return self.net.neighbors(self.node)
-
-    @property
-    def degree(self) -> int:
-        return self.net.degree(self.node)
-
-    @property
-    def n_bound(self) -> int:
-        """Public upper bound N >= n."""
-        return self.net.n_bound
-
-    @property
-    def id_space(self) -> int:
-        return self.net.id_space
-
-    def weight(self, nbr: int) -> int:
-        """Weight of the edge to neighbor ``nbr``."""
-        return self.net.weight(self.node, nbr)
-
-    # -- registers ------------------------------------------------------
-
-    @property
-    def state(self) -> Mapping[str, object]:
-        """The node's own register."""
-        return self._config[self.node]
-
-    def __getitem__(self, field: str) -> object:
-        return self._config[self.node][field]
-
-    def nbr(self, nbr: int) -> Mapping[str, object]:
-        """A neighbor's register (read-only)."""
-        if not self.is_neighbor(nbr):
-            raise KeyError(f"{nbr!r} is not a neighbor of {self.node}")
-        return self._config[nbr]
-
-    def is_neighbor(self, u) -> bool:
-        """Whether ``u`` is a neighbor of this node (O(1)).
-
-        Tolerates arbitrary junk (including unhashable values a corrupted
-        custom field might hold): anything that cannot be a node identity
-        is simply not a neighbor.
-        """
-        try:
-            return u in self.net.neighbor_set(self.node)
-        except TypeError:
-            return False
-
-    def nbr_or_none(self, u):
-        """A neighbor's register, or None when ``u`` is not a neighbor.
-
-        Single membership probe — the non-raising counterpart of
-        :meth:`nbr` for rules that must tolerate junk pointers in
-        corrupted registers.
-        """
-        try:
-            if u in self.net.neighbor_set(self.node):
-                return self._config[u]
-        except TypeError:
-            pass
-        return None
-
-    def nbr_states(self) -> Sequence[tuple[int, Mapping[str, object]]]:
-        """``(neighbor_id, register)`` pairs in ascending neighbor order."""
-        config = self._config
-        return [(u, config[u]) for u in self.net.neighbors(self.node)]
-
-
 class Protocol(ABC):
     """A distributed algorithm in the state model."""
 
     #: Short name used in reports.
     name: str = "protocol"
 
+    @abstractmethod
     def fast_step_slots(self, schema):
-        """Compile the slot-indexed engine fast path, or return ``None``.
+        """Compile the transition function delta to a slot rule.
 
         ``schema`` is the :class:`~repro.runtime.schema.StateSchema` the
-        simulator compiled for this ``(protocol, network)`` binding.  A
-        protocol that opts in resolves its field names to slot indices
-        *once* and returns a rule
+        simulator compiled for this ``(protocol, network)`` binding.  The
+        protocol resolves its field names to slot indices *once* and
+        returns a rule
 
         ``rule(net, config, node, own, nbr_rows) -> dict[int, object] | None``
 
@@ -185,9 +89,8 @@ class Protocol(ABC):
         e.g. parent lookups; raw rows via ``config[u].row``), ``own`` is
         the node's raw slot row, and ``nbr_rows`` is the ascending
         ``(neighbor, raw_row)`` pair sequence.  The returned delta is
-        keyed by **slot index**.  A protocol that defines this rule
-        defines no :meth:`step`: the compiled rule is its only statement
-        of delta, and every evaluator runs it (see :func:`slot_rule`).
+        keyed by **slot index**.  The compiled rule is the protocol's
+        only statement of delta, and every evaluator runs it.
 
         Inside a :class:`ComposedProtocol` the composition passes each
         layer a *patched* ``own`` row carrying the updates of the layers
@@ -195,11 +98,7 @@ class Protocol(ABC):
         own register only through ``own``, never through
         ``config[node]`` (neighbors are always read unpatched, as the
         state model prescribes).
-
-        Default: ``None`` — :func:`slot_rule` runs :meth:`step` through
-        :func:`adapt_step_to_slots` over the Mapping-compatible views.
         """
-        return None
 
     # always None: perfbench/tracer.py still wraps this name
     def vector_step(self, schema, cols):
@@ -216,7 +115,7 @@ class Protocol(ABC):
     #: refuses them at construction.
     shardable: bool = True
 
-    #: Set to True when the protocol's rule (:func:`slot_rule`) only ever
+    #: Set to True when the protocol's compiled rule only ever
     #: returns *effective* writes — every returned field differs from the
     #: register's current value.  The engine then skips its per-proposal
     #: no-op filter.  Leave False (the default) when in doubt: returning a
@@ -314,17 +213,6 @@ class Protocol(ABC):
     def register_spec(self, net: Network) -> RegisterSpec:
         """The register layout each node uses on network ``net``."""
 
-    def step(self, view: NodeView) -> dict[str, object] | None:
-        """The transition function delta over a :class:`NodeView`.
-
-        Return ``None`` (or an empty/no-op dict) when the register already
-        holds what delta computes; otherwise return the new values for the
-        fields that change.  Implement this or :meth:`fast_step_slots`,
-        not both: a protocol with a compiled rule defines no ``step``.
-        """
-        raise NotImplementedError(
-            f"{self.name} defines its rule as fast_step_slots only")
-
     # -- observer surface (repro.obs probes; not part of the rule) --------
 
     def probe_potential(self, net: Network,
@@ -414,15 +302,15 @@ class ComposedProtocol(Protocol):
         return spec
 
     def fast_step_slots(self, schema):
-        """The composed slot-indexed fast path (see :class:`Protocol`).
+        """The composed slot rule (see :class:`Protocol`).
 
-        Runs each layer's :func:`slot_rule` in order, so compiled
-        layers run index-first even beside a sibling layer that steps
-        through NodeView.  Each layer sees this node's register patched
-        with the updates of the layers below it (a private copy of the
-        row), while neighbor registers are read as they currently are.
+        Runs each layer's compiled rule in order.  Each layer sees this
+        node's register patched with the updates of the layers below it,
+        while neighbor registers are read as they currently are.  The
+        patch lands on a private copy of the row (``own.copy()``), never
+        on the live register (statics W-series).
         """
-        rules = [slot_rule(layer, schema) for layer in self.layers]
+        rules = [layer.fast_step_slots(schema) for layer in self.layers]
 
         def composed(net, config, node, own, nbr_rows, _rules=tuple(rules)):
             updates = None
@@ -472,56 +360,16 @@ def _safe_legal(layer: Protocol, net: Network, config) -> bool:
         return True
 
 
-def slot_rule(protocol: Protocol, schema):
-    """The one slot rule of ``protocol`` on ``schema``: its compiled
-    :meth:`Protocol.fast_step_slots` rule, else its name-keyed
-    :meth:`Protocol.step` through :func:`adapt_step_to_slots`."""
-    return (protocol.fast_step_slots(schema)
-            or adapt_step_to_slots(protocol, schema))
-
-
-def adapt_step_to_slots(protocol: Protocol, schema):
-    """Wrap a name-keyed :meth:`Protocol.step` as a slot-indexed rule.
-
-    The bridge :func:`slot_rule` uses for protocols that have no
-    hand-compiled ``fast_step_slots``: ``step`` runs over a NodeView
-    whose own-register entry is the (possibly patched) slot row handed
-    down by the composition, and the returned name-keyed delta is
-    re-keyed to slot indices.  Exactly as fast as ``step`` — the adapter
-    exists for semantic uniformity of the engine's slot plane, not for
-    speed.
-
-    Write-ownership audit (statics W-series): this bridge never mutates
-    the rows it receives — the re-keyed delta is a fresh dict, the
-    patched own register is wrapped read-only in a :class:`SlotState`
-    view, and the composition above
-    (:meth:`ComposedProtocol.fast_step_slots`) copies before applying
-    pending layer updates (``own.copy()``).  The in-place ``cur`` writes
-    in the composed slot rule land on that private copy only.
-    """
-    step = protocol.step
-    index = schema.index
-
-    def rule(net, config, node, own, nbr_rows):
-        delta = step(NodeView(net, node,
-                              patched_config(schema, config, node, own)))
-        if not delta:
-            return None
-        return {index[k]: v for k, v in delta.items()}
-
-    return rule
-
-
 def patched_config(schema, config, node: int, own: list):
-    """The configuration a name-keyed ``step`` sees at ``node`` when a
-    slot rule is handed the row ``own``.
+    """The configuration name-keyed code sees at ``node`` when a slot
+    rule is handed the row ``own``.
 
     ``config`` itself when ``own`` is the node's live row; otherwise
     (a composition overlay: the layers below patched this node's
     register) a view with ``own`` patched in through a
-    :class:`SlotState`.  Shared by :func:`adapt_step_to_slots` and by
-    compiled rules that hand a configuration to name-keyed code (the
-    guided tasks' oracle thunk), so both see the patched register.
+    :class:`SlotState`.  Compiled rules that hand a configuration to
+    name-keyed code (the guided tasks' oracle thunk) pass it through
+    here, so that code sees the patched register.
     """
     if config[node].row is own:
         return config

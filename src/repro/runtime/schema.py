@@ -17,8 +17,8 @@ Two access planes share that storage:
   write ``row[i]`` directly — no hashing, no wrappers;
 * **dict plane** (compatible): a :class:`SlotState` is a zero-copy
   ``MutableMapping`` view over the same row, so the name-keyed callers —
-  ``step`` rules of the protocols that define one, legality predicates,
-  certifiers, metrics — index states by field name, and mutations
+  legality predicates, certifiers, metrics — index states by field
+  name, and mutations
   through either plane are visible to both.
 
 Compatibility-view status: the Mapping plane is the *supported boundary
@@ -27,10 +27,8 @@ API* — configurations enter and leave the runtime as plain dicts
 ``RunResult.to_record``, the experiment store), and read-mostly callers
 (legality predicates, verifiers, space accounting) should keep using
 field names.  It is deprecated only as an *engine-internal* hot-path
-representation: new per-move code (protocol fast paths, engine loops)
-must use slot indices via ``fast_step_slots``; a name-keyed ``step``
-runs on the hot path through the slot adapter, as a convenience for
-protocols without a compiled rule, not as a design point.
+representation: per-move code (protocol rules, engine loops) uses slot
+indices via ``fast_step_slots``.
 """
 
 from __future__ import annotations

@@ -46,12 +46,10 @@ Node registers are stored as **slot rows** — plain lists indexed by the
 exposes the same storage as zero-copy
 :class:`~repro.runtime.schema.SlotState` Mapping views, so name-keyed
 callers (legality predicates, verifiers, metrics, tests) are unaffected.
-Every protocol runs on the raw rows through one slot rule per binding
-(:func:`~repro.runtime.protocol.slot_rule`): its compiled
-:meth:`Protocol.fast_step_slots` rule, or else its name-keyed ``step``
-bridged by :func:`adapt_step_to_slots`; the shard workers of
-:mod:`repro.runtime.sharding` are Simulators too, so they bind the same
-rule.  Configurations cross the boundary as plain dicts in both
+Every protocol runs on the raw rows through one slot rule per binding,
+the rule its :meth:`Protocol.fast_step_slots` compiles; the shard
+workers of :mod:`repro.runtime.sharding` are Simulators too, so they
+bind the same rule.  Configurations cross the boundary as plain dicts in both
 directions (``config=`` input, :func:`random_configuration`).
 """
 
@@ -63,7 +61,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.graphs.network import Network
-from repro.runtime.protocol import Protocol, effective_delta, slot_rule
+from repro.runtime.protocol import Protocol, effective_delta
 from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 
 __all__ = ["Simulator", "RunResult", "random_configuration"]
@@ -240,7 +238,7 @@ class Simulator:
 
         Runs at construction and again when the dynamics engine rebinds
         ``net``/``schema`` after a topology event.  Resolves the slot
-        rule (:func:`~repro.runtime.protocol.slot_rule`), the per-node
+        rule (:meth:`Protocol.fast_step_slots`), the per-node
         neighbor row table, the write-impact filter, and
         :attr:`_repropose` — the one per-node re-proposal kernel, bound
         here once so the hot paths pay one call per refresh or per fused
@@ -252,7 +250,7 @@ class Simulator:
         """
         protocol, net, schema = self.protocol, self.net, self.schema
         rows = self._state
-        rule = slot_rule(protocol, schema)
+        rule = protocol.fast_step_slots(schema)
         self._slot_rule = rule
         # slot rows are mutated in place (never replaced) by _apply_batch
         # and overwrite, so these references stay valid for the binding

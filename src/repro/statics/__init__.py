@@ -3,10 +3,9 @@
 The paper's state model gives every complexity and space claim its
 footing: a rule reads only its 1-hop view and writes only its own
 register, atomically.  This package proves the *shape* of those
-contracts — locality, write ownership, schema coverage, determinism, and
-agreement between the rule implementations each protocol may carry
-(``step`` / ``fast_step_slots``) — by AST inspection of
-the registered protocols, before any test executes a single move.  In
+contracts — locality, write ownership, schema coverage and determinism
+— by AST inspection of each registered protocol's compiled rules, before
+any test executes a single move.  In
 the spirit of proof-labeling schemes, well-formedness of the rules
 themselves carries part of the proof.
 

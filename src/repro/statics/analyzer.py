@@ -60,9 +60,9 @@ def analyze_protocol(protocol, name: str | None = None, net=None,
             layer_name=type(layer).__name__,
             universe=universe,
         )
-        paths = build_paths(layer)
-        for rule in ALL_RULES:
-            findings.extend(rule.check_layer(ctx, paths, scopes))
+        for path in build_paths(layer):
+            for rule in ALL_RULES:
+                findings.extend(rule.check_path(ctx, path, scopes))
     return findings
 
 
@@ -70,8 +70,7 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
                             ) -> list[Finding]:
     """The composition machinery itself, held to the same W/L/D bar.
 
-    ``ComposedProtocol.fast_step_slots``,
-    :func:`~repro.runtime.protocol.adapt_step_to_slots` and
+    ``ComposedProtocol.fast_step_slots`` and
     :func:`~repro.runtime.protocol.effective_delta` sit between every
     layer and its evaluators: an in-place mutation there would corrupt
     *all* protocols at once, so the audit runs them through the same
@@ -82,12 +81,8 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
     from repro.runtime import protocol as runtime_protocol
     if scopes is None:
         scopes = {}
-    targets = (
-        ("fast_step_slots",
-         runtime_protocol.ComposedProtocol.fast_step_slots),
-        ("step", runtime_protocol.adapt_step_to_slots),
-        ("fast_step_slots", runtime_protocol.effective_delta),
-    )
+    targets = (runtime_protocol.ComposedProtocol.fast_step_slots,
+               runtime_protocol.effective_delta)
     ctx = LayerContext(
         protocol="<runtime>",
         layer=None,
@@ -95,13 +90,13 @@ def analyze_runtime_bridges(scopes: dict[int, ScopeMap] | None = None
         universe=frozenset(),
     )
     findings: list[Finding] = []
-    for path_name, fn in targets:
+    for fn in targets:
         units = closure_of(fn, None)
         if not units:  # pragma: no cover - source always present
             continue
-        paths = [RulePath(path=path_name, layer=None, units=units)]
+        path = RulePath(path="fast_step_slots", layer=None, units=units)
         for rule in ALL_RULES:
-            findings.extend(rule.check_layer(ctx, paths, scopes))
+            findings.extend(rule.check_path(ctx, path, scopes))
     return findings
 
 

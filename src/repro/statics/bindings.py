@@ -2,11 +2,11 @@
 
 The rule series need to know, for an arbitrary expression inside a rule,
 *what kind of value* it denotes: the network, the configuration, a
-node's register (own or a neighbor's), a local scratch dict, a compiled
-slot index, an unordered set.  Full dataflow analysis is out of scope —
-instead this module exploits the repo's rigid rule-surface calling
-conventions (``step(self, view)``, ``fast_step_slots(self, schema)``
-with its compiled ``rule(net, config, node, own, nbr_rows)``) to seed
+node's register (own or a neighbor's), a local scratch dict, the
+schema's slot table, an unordered set.  Full dataflow analysis is out of
+scope — instead this module exploits the repo's rigid rule-surface
+calling conventions (``fast_step_slots(self, schema)`` with its compiled
+``rule(net, config, node, own, nbr_rows)``) to seed
 parameter tags by name, then propagates tags through the straight-line
 assignments, loop targets and comprehension generators of each function
 scope.  Two derived shapes
@@ -35,9 +35,8 @@ __all__ = ["Tag", "ScopeEnv", "ScopeMap", "build_scopes"]
 
 
 class Tag:
-    """Value-kind tags (plain strings; ``SLOT:<field>`` carries a field)."""
+    """Value-kind tags (plain strings)."""
 
-    VIEW = "VIEW"            #: a NodeView
     NET = "NET"              #: the Network
     CONFIG = "CONFIG"        #: the whole configuration mapping
     ROW = "ROW"              #: one node's register (dict, SlotState or row)
@@ -54,23 +53,9 @@ class Tag:
                              #: the tag keeps the convention explicit)
     OTHER = "OTHER"
 
-    SLOT_PREFIX = "SLOT:"
-
-    @staticmethod
-    def slot(field: str) -> str:
-        return Tag.SLOT_PREFIX + field
-
-    @staticmethod
-    def slot_field(tag: str) -> Optional[str]:
-        if tag.startswith(Tag.SLOT_PREFIX):
-            return tag[len(Tag.SLOT_PREFIX):]
-        return None
-
 
 #: Parameter-name conventions of the rule surfaces (see module docstring).
 PARAM_TAGS: dict[str, str] = {
-    "view": Tag.VIEW,
-    "layer_view": Tag.VIEW,
     "net": Tag.NET,
     "config": Tag.CONFIG,
     "own": Tag.ROW,
@@ -88,13 +73,6 @@ PARAM_TAGS: dict[str, str] = {
     "recorder": Tag.OBS,
     "probe": Tag.OBS,
 }
-
-#: NodeView attributes yielding state-plane values.
-_VIEW_STATE_ATTRS = {"state": Tag.ROW, "_config": Tag.CONFIG, "net": Tag.NET}
-
-#: NodeView method calls yielding state-plane values.
-_VIEW_STATE_CALLS = {"nbr": Tag.ROW, "nbr_or_none": Tag.ROW,
-                     "nbr_states": Tag.NBR_ROWS}
 
 
 class ScopeEnv:
@@ -185,7 +163,7 @@ class ScopeEnv:
     @staticmethod
     def _prefer(a: str, b: str) -> str:
         """Merge branch tags: a state-plane tag wins over OTHER/constants
-        (``view.nbr(p) if ... else None`` is still a register)."""
+        (``config[p] if ... else None`` is still a register)."""
         if a == Tag.OTHER:
             return b
         if b == Tag.OTHER:
@@ -194,8 +172,6 @@ class ScopeEnv:
 
     def _tag_attribute(self, node: ast.Attribute) -> str:
         base = self.tag(node.value)
-        if base == Tag.VIEW:
-            return _VIEW_STATE_ATTRS.get(node.attr, Tag.OTHER)
         if base == Tag.SCHEMA and node.attr == "index":
             return Tag.SINDEX
         if base == Tag.ROW and node.attr == "row":
@@ -206,10 +182,6 @@ class ScopeEnv:
         base = self.tag(node.value)
         if base == Tag.CONFIG:
             return Tag.ROW
-        if base == Tag.SINDEX:
-            key = node.slice
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                return Tag.slot(key.value)
         return Tag.OTHER
 
     def _tag_call(self, node: ast.Call) -> str:
@@ -224,16 +196,6 @@ class ScopeEnv:
             return Tag.OTHER
         base = self.tag(func.value)
         attr = func.attr
-        if base == Tag.VIEW and attr in _VIEW_STATE_CALLS:
-            return _VIEW_STATE_CALLS[attr]
-        if base == Tag.SCHEMA and attr == "slot":
-            key = node.args[0] if node.args else None
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                return Tag.slot(key.value)
-        if base == Tag.SINDEX and attr == "get":
-            key = node.args[0] if node.args else None
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                return Tag.slot(key.value)
         if base == Tag.NET and attr == "neighbor_set":
             return Tag.SETVAL
         if attr == "copy" and base in (Tag.ROW, Tag.LOCALDICT):
@@ -253,13 +215,6 @@ class ScopeEnv:
                 for t, v in zip(target.elts, value.elts):
                     self.bind_target(t, self.tag(v), v)
                 return
-            slot_fields = self._slots_call_fields(value)
-            if slot_fields is not None and \
-                    len(slot_fields) == len(target.elts):
-                # RID, PAR, D = schema.slots("rid", "par", "d")
-                for t, field in zip(target.elts, slot_fields):
-                    self.bind_target(t, Tag.slot(field))
-                return
             if value_tag == Tag.NBR_ROWS and len(target.elts) == 2:
                 # for u, st in nbr_rows: ...
                 self.bind_target(target.elts[0], Tag.NODE)
@@ -267,24 +222,6 @@ class ScopeEnv:
                 return
             for t in target.elts:
                 self.bind_target(t, Tag.OTHER)
-
-    def _slots_call_fields(self, value: ast.AST | None
-                           ) -> Optional[list[str]]:
-        """The field names of a ``schema.slots("a", "b", ...)`` call, or
-        None when ``value`` is anything else (dynamic args included)."""
-        if not (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "slots"
-                and not value.keywords
-                and self.tag(value.func.value) == Tag.SCHEMA):
-            return None
-        fields: list[str] = []
-        for arg in value.args:
-            if not (isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)):
-                return None
-            fields.append(arg.value)
-        return fields
 
     def process_assignments(self, stmts: Sequence[ast.AST]) -> None:
         """Seed bindings from the scope's assignments in source order."""

@@ -1,20 +1,18 @@
 """The pluggable rule series of ``repro.statics``.
 
-Five series, one per contract of the paper's state model (each rule is a
+Four series, one per contract of the paper's state model (each rule is a
 class; the registry at the bottom is what the analyzer runs):
 
 * **L (locality)** — a layer's rules read only the closed 1-hop
   neighborhood: they must not reach net-global accessors or iterate the
   configuration.
 * **W (write-ownership)** — rules communicate through returned deltas
-  only; registers, neighbor rows and views are never mutated in place.
+  only; registers and neighbor rows are never mutated in place.
 * **S (schema coverage)** — every field literal on any rule path
-  resolves to a declared ``RegisterSpec`` field, and the slot path
-  resolves slots only through ``StateSchema`` (no hard-coded slot ints).
+  resolves to a declared ``RegisterSpec`` field, and slots resolve only
+  through ``StateSchema`` (no hard-coded slot ints).
 * **D (determinism)** — no ambient randomness or clocks, no iteration
   over unordered sets feeding a proposal.
-* **C (path consistency)** — the literal read/write field sets of
-  ``step`` / ``fast_step_slots`` agree field-for-field.
 """
 
 from __future__ import annotations
@@ -41,18 +39,11 @@ class LayerContext:
 
 
 class Rule:
-    """One pluggable check.  Subclasses override one of the two hooks."""
+    """One pluggable check over one rule path."""
 
     rule_id: str = "X000"
     series: str = "X"
     title: str = ""
-
-    def check_layer(self, ctx: LayerContext, paths: list[RulePath],
-                    scopes: dict[int, ScopeMap]) -> list[Finding]:
-        findings: list[Finding] = []
-        for path in paths:
-            findings.extend(self.check_path(ctx, path, scopes))
-        return findings
 
     def check_path(self, ctx: LayerContext, path: RulePath,
                    scopes: dict[int, ScopeMap]) -> list[Finding]:
@@ -151,7 +142,7 @@ class LocalityRule(Rule):
 # W-series: write ownership
 # ----------------------------------------------------------------------
 
-_STATE_TAGS = frozenset({Tag.ROW, Tag.CONFIG, Tag.NBR_ROWS, Tag.VIEW})
+_STATE_TAGS = frozenset({Tag.ROW, Tag.CONFIG, Tag.NBR_ROWS})
 _MUTATORS = frozenset({
     "update", "setdefault", "pop", "popitem", "clear",
     "append", "extend", "insert", "remove", "sort", "add", "discard",
@@ -184,8 +175,7 @@ class WriteOwnershipRule(Rule):
                 elif (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in _MUTATORS
-                        and sm.tag(node.func.value) in
-                        (_STATE_TAGS - {Tag.VIEW})):
+                        and sm.tag(node.func.value) in _STATE_TAGS):
                     out.append(self.finding(
                         "W002", ctx, path, unit, node,
                         f"calls .{node.func.attr}() on a register/state "
@@ -197,10 +187,6 @@ class WriteOwnershipRule(Rule):
 # ----------------------------------------------------------------------
 # S-series: schema coverage
 # ----------------------------------------------------------------------
-
-#: Rule paths that traffic in compiled slot indices (S002 applies).
-_SLOT_PATHS = frozenset({"fast_step_slots", "interrupt_step"})
-
 
 class SchemaCoverageRule(Rule):
     rule_id = "S001"
@@ -232,9 +218,9 @@ class SchemaCoverageRule(Rule):
         base_tag = sm.tag(node.value)
         key = node.slice
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            state_like = base_tag in (Tag.VIEW, Tag.ROW)
             scratch = owned and base_tag == Tag.LOCALDICT
-            if (state_like or scratch) and self._unknown(ctx, key.value):
+            if ((base_tag == Tag.ROW or scratch)
+                    and self._unknown(ctx, key.value)):
                 return [self.finding(
                     "S001", ctx, path, unit, node,
                     f"field {key.value!r} does not resolve to any "
@@ -247,7 +233,6 @@ class SchemaCoverageRule(Rule):
                     f"no such field in the compiled layout")]
         elif (isinstance(key, ast.Constant) and isinstance(key.value, int)
                 and not isinstance(key.value, bool)
-                and path.path in _SLOT_PATHS
                 and base_tag == Tag.ROW):
             return [self.finding(
                 "S002", ctx, path, unit, node,
@@ -298,8 +283,7 @@ class SchemaCoverageRule(Rule):
                         f"RegisterSpec field of {ctx.protocol}"))
             elif (isinstance(key, ast.Constant)
                     and isinstance(key.value, int)
-                    and not isinstance(key.value, bool)
-                    and path.path in _SLOT_PATHS):
+                    and not isinstance(key.value, bool)):
                 out.append(self.finding(
                     "S002", ctx, path, unit, key,
                     f"hard-coded slot index {key.value} as a delta key — "
@@ -372,110 +356,11 @@ class DeterminismRule(Rule):
         return None
 
 
-# ----------------------------------------------------------------------
-# C-series: rule-path consistency
-# ----------------------------------------------------------------------
-
-class PathConsistencyRule(Rule):
-    rule_id = "C001"
-    series = "C"
-    title = "step / fast_step_slots read and write the same fields"
-
-    def check_layer(self, ctx: LayerContext, paths: list[RulePath],
-                    scopes: dict[int, ScopeMap]) -> list[Finding]:
-        if len(paths) < 2:
-            return []
-        footprints = [
-            (path, *self._footprint(ctx, path, scopes)) for path in paths]
-        base_path, base_reads, base_writes = footprints[0]
-        out: list[Finding] = []
-        for path, reads, writes in footprints[1:]:
-            if reads != base_reads:
-                out.append(self.finding(
-                    "C001", ctx, path, path.entry, path.entry.node,
-                    self._diff_message("read", path, base_path,
-                                       reads, base_reads)))
-            if writes != base_writes:
-                out.append(self.finding(
-                    "C002", ctx, path, path.entry, path.entry.node,
-                    self._diff_message("write", path, base_path,
-                                       writes, base_writes)))
-        return out
-
-    @staticmethod
-    def _diff_message(kind: str, path: RulePath, base: RulePath,
-                      mine: frozenset[str], theirs: frozenset[str]) -> str:
-        extra = sorted(mine - theirs)
-        missing = sorted(theirs - mine)
-        parts = []
-        if extra:
-            parts.append(f"also touches {', '.join(extra)}")
-        if missing:
-            parts.append(f"misses {', '.join(missing)}")
-        return (f"{kind}-set of {path.path} disagrees with {base.path} "
-                f"({'; '.join(parts)}) — a ported rule silently "
-                f"{'dropped' if missing else 'grew'} a field dependency")
-
-    def _footprint(self, ctx: LayerContext, path: RulePath,
-                   scopes: dict[int, ScopeMap]
-                   ) -> tuple[frozenset[str], frozenset[str]]:
-        """Literal (read, write) field sets of one rule path.
-
-        Only statically-resolvable accesses count: string literals and
-        slot variables bound from ``schema.slot``/``schema.index``
-        lookups.  Dynamic accesses (a field name held in an instance
-        attribute) are invisible on *every* path, so a rule that is
-        dynamic the same way on both planes still compares equal.
-        """
-        reads: set[str] = set()
-        writes: set[str] = set()
-        for unit in path.units:
-            sm = _scope_map(scopes, unit)
-            owned = unit.owner is ctx.layer
-            for node in unit.walk():
-                if isinstance(node, ast.Subscript):
-                    field = self._key_field(sm, node.slice)
-                    if field is None:
-                        continue
-                    base_tag = sm.tag(node.value)
-                    is_store = isinstance(node.ctx, (ast.Store, ast.Del))
-                    if base_tag in (Tag.VIEW, Tag.ROW) and not is_store:
-                        reads.add(field)
-                    elif base_tag == Tag.LOCALDICT and is_store and owned:
-                        writes.add(field)
-                elif isinstance(node, ast.Call):
-                    func = node.func
-                    if not (isinstance(func, ast.Attribute) and node.args):
-                        continue
-                    base_tag = sm.tag(func.value)
-                    if (func.attr == "get"
-                            and base_tag in (Tag.VIEW, Tag.ROW)):
-                        field = self._key_field(sm, node.args[0])
-                        if field is not None:
-                            reads.add(field)
-                elif isinstance(node, ast.Dict) and owned:
-                    for key in node.keys:
-                        field = self._key_field(sm, key)
-                        if field is not None:
-                            writes.add(field)
-        return frozenset(reads), frozenset(writes)
-
-    @staticmethod
-    def _key_field(sm: ScopeMap, key: ast.AST | None) -> str | None:
-        if key is None:
-            return None
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            return key.value
-        tag = sm.tag(key)
-        return Tag.slot_field(tag)
-
-
 ALL_RULES: tuple[Rule, ...] = (
     LocalityRule(),
     WriteOwnershipRule(),
     SchemaCoverageRule(),
     DeterminismRule(),
-    PathConsistencyRule(),
 )
 
 #: Rule catalog for ``statics list`` and the docs.
@@ -485,9 +370,7 @@ RULE_CATALOG: tuple[tuple[str, str, str], ...] = (
     ("W001", "W", "in-place register write (rules must return deltas)"),
     ("W002", "W", "mutating method call on a register/state value"),
     ("S001", "S", "field literal does not resolve to a RegisterSpec field"),
-    ("S002", "S", "hard-coded slot integer on the slot path"),
+    ("S002", "S", "hard-coded slot integer in a rule"),
     ("D001", "D", "ambient randomness/clock inside a rule"),
     ("D002", "D", "iteration over an unordered set feeds the proposal"),
-    ("C001", "C", "read-sets of the rule paths disagree"),
-    ("C002", "C", "write-sets of the rule paths disagree"),
 )

@@ -1,7 +1,7 @@
 """Rule-surface extraction: from live protocol layers to analyzable ASTs.
 
 The analyzer works on *instances*, not on import paths: given a layer it
-resolves each rule entrypoint (``step`` / ``fast_step_slots`` /
+resolves each rule entrypoint (``fast_step_slots`` /
 ``interrupt_step``) through the class MRO, parses the defining module's
 source once, and locates the matching ``ast.FunctionDef`` by name and
 first line.  From each entrypoint it then walks the call graph —
@@ -151,13 +151,9 @@ class FuncUnit:
 class RulePath:
     """One rule implementation path of one layer, transitively closed."""
 
-    path: str                   #: a RULE_ENTRYPOINTS name, e.g. "step"
+    path: str                   #: a RULE_ENTRYPOINTS name
     layer: object
     units: list[FuncUnit]
-
-    @property
-    def entry(self) -> FuncUnit:
-        return self.units[0]
 
 
 # ----------------------------------------------------------------------

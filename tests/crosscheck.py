@@ -8,12 +8,12 @@ evaluation:
   slot rule, re-evaluated over neighbor rows rebuilt from the network);
 * every enabled node's cached proposal equals the effective delta of
   the name-keyed referee (:func:`referee_rules.referee_step`: the
-  NodeView statement of every compiled rule, ``step`` for a protocol
-  that has no compiled rule), re-keyed to slot indices.
+  NodeView statement of every compiled rule, or the ``step`` of a test
+  fixture written in that form), re-keyed to slot indices.
 
-The engine proposes through one slot rule per binding (a compiled
-``fast_step_slots`` rule or the ``adapt_step_to_slots`` bridge), so the
-second assertion pins that rule to the referee at every selection.
+The engine proposes through one slot rule per binding, the one the
+protocol's ``fast_step_slots`` compiles, so the second assertion pins
+that rule to the referee at every selection.
 The wrapper forwards the incremental ``reset``/``notify`` hooks, so
 mirror-keeping daemons stay exercised too.
 """

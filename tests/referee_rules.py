@@ -9,17 +9,20 @@ slot-rule grids can compare every engine proposal against it.
 
 :func:`referee_step` is the entry point: it maps a protocol to a
 name-keyed ``step(view)``.  ``sst`` (and its ``adhoc-bfs`` alias), the
-digest layer, ``compact-mst`` and the tree and guided layers get their
-referee body; every other protocol (``bgr-mdst``, test fixtures) is its
-own referee through its ``step``.  The oracle operations of the guided
-MST/MDST referee (the consult, the SWAP flush and the issued-decision
-latch) delegate to the product instance, so the memo and latch are
-shared with the engine's rule; its digest key comes from the digest
-layer's referee.
+digest layer, ``compact-mst``, ``bgr-mdst`` and the tree and guided
+layers get their referee body; a test fixture written as a name-keyed
+``step`` (compiled for the engine through :class:`StepRule`) is its own
+referee.  The oracle operations of the guided MST/MDST referee (the
+consult, the SWAP flush and the issued-decision latch) delegate to the
+product instance, so the memo and latch are shared with the engine's
+rule; its digest key comes from the digest layer's referee.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
+from repro.baselines.bgr_mdst import BigMemoryMDST
 from repro.baselines.compact_mst import CompactNonSilentMST
 from repro.certify.oracle import DigestLayer, node_digest
 from repro.core.sst import SpanningTreeProtocol
@@ -36,11 +39,100 @@ from repro.core.tasks import (
     _heavy_child,
     _OracleGuidedTask,
 )
-from repro.runtime.protocol import ComposedProtocol, NodeView, _Overlay
+from repro.runtime.protocol import ComposedProtocol, _Overlay, patched_config
 from repro.runtime.registers import NONE
 
-__all__ = ["referee_step", "referee_delta", "DigestLayerReferee",
-           "SpanningTreeReferee"]
+__all__ = ["NodeView", "StepRule", "step_to_slots", "referee_step",
+           "referee_delta", "DigestLayerReferee", "SpanningTreeReferee"]
+
+
+class NodeView:
+    """Everything a node may legally read during one atomic step.
+
+    Its identity and neighbors, the public bound ``n_bound``, its own
+    register, and its neighbors' registers — the state model's 1-hop
+    view, read by field name.
+    """
+
+    __slots__ = ("net", "node", "_config")
+
+    def __init__(self, net, node: int,
+                 config: Mapping[int, Mapping[str, object]]) -> None:
+        self.net = net
+        self.node = node
+        self._config = config
+
+    @property
+    def id(self) -> int:
+        return self.node
+
+    @property
+    def neighbors(self) -> tuple[int, ...]:
+        return self.net.neighbors(self.node)
+
+    @property
+    def n_bound(self) -> int:
+        return self.net.n_bound
+
+    @property
+    def state(self) -> Mapping[str, object]:
+        """The node's own register."""
+        return self._config[self.node]
+
+    def __getitem__(self, field: str) -> object:
+        return self._config[self.node][field]
+
+    def nbr(self, nbr: int) -> Mapping[str, object]:
+        """A neighbor's register (read-only)."""
+        if self.nbr_or_none(nbr) is None:
+            raise KeyError(f"{nbr!r} is not a neighbor of {self.node}")
+        return self._config[nbr]
+
+    def nbr_or_none(self, u):
+        """A neighbor's register, or None when ``u`` is not a neighbor.
+
+        Tolerates arbitrary junk (including unhashable values a corrupted
+        register might hold): anything that cannot be a node identity is
+        simply not a neighbor.
+        """
+        try:
+            if u in self.net.neighbor_set(self.node):
+                return self._config[u]
+        except TypeError:
+            pass
+        return None
+
+    def nbr_states(self) -> Sequence[tuple[int, Mapping[str, object]]]:
+        """``(neighbor_id, register)`` pairs in ascending neighbor order."""
+        config = self._config
+        return [(u, config[u]) for u in self.net.neighbors(self.node)]
+
+
+def step_to_slots(step, schema):
+    """A name-keyed ``step(view)`` as a slot rule over ``schema``.
+
+    ``step`` runs over a NodeView whose own-register entry is the
+    (possibly composition-patched) slot row the rule is handed; its
+    name-keyed delta is re-keyed to slot indices.
+    """
+    index = schema.index
+
+    def rule(net, config, node, own, nbr_rows):
+        delta = step(NodeView(net, node,
+                              patched_config(schema, config, node, own)))
+        if not delta:
+            return None
+        return {index[k]: v for k, v in delta.items()}
+
+    return rule
+
+
+class StepRule:
+    """Mixin for test protocols written as a name-keyed ``step(view)``:
+    their compiled rule is that step through :func:`step_to_slots`."""
+
+    def fast_step_slots(self, schema):
+        return step_to_slots(self.step, schema)
 
 
 def referee_step(protocol):
@@ -155,7 +247,7 @@ class SpanningTreeReferee:
 
 
 # ----------------------------------------------------------------------
-# the digest layer and the compact non-silent MST baseline
+# the digest layer and the non-silent MST and MDST baselines
 # ----------------------------------------------------------------------
 
 class DigestLayerReferee:
@@ -200,6 +292,27 @@ class CompactMSTReferee:
         if behind:
             return None  # wait for laggards
         return {"wave": (my + 1) % mod}
+
+
+class BigMemoryMDSTReferee:
+    """:class:`BigMemoryMDST` over a NodeView."""
+
+    def __init__(self, product) -> None:
+        self.product = product
+
+    def step(self, view: NodeView) -> dict | None:
+        mod = self.product.MOD
+        target = self.product._target(view.net)
+        delta = {}
+        if view["tree_copy"] != target:
+            delta["tree_copy"] = target
+        # perpetual gossip: advance once no neighbor lags behind
+        my = view["beat"]
+        lag = [u for u in view.neighbors
+               if (view.nbr(u)["beat"] - my) % mod > mod // 2]
+        if not lag:
+            delta["beat"] = (my + 1) % mod
+        return delta or None
 
 
 # ----------------------------------------------------------------------
@@ -648,6 +761,7 @@ _REFEREES = {
     SpanningTreeProtocol: SpanningTreeReferee,
     DigestLayer: DigestLayerReferee,
     CompactNonSilentMST: CompactMSTReferee,
+    BigMemoryMDST: BigMemoryMDSTReferee,
     MalleableTreeProtocol: MalleableTreeReferee,
     NCALabelLayer: NCALabelReferee,
     GuidedBFS: GuidedBFSReferee,

@@ -22,7 +22,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -50,16 +49,17 @@ from repro.core.tasks import (
 )
 from repro.graphs import random_connected_graph, ring
 from repro.runtime import Simulator, random_configuration
-from repro.runtime.protocol import (
-    ComposedProtocol,
-    NodeView,
-    Protocol,
-    adapt_step_to_slots,
-)
+from repro.runtime.protocol import ComposedProtocol, Protocol
 from repro.runtime.registers import NONE, RegisterSpec, flag_field
 from repro.statics import analyze_protocol
 
-from referee_rules import DigestLayerReferee, referee_step
+from referee_rules import (
+    DigestLayerReferee,
+    NodeView,
+    StepRule,
+    referee_step,
+    step_to_slots,
+)
 
 TASKS = sorted(CERTIFIERS)
 
@@ -235,8 +235,7 @@ class _StepOnlyMST(GuidedMST):
     this instance's)."""
 
     def fast_step_slots(self, schema):
-        return adapt_step_to_slots(
-            SimpleNamespace(step=referee_step(self)), schema)
+        return step_to_slots(referee_step(self), schema)
 
 
 class _StepOnlyMDST(GuidedMDST):
@@ -346,7 +345,7 @@ class TestEngineFastPaths:
             assert (type(proto).fast_step_slots
                     is not Protocol.fast_step_slots)
             assert proto.exact_deltas is True
-        # no guided layer still steps through adapt_step_to_slots
+        # every guided layer compiles its own rule
         net = random_connected_graph(8, seed=1, weighted=True)
         for factory in (guided_bfs_protocol, guided_mst_protocol,
                         guided_mdst_protocol):
@@ -508,7 +507,7 @@ class TestSpaceAccounting:
 # ----------------------------------------------------------------------
 
 
-class _Flipper(Protocol):
+class _Flipper(StepRule, Protocol):
     """Deliberate livelock: two nodes forever copying each other's bit."""
 
     name = "flipper"

@@ -84,7 +84,7 @@ from repro.runtime.dynamics.schedules import (
 from repro.runtime.faults import corrupt_nodes, inject_faults
 
 from crosscheck import CrossCheckingScheduler
-from referee_rules import SpanningTreeReferee
+from referee_rules import SpanningTreeReferee, StepRule
 
 # name -> (factory, weighted network needed)
 FAMILIES = {
@@ -96,13 +96,10 @@ FAMILIES = {
 }
 
 
-class StepOnlySST(SpanningTreeProtocol):
+class StepOnlySST(StepRule, SpanningTreeProtocol):
     """SST whose engine rule is the referee's name-keyed ``step``: every
-    binding, including the rebinding after a topology event, runs it
-    through the ``adapt_step_to_slots`` bridge."""
-
-    def fast_step_slots(self, schema):
-        return None
+    binding, including the rebinding after a topology event, compiles it
+    through the test referee's ``step_to_slots`` adapter."""
 
     def step(self, view):
         return SpanningTreeReferee(self).step(view)

@@ -345,6 +345,68 @@ class TestClaims:
         assert "FAILED" not in err
 
 
+#: the EXP-CHURN tables ``campaign report --campaign churn-smoke`` prints
+CHURN_SMOKE_REPORT = "\n".join([
+    "== re-silence after topology events (mean/max per wave, aggregated across daemons) ==",
+    "protocol   | kind       | waves | runs | events | rounds/ev | rounds max | moves/ev | moves max | interrupt | re-silent",
+    "-----------+------------+-------+------+--------+-----------+------------+----------+-----------+-----------+----------",
+    "adhoc-bfs  | crash-join |     2 |    2 |      4 |       2.5 |          5 |      6.2 |        12 |         1 | yes      ",
+    "adhoc-bfs  | edge-flip  |     2 |    2 |      4 |       0.2 |          1 |      0.5 |         2 |         1 | yes      ",
+    "guided-bfs | crash-join |     2 |    2 |      4 |       5.0 |          7 |     16.8 |        31 |         0 | yes      ",
+    "guided-bfs | edge-flip  |     2 |    2 |      4 |       3.8 |         15 |     12.0 |        48 |         0 | yes      ",
+    "sst        | crash-join |     2 |    2 |      4 |       2.0 |          4 |      6.2 |        12 |         1 | yes      ",
+    "sst        | edge-flip  |     2 |    2 |      4 |       0.5 |          1 |      0.8 |         2 |         1 | yes      ",
+    "sst        | mixed      |     2 |    1 |      2 |       2.0 |          3 |      8.0 |        15 |         0 | yes      ",
+    "",
+    "== verifier-rejection locality (near = within 2 hops of the event) ==",
+    "protocol   | kind       | rejections | near | locality | hist dist:count  ",
+    "-----------+------------+------------+------+----------+------------------",
+    "adhoc-bfs  | crash-join |         34 |   31 |    0.912 | 0:6 1:13 2:12 3:3",
+    "adhoc-bfs  | edge-flip  |          0 |    0 |        - | -                ",
+    "guided-bfs | crash-join |         58 |   58 |    1.000 | 0:29 1:24 2:5    ",
+    "guided-bfs | edge-flip  |        108 |  108 |    1.000 | 0:23 1:56 2:29   ",
+    "sst        | crash-join |         32 |   32 |    1.000 | 0:11 1:15 2:6    ",
+    "sst        | edge-flip  |          0 |    0 |        - | -                ",
+    "sst        | mixed      |         13 |   13 |    1.000 | 0:4 1:5 2:4      ",
+])
+
+
+class TestChurnReport:
+    """The churn campaigns' super-stabilization tables are the EXP-CHURN
+    renderer of ``campaign report``, in every output format."""
+
+    @pytest.fixture(scope="class")
+    def churn_store(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("churn") / "churn.jsonl"
+        assert repro_main(["campaign", "run", "--campaign", "churn-smoke",
+                           "--store", str(path), "--quiet"]) == 0
+        return path
+
+    def _report(self, store, capsys, *extra):
+        code = repro_main(["campaign", "report", "--campaign", "churn-smoke",
+                           "--store", str(store), *extra])
+        return code, capsys.readouterr()
+
+    def test_ascii_tables(self, churn_store, capsys):
+        code, out = self._report(churn_store, capsys)
+        assert code == 0
+        assert out.out.rstrip("\n").split("\n") == \
+            CHURN_SMOKE_REPORT.split("\n")
+        assert "claim" not in out.err  # EXP-CHURN states no claim
+
+    def test_markdown_and_csv(self, churn_store, capsys):
+        code, out = self._report(churn_store, capsys, "--format", "markdown")
+        assert code == 0
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in out.out.splitlines() if line.startswith("|")]
+        assert ["sst", "mixed", "2", "1", "2", "2.0", "3", "8.0", "15", "0",
+                "yes"] in rows
+        code, out = self._report(churn_store, capsys, "--format", "csv")
+        assert code == 0
+        assert "sst,mixed,2,1,2,2.0,3,8.0,15,0,yes" in out.out
+        assert "sst,mixed,13,13,1.000,0:4 1:5 2:4" in out.out
+
+
 # ----------------------------------------------------------------------
 # the real CLI
 # ----------------------------------------------------------------------

@@ -7,6 +7,9 @@ Uses two tiny self-stabilizing toy protocols:
   neighbor values)).
 * ModuloClock — a non-silent unison-like counter (never silent), used to
   check that the engine does not mistake perpetual motion for convergence.
+
+Both are written as a name-keyed ``step(view)`` and compile through the
+test referee's :class:`StepRule` mixin.
 """
 
 import os
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.sst import SpanningTreeProtocol
+from repro.experiments.registry import PROTOCOLS, build_protocol
 from repro.graphs import path_graph, random_connected_graph, ring, star_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
@@ -25,7 +29,6 @@ from repro.runtime import (
     CentralRandomScheduler,
     CentralRoundRobinScheduler,
     DistributedRandomScheduler,
-    NodeView,
     Protocol,
     RegisterSpec,
     Scheduler,
@@ -41,8 +44,10 @@ from repro.runtime import (
     random_configuration,
 )
 
+from referee_rules import NodeView, StepRule
 
-class MaxIdFlood(Protocol):
+
+class MaxIdFlood(StepRule, Protocol):
     """Silent SS computation of the network-wide maximum identity.
 
     Naive max-flooding is NOT self-stabilizing: a corrupted value above the
@@ -78,7 +83,7 @@ class MaxIdFlood(Protocol):
         return all(config[v]["maxid"] == target for v in net.nodes)
 
 
-class ModuloClock(Protocol):
+class ModuloClock(StepRule, Protocol):
     """A never-silent counter: every node is always enabled."""
 
     name = "modulo-clock"
@@ -276,7 +281,7 @@ class TestSimulatorBasics:
 
 class TestRefreshExceptionSafety:
     def test_raising_step_does_not_desynchronize(self):
-        """A protocol.step that raises mid-refresh must leave the engine
+        """A slot rule that raises mid-refresh must leave the engine
         consistent: processed transitions reach the scheduler's mirror,
         the failing node stays dirty, and a repaired run still converges
         with the incremental enabled set equal to a full rescan."""
@@ -444,7 +449,7 @@ class TestComposition:
     def test_layers_share_register(self):
         net = star_graph(5, seed=9)
 
-        class Echo(Protocol):
+        class Echo(StepRule, Protocol):
             """Copies the flood layer's result into its own field."""
             name = "echo"
 
@@ -468,7 +473,7 @@ class TestComposition:
         write at the same node (the register is written atomically)."""
         net = path_graph(2, scramble_ids=False)
 
-        class Mirror(Protocol):
+        class Mirror(StepRule, Protocol):
             name = "mirror"
 
             def register_spec(self, net):
@@ -515,13 +520,36 @@ class TestComposition:
         contract = ComposedProtocol([SpanningTreeProtocol()]).rule_contract()
         # a composition's one rule is its composed slot rule
         assert contract["entrypoints"] == {
-            "step": False, "fast_step_slots": True,
-            "interrupt_step": False}
+            "fast_step_slots": True, "interrupt_step": False}
         assert contract["shardable"] is True
         # one unshardable layer makes the whole atomic step unshardable
         mixed = ComposedProtocol([MaxIdFlood(), Unshardable()])
         assert mixed.shardable is False
         assert mixed.rule_contract()["shardable"] is False
+
+
+class TestRuleForm:
+    """Every protocol states its transition function once, as the slot
+    rule its ``fast_step_slots`` compiles."""
+
+    def test_every_registered_protocol_and_layer_compiles_a_slot_rule(self):
+        net = random_connected_graph(8, seed=1, weighted=True)
+        for name in sorted(PROTOCOLS):
+            proto, _entry = build_protocol(name)
+            schema = proto.register_spec(net).schema()
+            for layer in (proto, *getattr(proto, "layers", ())):
+                assert callable(layer.fast_step_slots(schema)), (
+                    name, layer.name)
+
+    def test_protocol_without_a_compiled_rule_cannot_be_instantiated(self):
+        class RuleLess(Protocol):
+            name = "rule-less"
+
+            def register_spec(self, net):
+                return RegisterSpec([id_field("x")])
+
+        with pytest.raises(TypeError, match="fast_step_slots"):
+            RuleLess()
 
 
 class TestFaultsAndMetrics:

@@ -3,9 +3,9 @@
 Each rule series gets a deliberately broken fixture protocol defined in
 *this* module (the analyzer follows MRO source files, so test fixtures
 are first-class analysis targets): an L-series locality leak, a W-series
-in-place register write, an S-series schema typo and hard-coded slot, a
-D-series ambient coin flip and set iteration, and a C-series dict/slot
-write divergence.  On top of the synthetic fixtures:
+in-place register write, an S-series schema typo and hard-coded slot,
+and a D-series ambient coin flip and set iteration.  On top of the
+synthetic fixtures:
 
 * the PR 1 regression — a ``GuidedMST`` variant that consults the global
   detector *without* the certificate boundary — must light up L-series
@@ -75,16 +75,21 @@ class _TwoField(Protocol):
 
 
 class LeakyLocality(_TwoField):
-    """L-series bait: a global BFS inside a 1-hop-declared rule."""
+    """L-series bait: a global BFS inside a 1-hop rule."""
 
     name = "fixture-leaky"
 
-    def step(self, view):
-        dist = view.net.bfs_distances(view.net.min_id)
-        want = dist[view.id] % 2
-        if view["x"] != want:
-            return {"x": want}
-        return None
+    def fast_step_slots(self, schema):
+        x = schema.slot("x")
+
+        def rule(net, config, node, own, nbr_rows):
+            dist = net.bfs_distances(net.min_id)
+            want = dist[node] % 2
+            if own[x] != want:
+                return {x: want}
+            return None
+
+        return rule
 
 
 class NeighborWriter(_TwoField):
@@ -92,11 +97,16 @@ class NeighborWriter(_TwoField):
 
     name = "fixture-writer"
 
-    def step(self, view):
-        for _u, st in view.nbr_states():
-            st["x"] = 0
-        view.state.update({"y": 1})
-        return None
+    def fast_step_slots(self, schema):
+        x = schema.slot("x")
+
+        def rule(net, config, node, own, nbr_rows):
+            for _u, st in nbr_rows:
+                st[x] = 0
+            config[node].update({"y": 1})
+            return None
+
+        return rule
 
 
 class SchemaTypo(_TwoField):
@@ -104,16 +114,12 @@ class SchemaTypo(_TwoField):
 
     name = "fixture-typo"
 
-    def step(self, view):
-        if view["zz"]:
-            return {"x": 1}
-        return None
-
     def fast_step_slots(self, schema):
         x = schema.slot("x")
+        zz = schema.index["zz"]
 
         def rule(net, config, node, own, nbr_rows):
-            if own[1]:
+            if own[1] or own[zz]:
                 return {x: 1}
             return None
 
@@ -125,51 +131,25 @@ class CoinFlipper(_TwoField):
 
     name = "fixture-coin"
 
-    def step(self, view):
-        if random.random() < 0.5:
-            return {"x": (view["x"] + 1) % 2}
-        for u in set(view.neighbors):
-            if view.nbr(u)["x"]:
-                return {"y": 1}
-        return None
-
-
-class DriftingPort(_TwoField):
-    """C-series bait: the slots port silently drops the ``y`` write."""
-
-    name = "fixture-drift"
-
-    def step(self, view):
-        if view["x"] != view["y"]:
-            return {"x": view["y"], "y": view["y"]}
-        return None
-
     def fast_step_slots(self, schema):
-        x = schema.slot("x")
-        y = schema.slot("y")
+        x, y = schema.slots("x", "y")
 
         def rule(net, config, node, own, nbr_rows):
-            if own[x] != own[y]:
-                return {x: own[y]}
+            if random.random() < 0.5:
+                return {x: (own[x] + 1) % 2}
+            for u in set(net.neighbors(node)):
+                if config[u][x]:
+                    return {y: 1}
             return None
 
         return rule
 
 
 class FilteredChildrenPort(_TwoField):
-    """A faithful port reading its children's ``y`` only through a
-    derived ``(u, st)`` list — still a register read (C001 must not
-    fire)."""
+    """Reads its children's ``y`` only through a derived ``(u, st)``
+    list; the clean twin of :class:`FilteredChildrenWriter`."""
 
     name = "fixture-filtered-children"
-
-    def step(self, view):
-        me = view.id
-        kids = [u for u in view.neighbors if view.nbr(u)["x"] == me]
-        ok = all(view.nbr(c)["y"] for c in kids)
-        if view["x"] != int(ok):
-            return {"x": int(ok)}
-        return None
 
     def fast_step_slots(self, schema):
         x, y = schema.slot("x"), schema.slot("y")
@@ -184,18 +164,29 @@ class FilteredChildrenPort(_TwoField):
         return rule
 
 
+class FilteredChildrenWriter(_TwoField):
+    """Writes in place through a row of a derived ``(u, st)`` list: the
+    re-packed rows are still registers, so W001 fires."""
+
+    name = "fixture-filtered-children-writer"
+
+    def fast_step_slots(self, schema):
+        x, y = schema.slot("x"), schema.slot("y")
+
+        def rule(net, config, node, own, nbr_rows):
+            children = [(u, st) for u, st in nbr_rows if st[x] == node]
+            for _, kst in children:
+                kst[y] = 0
+            return None
+
+        return rule
+
+
 class HelperRowPort(_TwoField):
-    """A faithful port reading its parent's ``y`` through a row returned
-    by a local helper — still a register read (C001 must not fire)."""
+    """Reads its parent's ``y`` through a row returned by a local helper;
+    the clean twin of :class:`HelperRowWriter`."""
 
     name = "fixture-helper-row"
-
-    def step(self, view):
-        pst = view.nbr_or_none(view["x"])
-        want = pst["y"] if pst is not None else 0
-        if view["x"] != want:
-            return {"x": want}
-        return None
 
     def fast_step_slots(self, schema):
         x, y = schema.slot("x"), schema.slot("y")
@@ -216,16 +207,45 @@ class HelperRowPort(_TwoField):
         return rule
 
 
+class HelperRowWriter(_TwoField):
+    """Writes in place through a row returned by a local helper: the
+    returned row is still a register, so W001 fires."""
+
+    name = "fixture-helper-row-writer"
+
+    def fast_step_slots(self, schema):
+        x, y = schema.slot("x"), schema.slot("y")
+
+        def rule(net, config, node, own, nbr_rows):
+            def row_of(target):
+                for u, ust in nbr_rows:
+                    if u == target:
+                        return ust
+                return None
+
+            pst = row_of(own[x])
+            if pst is not None:
+                pst[y] = 0
+            return None
+
+        return rule
+
+
 class WaivedLeak(_TwoField):
     """A single L001 suppressed by an inline waiver on its own line."""
 
     name = "fixture-waived"
 
-    def step(self, view):
-        size = view.net.n  # statics: ignore[L001] -- n is a probe constant
-        if view["x"] != size % 2:
-            return {"x": size % 2}
-        return None
+    def fast_step_slots(self, schema):
+        x = schema.slot("x")
+
+        def rule(net, config, node, own, nbr_rows):
+            size = net.n  # statics: ignore[L001] -- n is a probe constant
+            if own[x] != size % 2:
+                return {x: size % 2}
+            return None
+
+        return rule
 
 
 class CleanPair(_TwoField):
@@ -233,25 +253,24 @@ class CleanPair(_TwoField):
 
     name = "fixture-clean"
 
-    def step(self, view):
-        lo = min((view.nbr(u)["x"] for u in view.neighbors), default=0)
-        if view["x"] != lo:
-            return {"x": lo}
-        return None
+    def fast_step_slots(self, schema):
+        x = schema.slot("x")
+
+        def rule(net, config, node, own, nbr_rows):
+            lo = min((st[x] for _, st in nbr_rows), default=0)
+            if own[x] != lo:
+                return {x: lo}
+            return None
+
+        return rule
 
 
-class ProbedClean(_TwoField):
+class ProbedClean(CleanPair):
     """A clean rule plus a global-sweeping observer (the telemetry
     layer's ``probe_potential``): observers live outside the rule
     surface, so the analyzer must stay silent."""
 
     name = "fixture-probed"
-
-    def step(self, view):
-        lo = min((view.nbr(u)["x"] for u in view.neighbors), default=0)
-        if view["x"] != lo:
-            return {"x": lo}
-        return None
 
     def probe_potential(self, net, config):
         total = 0
@@ -263,15 +282,20 @@ class ProbedClean(_TwoField):
 class ProbeChaser(ProbedClean):
     """A rule that *calls* its own observer: traversal must stop at the
     observer boundary instead of flagging the probe's global sweep as a
-    locality leak inside ``step``."""
+    locality leak inside the rule."""
 
     name = "fixture-probe-chaser"
 
-    def step(self, view):
-        total = self.probe_potential(view.net, view._config)
-        if view["x"] != total % 2:
-            return {"x": total % 2}
-        return None
+    def fast_step_slots(self, schema):
+        x = schema.slot("x")
+
+        def rule(net, config, node, own, nbr_rows):
+            total = self.probe_potential(net, config)
+            if own[x] != total % 2:
+                return {x: total % 2}
+            return None
+
+        return rule
 
 
 class UncertifiedMST(GuidedMST):
@@ -315,7 +339,7 @@ def test_locality_fixture_fires_l001():
     for f in hits:
         assert f.protocol == "fixture-leaky"
         assert f.layer == "LeakyLocality"
-        assert f.path == "step"
+        assert f.path == "fast_step_slots"
         assert f.site.file.endswith("test_statics.py")
         assert f.site.line > 0
         assert f.active
@@ -337,14 +361,14 @@ def test_locality_declaration_does_not_excuse_a_leak():
 def test_write_ownership_fixture_fires_w_series():
     findings = _analyze(NeighborWriter)
     rules = _rules(findings)
-    assert "W001" in rules  # st["x"] = 0 on a neighbor row
-    assert "W002" in rules  # view.state.update(...)
+    assert "W001" in rules  # st[x] = 0 on a neighbor row
+    assert "W002" in rules  # config[node].update(...)
 
 
 def test_schema_fixture_fires_s_series():
     findings = _analyze(SchemaTypo)
     rules = _rules(findings)
-    assert "S001" in rules  # view["zz"] is not a registered field
+    assert "S001" in rules  # schema.index["zz"] is not a registered field
     assert "S002" in rules  # own[1] hard-codes a slot index
 
 
@@ -355,34 +379,31 @@ def test_determinism_fixture_fires_d_series():
     assert "D002" in rules  # for u in set(...)
 
 
-def test_consistency_fixture_fires_c002():
-    findings = _analyze(DriftingPort)
-    c = [f for f in findings if f.series == "C"]
-    assert c and all(f.rule == "C002" for f in c)
-    assert any("y" in f.message for f in c)
-
-
 def test_clean_fixture_is_silent():
     assert _analyze(CleanPair) == []
 
 
-@pytest.mark.parametrize("fixture", [FilteredChildrenPort, HelperRowPort])
-def test_derived_rows_are_register_reads(fixture):
+@pytest.mark.parametrize("clean,writer", [
+    (FilteredChildrenPort, FilteredChildrenWriter),
+    (HelperRowPort, HelperRowWriter)], ids=["filtered-children", "helper-row"])
+def test_derived_rows_are_registers(clean, writer):
     """Neighbor rows re-packed by a filtered comprehension or returned by
-    a local helper keep their register tag, so a faithful port is not
-    reported as dropping the field it reads through them."""
-    assert _analyze(fixture) == []
+    a local helper keep their register tag: an in-place write through
+    one fires W001, while the read-only twin stays silent."""
+    assert _analyze(clean) == []
+    hits = [f for f in _analyze(writer) if f.rule == "W001"]
+    assert len(hits) == 1, hits
 
 
 def test_probe_outside_rule_surface_is_silent():
-    # a global-sweeping probe_potential next to a clean step: observers
+    # a global-sweeping probe_potential next to a clean rule: observers
     # are not rule entrypoints, so the sweep is never even scanned
     assert _analyze(ProbedClean) == []
 
 
 def test_probe_boundary_stops_traversal():
     # the rule *calls* the observer — without the boundary the probe's
-    # `for v in net.nodes` sweep would fire L001 inside step's closure
+    # `for v in net.nodes` sweep would fire L001 inside the rule's closure
     findings = _analyze(ProbeChaser)
     assert not [f for f in findings if "nodes" in f.message], findings
     assert not [f for f in findings if f.series == "L"], findings
@@ -454,16 +475,15 @@ def test_json_report_schema():
 
 
 def test_rule_contract_metadata():
-    # a name-keyed rule (step) or the compiled planes
-    assert RULE_ENTRYPOINTS == ("step", "fast_step_slots", "interrupt_step")
+    # the compiled rule and the optional topology-interrupt rule
+    assert RULE_ENTRYPOINTS == ("fast_step_slots", "interrupt_step")
     contract = SpanningTreeProtocol().rule_contract()
     assert set(contract["entrypoints"]) == set(RULE_ENTRYPOINTS)
     assert contract["entrypoints"] == {
-        "step": False, "fast_step_slots": True, "interrupt_step": True}
+        "fast_step_slots": True, "interrupt_step": True}
     assert contract["layers"] is None
-    # bgr-mdst has no compiled rule: its step is its one statement
     bgr = BigMemoryMDST().rule_contract()["entrypoints"]
-    assert bgr["step"] is True and bgr["fast_step_slots"] is False
+    assert bgr == {"fast_step_slots": True, "interrupt_step": False}
 
     composed = guided_mst_protocol().rule_contract()
     layer_classes = [layer["class"] for layer in composed["layers"]]
@@ -508,7 +528,7 @@ def test_cli_check_json_gate():
 def test_cli_rules_catalog():
     proc = _run_cli("rules")
     assert proc.returncode == 0
-    for rule_id in ("L001", "W001", "S001", "D001", "C001"):
+    for rule_id in ("L001", "W001", "S001", "D001"):
         assert rule_id in proc.stdout
 
 
