@@ -37,6 +37,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from repro.certify.oracle import CertifiedOracle, DigestLayer
+from repro.core.cycles import on_chain_segment
 from repro.core.swap import MalleableTreeProtocol, tree_of_config
 from repro.core.trees import RootedTree
 from repro.graphs.network import Network
@@ -599,8 +600,7 @@ def _chain_role_of(me: int, lam_raw, bc, nbr_lams):
     # claiming different root apexes); any such junk simply means this
     # node is not on the chain
     try:
-        if not (label_is_ancestor(lam, lam_a)
-                and label_is_ancestor(lam_x, lam)):
+        if not on_chain_segment(lam, lam_a, lam_x):
             return False, None
     except (TypeError, ValueError):
         return False, None

@@ -298,17 +298,17 @@ def sharded_scale_detail(rng: random.Random,
                          params: Mapping[str, object]):
     """One shard-parallel synchronous execution at campaign scale.
 
-    Runs the partitioned engine (:mod:`repro.runtime.sharding`) on an
-    implicit (lazy) topology — the whole-network adjacency never
-    materializes in any process — and streams the run as a *unified
+    Runs the partitioned engine (:mod:`repro.runtime.sharding`) on the
+    ``topology`` spec, resolved by
+    :func:`~repro.experiments.registry.build_topology_spec` (with an
+    ``implicit-*`` topology the whole-network adjacency never
+    materializes in any process), and streams the run as a *unified
     convergence trace* (the schema-versioned :mod:`repro.obs` JSONL,
     one row per round with the per-shard breakdown; never a
     materialized configuration trace).  The record keeps only the
     aggregates plus per-shard peak RSS and the trace filename; the
     trace directory is ``REPRO_SCALE_TRACE_DIR`` (default
-    ``campaigns/traces``).  This replaces the PR-8-era bespoke
-    ``campaigns/streams`` row format — same per-round content, but now
-    validated, self-describing, and renderable by ``repro obs report``.
+    ``campaigns/traces``).
 
     The injected ``rng`` is deliberately unused: sharded executions are
     a pure function of ``(topology, protocol, shards, init_seed)`` —
@@ -319,10 +319,9 @@ def sharded_scale_detail(rng: random.Random,
     import os
     from pathlib import Path
 
-    from repro.experiments.registry import build_protocol
+    from repro.experiments.registry import build_protocol, build_topology_spec
     from repro.obs.probes import TraceRecorder
     from repro.runtime.sharding import ShardedSimulator, plan_partition
-    from repro.runtime.sharding.cli import build_topology_spec
 
     topo_spec = str(params.get("topology", "implicit-grid:rows=100,cols=100"))
     protocol = str(params.get("protocol", "sst"))

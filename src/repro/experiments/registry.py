@@ -30,6 +30,9 @@ __all__ = [
     "INITS",
     "SCHEDULERS",
     "build_network",
+    "build_topology_spec",
+    "parse_topology_spec",
+    "resolve_topology",
     "build_protocol",
     "build_config",
     "tree_seeded_config",
@@ -85,6 +88,57 @@ def build_network(topology: str, params: Mapping[str, object],
                    weights=net.weights if net.weighted else None,
                    id_space=net.id_space + headroom,
                    n_bound=net.n + headroom)
+
+
+def resolve_topology(name: str, params: Mapping[str, object]):
+    """Build a topology by name, whichever family it belongs to.
+
+    Registry names materialize through :func:`build_network` with a
+    fixed rng (a ``seed`` parameter pins the draw); ``implicit-*`` names
+    resolve through the lazy family (:mod:`repro.graphs.implicit`,
+    imported only when asked for), so the whole-network adjacency never
+    materializes.  The one place that decides between the two: the
+    shard CLI, the sharded pinned workloads and the ``sharded-scale``
+    analysis all come through here.
+    """
+    if name in TOPOLOGIES:
+        try:
+            return build_network(name, params, random.Random(0))
+        except TypeError as exc:
+            # a missing or unexpected keyword is a spec error, exactly as
+            # the implicit family reports it
+            raise ValueError(f"{name}: {exc}") from None
+    from repro.graphs.implicit import IMPLICIT_TOPOLOGIES, build_topology
+    if name not in IMPLICIT_TOPOLOGIES:
+        known = sorted(TOPOLOGIES) + sorted(IMPLICIT_TOPOLOGIES)
+        raise ValueError(f"unknown topology {name!r}; "
+                         f"known: {', '.join(known)}")
+    return build_topology(name, dict(params))
+
+
+def parse_topology_spec(spec: str) -> tuple[str, dict[str, int]]:
+    """Parse ``name:key=val,key=val`` into (name, params)."""
+    name, _, rest = spec.partition(":")
+    params: dict[str, int] = {}
+    if rest:
+        for part in rest.split(","):
+            key, sep, val = part.partition("=")
+            if not sep:
+                raise ValueError(
+                    f"bad topology parameter {part!r} (expected key=value)")
+            try:
+                params[key.strip()] = int(val)
+            except ValueError:
+                raise ValueError(
+                    f"topology parameter {key!r} must be an integer, "
+                    f"got {val!r}") from None
+    return name, params
+
+
+def build_topology_spec(spec: str):
+    """Build a topology from a spec string such as
+    ``implicit-grid:rows=64,cols=64`` or ``random:n=512,seed=42``."""
+    return resolve_topology(*parse_topology_spec(spec))
 
 
 # ----------------------------------------------------------------------

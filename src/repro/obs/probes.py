@@ -37,10 +37,6 @@ class TraceRecorder:
     ----------
     path:
         Where the JSONL trace lands (parents created).
-    potential:
-        Try the protocol's ``probe_potential`` observer at attach time;
-        when it yields a value the ``potential`` column is captured
-        every round (the SST packed-claim sum, the BFS depth potential).
     extra_probes:
         Optional named zero-argument callables sampled once per round —
         e.g. a ``certified`` probe wrapping the spec's local certifier,
@@ -49,11 +45,10 @@ class TraceRecorder:
         Extra header fields (workload name, shard count, ...).
     """
 
-    def __init__(self, path: str | Path, *, potential: bool = True,
+    def __init__(self, path: str | Path, *,
                  extra_probes: dict[str, Callable[[], Any]] | None = None,
                  header_extra: dict[str, Any] | None = None) -> None:
         self.path = Path(path)
-        self._want_potential = potential
         self._extra_probes = dict(extra_probes or {})
         self._header_extra = dict(header_extra or {})
         self._fh: Any = None
@@ -85,10 +80,8 @@ class TraceRecorder:
         trace is self-describing about what produced it.
         """
         self._sim = sim
-        initial = None
-        if self._want_potential:
-            initial = sim.protocol.probe_potential(sim.net, sim.config)
-            self._potential_on = initial is not None
+        initial = sim.protocol.probe_potential(sim.net, sim.config)
+        self._potential_on = initial is not None
         probes = sorted(self._extra_probes)
         if self._potential_on:
             probes.append("potential")

@@ -37,7 +37,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from repro.experiments.registry import SCHEDULERS, build_config, build_network, build_protocol
+from repro.experiments.registry import (
+    SCHEDULERS,
+    build_config,
+    build_network,
+    build_protocol,
+    resolve_topology,
+)
 from repro.runtime.simulator import Simulator
 
 __all__ = ["WORKLOADS", "Execution", "Workload", "build_simulator", "execute"]
@@ -49,9 +55,7 @@ class Workload:
 
     ``round_budget`` / ``move_budget`` bound the execution: whole rounds
     run until silence or either budget is reached.  A budget of 0 means
-    unbounded (the workload must then be silent self-stabilizing).  Only
-    a move budget (``round_budget == 0``) runs in step mode: single
-    moves, so rounds stay 0.
+    unbounded (the workload must then be silent self-stabilizing).
     """
 
     name: str
@@ -335,13 +339,9 @@ def _sharded_execution(workload: Workload, recorder: Any) -> Execution:
     topology; the clock covers only the lock-step round loop (worker
     spawn and the initial boundary exchange are construction).
     """
-    from repro.graphs.implicit import IMPLICIT_TOPOLOGIES, build_topology
     from repro.runtime.sharding import ShardedSimulator, plan_partition
 
-    if workload.topology in IMPLICIT_TOPOLOGIES:
-        topo = build_topology(workload.topology, workload.topo)
-    else:
-        topo = build_network(workload.topology, workload.topo, random.Random(0))
+    topo = resolve_topology(workload.topology, workload.topo)
     plan = plan_partition(topo, workload.shards)
     protocol_name = workload.protocol
 
@@ -374,15 +374,11 @@ def execute(workload: Workload, recorder: Any = None) -> Execution:
     net = sim.net
 
     t0 = time.perf_counter()
-    if workload.round_budget == 0 and workload.move_budget > 0:
-        # step mode: a sub-round move budget (rounds stay 0 by definition)
-        sim.run_steps(workload.move_budget)
-    else:
-        round_budget = workload.round_budget or sys.maxsize
-        move_budget = workload.move_budget or sys.maxsize
-        while sim.rounds < round_budget and sim.moves < move_budget:
-            if not sim.run_round(max_moves=10_000_000):
-                break
+    round_budget = workload.round_budget or sys.maxsize
+    move_budget = workload.move_budget or sys.maxsize
+    while sim.rounds < round_budget and sim.moves < move_budget:
+        if not sim.run_round(max_moves=10_000_000):
+            break
     if workload.churn:
         # the super-stabilization phase: the pinned seeded event schedule
         # against the silent configuration, run to re-silence

@@ -2,7 +2,12 @@
 
 See :mod:`repro.runtime.sharding.engine` for the round protocol and the
 equivalence argument, :mod:`repro.runtime.sharding.partition` for the
-partitioner, and ``python -m repro shard --help`` for the CLI.
+partitioner, and ``python -m repro shard --help`` for the CLI (``plan``
+and the ``verify`` equivalence gate).  Sharded runs come from three
+places — ``shard verify``, the sharded pinned workloads
+(:mod:`repro.obs.workloads`) and the ``sharded-scale`` campaign
+analysis — and all three name topologies through
+:func:`repro.experiments.registry.resolve_topology`.
 """
 
 from repro.runtime.sharding.engine import (

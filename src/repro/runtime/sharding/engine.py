@@ -430,13 +430,8 @@ class ShardedSimulator:
         return total
 
     def run(self, max_rounds: int, *, require_silence: bool = True,
-            round_hook: Callable[[int, int, list[int]], None] | None = None,
             recorder=None) -> ShardRunResult:
         """Run to silence or the round budget.
-
-        ``round_hook(round_no, round_moves, per_shard_moves)`` fires
-        after every executed round — the live progress seam (the shard
-        CLI ticks rounds-to-silence through it; nothing is materialized).
 
         ``recorder`` (a :class:`repro.obs.probes.TraceRecorder`) streams
         the run as a unified convergence trace: workers' telemetry
@@ -454,8 +449,6 @@ class ShardedSimulator:
             while not self._silent and self.rounds < max_rounds:
                 before = list(self.shard_moves)
                 total = self.run_round()
-                per_shard = [a - b for a, b
-                             in zip(self.shard_moves, before)]
                 if recorder is not None:
                     if pending_row is not None:
                         recorder.round_row(
@@ -463,9 +456,9 @@ class ShardedSimulator:
                             enabled_start=pending_row[0],
                             enabled_end=total,
                             per_shard=pending_row[1])
+                    per_shard = [a - b for a, b
+                                 in zip(self.shard_moves, before)]
                     pending_row = (total, per_shard) if total else None
-                if total and round_hook is not None:
-                    round_hook(self.rounds, total, per_shard)
             if recorder is not None:
                 if pending_row is not None:  # budget stop mid-convergence
                     recorder.round_row(

@@ -8,7 +8,9 @@ shards holding them as halo at every round edge.  The plan therefore
 determines both the per-round compute balance (shard sizes) and the
 per-round communication volume (cut size / boundary widths) — which is
 why ``python -m repro shard plan`` prints all three and why campaign
-specs pin plans by fingerprint.
+records carry the plan's fingerprint.  A plan is never persisted:
+:func:`plan_partition` is deterministic, so ``(topology, k)`` *is* the
+plan.
 
 The partitioner is deterministic: BFS order from the minimum identity,
 cut into k contiguous chunks.  BFS discovery order keeps chunks
@@ -20,7 +22,6 @@ library.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 __all__ = ["ShardPlan", "plan_partition"]
@@ -30,7 +31,8 @@ __all__ = ["ShardPlan", "plan_partition"]
 class ShardPlan:
     """One immutable node -> shard assignment with its quality metrics."""
 
-    #: always ``"bfs"``; kept so plan JSON and fingerprints stay stable
+    #: always ``"bfs"``; kept because it is hashed into the fingerprint,
+    #: so dropping it would change every recorded ``plan_fingerprint``
     method: str
     k: int
     #: per-shard owned nodes, each tuple sorted ascending
@@ -61,7 +63,7 @@ class ShardPlan:
 
     @property
     def fingerprint(self) -> str:
-        """Digest of the full assignment — campaigns pin plans by this."""
+        """Digest of the full assignment — campaign records carry it."""
         h = hashlib.sha256()
         h.update(f"{self.method}|{self.k}|".encode())
         for nodes in self.shards:
@@ -70,11 +72,9 @@ class ShardPlan:
         return h.hexdigest()[:16]
 
     def describe(self) -> dict[str, object]:
-        """The JSON-ready summary the ``shard plan`` CLI prints/persists."""
+        """The summary the ``shard plan`` CLI prints."""
         sizes = [len(s) for s in self.shards]
         return {
-            "method": self.method,
-            "k": self.k,
             "n": self.n,
             "sizes": sizes,
             "balance": round(self.balance, 4),
@@ -83,22 +83,6 @@ class ShardPlan:
             "max_boundary": max(self.boundary),
             "fingerprint": self.fingerprint,
         }
-
-    def to_json(self) -> str:
-        payload = dict(self.describe())
-        payload["shards"] = [list(s) for s in self.shards]
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ShardPlan":
-        payload = json.loads(text)
-        return ShardPlan(
-            method=payload["method"],
-            k=payload["k"],
-            shards=tuple(tuple(s) for s in payload["shards"]),
-            cut_edges=payload["cut_edges"],
-            boundary=tuple(payload["boundary"]),
-        )
 
 
 def _bfs_order(topo) -> list[int]:

@@ -2,9 +2,10 @@
 
 Covers the contract of the sharding PR:
 
-* partition planning — coverage, balance, cut counting, JSON round-trip,
-  fingerprint stability;
-* the implicit (lazy) topology family and shard-local subnetwork cuts;
+* partition planning — coverage, balance, cut counting, fingerprint
+  stability;
+* the implicit (lazy) topology family, shard-local subnetwork cuts, and
+  the one topology-spec resolver (its refusals included);
 * the equivalence theorem in executable form: sharded execution is
   bit-identical to the single-process engine — same moves, rounds,
   silence, and final-configuration digest — at shard counts {1, 2, 4, 8},
@@ -12,12 +13,13 @@ Covers the contract of the sharding PR:
 * loud failure when a worker process dies mid-run (shard id + round
   number in the exception);
 * rejection of protocols whose reads cannot be sharded;
-* the ``python -m repro shard`` CLI (plan persistence, verify gate) and
+* the ``python -m repro shard`` CLI (plan printing, verify gate) and
   the sharded pinned workloads.
 """
 
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -26,8 +28,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.registry import build_network, build_protocol
+from repro.experiments.cli import main as repro_main
+from repro.experiments.registry import (
+    TOPOLOGIES,
+    build_network,
+    build_protocol,
+    build_topology_spec,
+    parse_topology_spec,
+)
 from repro.graphs.implicit import (
+    IMPLICIT_TOPOLOGIES,
+    ImplicitTopology,
     build_topology,
     implicit_grid,
     implicit_hypercube,
@@ -38,7 +49,6 @@ from repro.obs.workloads import WORKLOADS, Workload
 from repro.runtime.scheduler import SynchronousScheduler
 from repro.runtime.sharding import (
     ShardCrashError,
-    ShardPlan,
     ShardedSimulator,
     per_node_configuration,
     plan_partition,
@@ -97,14 +107,14 @@ def test_single_shard_plan_has_no_cut():
     assert all(b == 0 for b in plan.boundary)
 
 
-def test_plan_json_roundtrip_and_fingerprint_stability():
+def test_plan_fingerprint_stability():
     topo = implicit_grid(6, 7)
     plan = plan_partition(topo, 3)
-    again = ShardPlan.from_json(plan.to_json())
+    again = plan_partition(topo, 3)
     assert again == plan
-    assert again.fingerprint == plan.fingerprint
     # the fingerprint is a pure function of the node assignment
-    assert plan_partition(topo, 3).fingerprint == plan.fingerprint
+    assert again.fingerprint == plan.fingerprint
+    assert plan_partition(topo, 2).fingerprint != plan.fingerprint
 
 
 def test_plan_partition_works_on_materialized_networks():
@@ -143,6 +153,37 @@ def test_build_topology_by_name():
     assert topo.n == 12
     with pytest.raises(ValueError):
         build_topology("implicit-grid", {"rows": 3})
+
+
+def test_topology_spec_resolves_both_families():
+    assert parse_topology_spec("random:n=48,seed=17") == (
+        "random", {"n": 48, "seed": 17})
+    assert parse_topology_spec("implicit-ring: n=5") == (
+        "implicit-ring", {"n": 5})
+    net = build_topology_spec("random:n=48,seed=17")
+    assert net.edges == _random_net(48, seed=17).edges
+    grid = build_topology_spec("implicit-grid:rows=3,cols=4")
+    assert isinstance(grid, ImplicitTopology)
+    assert grid.n == 12 and grid.m == implicit_grid(3, 4).m
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("implicit-grid:rows=3,cols", "bad topology parameter 'cols'"),
+    ("random:n=48,seed=x", "topology parameter 'seed' must be an integer"),
+    ("random:n=48,foo=1", "unexpected keyword argument 'foo'"),
+    ("implicit-grid:rows=3", "missing 1 required positional argument"),
+], ids=["no-equals", "not-an-integer", "registry-keyword",
+        "implicit-keyword"])
+def test_topology_spec_refuses_malformed_parameters(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_topology_spec(spec)
+
+
+def test_topology_spec_refuses_an_unknown_name_listing_both_families():
+    with pytest.raises(ValueError, match="unknown topology 'torus'") as exc:
+        build_topology_spec("torus:n=16")
+    for name in [*TOPOLOGIES, *IMPLICIT_TOPOLOGIES]:
+        assert name in str(exc.value)
 
 
 def test_shard_network_keeps_global_id_space():
@@ -278,17 +319,18 @@ def test_worker_crash_fails_loudly_with_shard_and_round():
 # the CLI and the pinned workloads
 # ----------------------------------------------------------------------
 
-def test_cli_plan_persists_a_loadable_plan(tmp_path):
-    out = tmp_path / "plan.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "shard", "plan",
-         "implicit-grid:rows=8,cols=8", "2", "--out", str(out)],
-        capture_output=True, text=True, env=_env())
-    assert proc.returncode == 0, proc.stderr
-    assert "fingerprint" in proc.stdout
-    plan = ShardPlan.from_json(out.read_text())
-    assert plan.n == 64 and plan.k == 2
-    assert plan == plan_partition(implicit_grid(8, 8), 2)
+def test_cli_plan_prints_the_partition_fingerprint(capsys):
+    assert repro_main(["shard", "plan", "implicit-grid:rows=8,cols=8",
+                       "2"]) == 0
+    out = capsys.readouterr().out
+    plan = plan_partition(implicit_grid(8, 8), 2)
+    assert f"fingerprint   {plan.fingerprint}" in out
+    assert f"cut_edges     {plan.cut_edges}" in out
+
+
+def test_cli_refuses_a_bad_topology_spec():
+    with pytest.raises(SystemExit, match="unknown topology 'torus'"):
+        repro_main(["shard", "plan", "torus:n=16", "2"])
 
 
 def test_cli_verify_passes_on_small_workload(tmp_path):

@@ -104,10 +104,3 @@ def test_execute_is_deterministic():
     assert a.silent is True
     assert a.moves > 0
     assert a.seconds > 0
-
-
-def test_move_budget_step_mode():
-    run = execute(_tiny_workload(name="test-step-mode", move_budget=5))
-    # central daemon: one move per step, budget checked between steps
-    assert 0 < run.moves <= 5
-    assert run.rounds == 0  # step mode never completes rounds
