@@ -81,6 +81,10 @@ class ModelCheckResult:
     #: a reachable non-silent cycle, as a list of configs (livelock)
     cycle: list[Config] | None = None
     truncated: bool = False
+    #: distinct starting configurations, and how many of them the
+    #: exploration expanded (a truncated one may leave starts unexplored)
+    starts: int = 0
+    starts_expanded: int = 0
 
     @property
     def ok(self) -> bool:
@@ -109,6 +113,7 @@ class ModelCheckResult:
             bits.append(f"{len(self.illegal_silent)} illegal silent")
         if self.fake_certified:
             bits.append(f"{len(self.fake_certified)} certificate fakes")
+        bits.append(f"starts covered {self.starts_expanded}/{self.starts}")
         return f"{verdict}: {', '.join(bits)}"
 
 
@@ -190,6 +195,9 @@ def explore(net: Network, protocol: Protocol, starts: list[Config],
 
     result.states = len(succs)
     result.silent_states = len(silent_keys)
+    distinct_starts = set(start_keys)
+    result.starts = len(distinct_starts)
+    result.starts_expanded = sum(k in succs for k in distinct_starts)
 
     # cycle search (iterative DFS, white/grey/black) over the explored
     # subgraph; unexplored frontier nodes (truncation) are treated as

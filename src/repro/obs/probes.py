@@ -86,10 +86,10 @@ class TraceRecorder:
         if self._potential_on:
             probes.append("potential")
         engine = {
-            # every binding runs on a slot rule; the key stays so that
-            # trace headers keep their shape
+            # every binding runs on a slot rule and every daemon may run
+            # fused; the keys stay so that trace headers keep their shape
             "slot": True,
-            "fused_capable": sim._notify is None,
+            "fused_capable": True,
         }
         extra = dict(self._header_extra)
         extra["enabled_initial"] = len(sim.enabled_set())

@@ -37,6 +37,7 @@ from repro.runtime.schema import SlotState, StateSchema
 from repro.runtime.scheduler import (
     EnabledSet,
     Scheduler,
+    CentralScheduler,
     SynchronousScheduler,
     CentralRandomScheduler,
     CentralRoundRobinScheduler,
@@ -79,6 +80,7 @@ __all__ = [
     "StateSchema",
     "EnabledSet",
     "Scheduler",
+    "CentralScheduler",
     "SynchronousScheduler",
     "CentralRandomScheduler",
     "CentralRoundRobinScheduler",

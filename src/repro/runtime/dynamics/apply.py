@@ -291,7 +291,6 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     # stale cached proposals of vanished nodes can never be selected
     # (the enabled set no longer contains them); drop crashed entries
     # above, keep survivors — refresh re-proposes exactly the dirty ones.
-    sim._sched_synced = False  # the daemon re-reads the enabled set
 
     enabled_after = len(sim.enabled_set())  # settles via _refresh
     if check:

@@ -15,37 +15,25 @@ We provide:
 * a starvation adversary that delays a designated victim set as long as the
   unfairness constraint allows.
 
-All schedulers are driven through :meth:`Scheduler.select`, which must
-return a non-empty, duplicate-free subset of the enabled set (the simulator
-validates this and raises on contract violations).
-
-Incremental protocol
---------------------
-
-The engine maintains the enabled set incrementally (O(deg) updates per
-applied move instead of an O(n) rescan per scheduler step) and exposes it as
-an :class:`EnabledSet` — a hybrid sorted-sequence / hash-set view.  Daemons
-that keep per-step state over the enabled set (round-robin cursors, victim
-filters) can consume the engine's deltas through two optional hooks:
-
-* :meth:`Scheduler.reset` — the engine (re)attached with a full enabled set;
-* :meth:`Scheduler.notify` — nodes were added to / removed from that set.
-
-``select(enabled)`` remains the single required method and the
-compatibility path: it must also accept a plain sequence from callers that
-do not drive the incremental hooks.
+A daemon is one method, :meth:`Scheduler.select`: given the engine's
+:class:`EnabledSet` (non-empty), return a non-empty, duplicate-free subset
+of it (the simulator validates this and raises on contract violations).
+A central daemon states its choice once, as :meth:`CentralScheduler.pick`
+(one member of the enabled set); its ``select`` is that node alone, and the
+engine's fused single-mover loop calls ``pick`` directly.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Callable, Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable
 
 __all__ = [
     "EnabledSet",
     "Scheduler",
+    "CentralScheduler",
     "SynchronousScheduler",
     "CentralRandomScheduler",
     "CentralRoundRobinScheduler",
@@ -60,11 +48,10 @@ __all__ = [
 class EnabledSet:
     """A set of node identities that is also a sorted sequence.
 
-    Membership tests are O(1); indexing is O(1); adds and removes keep the
-    sorted order via bisection (O(log n) comparisons plus a C-level
-    memmove).  The simulator maintains one of these incrementally and hands
-    it to schedulers, so no per-step rescan or re-sort of the enabled nodes
-    is ever needed.
+    Membership tests are O(1); indexing is O(1).  The simulator owns one
+    of these, keeps its hash set ``_set`` and sorted list ``_list`` in step
+    as nodes enter and leave the enabled set, and hands it to schedulers,
+    so no per-step rescan or re-sort of the enabled nodes is ever needed.
     """
 
     __slots__ = ("_set", "_list")
@@ -72,30 +59,6 @@ class EnabledSet:
     def __init__(self, items: Iterable[int] = ()) -> None:
         self._set = set(items)
         self._list = sorted(self._set)
-
-    # -- mutation (engine-only) -----------------------------------------
-
-    def add(self, v: int) -> bool:
-        """Insert ``v``; returns True if it was not already present."""
-        if v in self._set:
-            return False
-        self._set.add(v)
-        insort(self._list, v)
-        return True
-
-    def discard(self, v: int) -> bool:
-        """Remove ``v``; returns True if it was present."""
-        if v not in self._set:
-            return False
-        self._set.remove(v)
-        del self._list[bisect_left(self._list, v)]
-        return True
-
-    def clear(self) -> None:
-        self._set.clear()
-        self._list.clear()
-
-    # -- sequence / set protocol ----------------------------------------
 
     def __contains__(self, v: object) -> bool:
         return v in self._set
@@ -123,50 +86,25 @@ class EnabledSet:
         return f"EnabledSet({self._list!r})"
 
 
-def _sorted_view(enabled: Sequence[int]) -> Sequence[int]:
-    """``enabled`` as an ascending sequence without copying when possible."""
-    if isinstance(enabled, EnabledSet):
-        return enabled
-    return sorted(enabled)
-
-
 class Scheduler(ABC):
     """Chooses which enabled nodes take the next atomic step."""
 
     name: str = "scheduler"
 
     @abstractmethod
-    def select(self, enabled: Sequence[int]) -> list[int]:
-        """Return a non-empty subset of ``enabled`` (which is non-empty).
+    def select(self, enabled: EnabledSet) -> list[int]:
+        """Return a non-empty subset of ``enabled`` (which is non-empty)."""
 
-        The simulator passes an :class:`EnabledSet` (sorted, O(1)
-        membership); other callers may pass any sequence.
-        """
 
-    # -- optional incremental hooks -------------------------------------
+class CentralScheduler(Scheduler):
+    """A daemon that activates exactly one enabled node per step."""
 
-    def reset(self, enabled: "EnabledSet") -> None:
-        """The engine attached (or re-attached) with a full enabled set.
+    @abstractmethod
+    def pick(self, enabled: EnabledSet) -> int:
+        """The one member of ``enabled`` that steps next."""
 
-        Called once before the first :meth:`select` of a run; schedulers
-        with internal mirrors of the enabled set rebuild them here.
-        """
-
-    def notify(self, added: Sequence[int], removed: Sequence[int]) -> None:
-        """Incremental delta: nodes entered / left the enabled set.
-
-        Called by the engine after each batch of proposal refreshes, in
-        between :meth:`select` calls.  Default: no-op.
-        """
-
-    # central daemons may additionally provide
-    #
-    #     pick(enabled: EnabledSet) -> int
-    #
-    # the single-selection equivalent of ``select`` — same distribution,
-    # same RNG stream, always a member of ``enabled`` — which the
-    # engine's fused stepping loop calls without the list-of-one
-    # round-trip.  Absence simply keeps a scheduler on the general path.
+    def select(self, enabled: EnabledSet) -> list[int]:
+        return [self.pick(enabled)]
 
 
 class SynchronousScheduler(Scheduler):
@@ -174,11 +112,11 @@ class SynchronousScheduler(Scheduler):
 
     name = "synchronous"
 
-    def select(self, enabled: Sequence[int]) -> list[int]:
+    def select(self, enabled: EnabledSet) -> list[int]:
         return list(enabled)
 
 
-class CentralRandomScheduler(Scheduler):
+class CentralRandomScheduler(CentralScheduler):
     """Exactly one uniformly random enabled node steps."""
 
     name = "central-random"
@@ -190,12 +128,6 @@ class CentralRandomScheduler(Scheduler):
         # identical while skipping the choice() frame on the fused path.
         self._below = getattr(self._rng, "_randbelow", None)
 
-    def select(self, enabled: Sequence[int]) -> list[int]:
-        if isinstance(enabled, EnabledSet):
-            # choose on the backing list: C-level indexing, no O(n) copy
-            return [self._rng.choice(enabled._list)]
-        return [self._rng.choice(enabled)]
-
     def pick(self, enabled: EnabledSet) -> int:
         lst = enabled._list
         below = self._below
@@ -204,20 +136,13 @@ class CentralRandomScheduler(Scheduler):
         return self._rng.choice(lst)
 
 
-class CentralRoundRobinScheduler(Scheduler):
+class CentralRoundRobinScheduler(CentralScheduler):
     """One node steps; preference rotates cyclically through identities."""
 
     name = "central-round-robin"
 
     def __init__(self) -> None:
         self._cursor = 0
-
-    def select(self, enabled: Sequence[int]) -> list[int]:
-        ordered = _sorted_view(enabled)
-        i = bisect_right(ordered, self._cursor)
-        pick = ordered[i] if i < len(ordered) else ordered[0]
-        self._cursor = pick
-        return [pick]
 
     def pick(self, enabled: EnabledSet) -> int:
         lst = enabled._list
@@ -227,29 +152,19 @@ class CentralRoundRobinScheduler(Scheduler):
         return v
 
 
-class CentralMaxIdScheduler(Scheduler):
+class CentralMaxIdScheduler(CentralScheduler):
     """Deterministically favors the largest enabled identity."""
 
     name = "central-max-id"
-
-    def select(self, enabled: Sequence[int]) -> list[int]:
-        if isinstance(enabled, EnabledSet):
-            return [enabled[-1]]
-        return [max(enabled)]
 
     def pick(self, enabled: EnabledSet) -> int:
         return enabled._list[-1]
 
 
-class CentralMinIdScheduler(Scheduler):
+class CentralMinIdScheduler(CentralScheduler):
     """Deterministically favors the smallest enabled identity."""
 
     name = "central-min-id"
-
-    def select(self, enabled: Sequence[int]) -> list[int]:
-        if isinstance(enabled, EnabledSet):
-            return [enabled[0]]
-        return [min(enabled)]
 
     def pick(self, enabled: EnabledSet) -> int:
         return enabled._list[0]
@@ -278,25 +193,21 @@ class DistributedRandomScheduler(Scheduler):
         self.max_redraws = max_redraws
         self._rng = random.Random(seed)
 
-    def select(self, enabled: Sequence[int]) -> list[int]:
+    def select(self, enabled: EnabledSet) -> list[int]:
         for _ in range(self.max_redraws):
             chosen = [u for u in enabled if self._rng.random() < self.p]
             if chosen:
                 return chosen
-        return [self._rng.choice(_sorted_view(enabled))]
+        return [self._rng.choice(enabled._list)]
 
 
-class StarvingScheduler(Scheduler):
+class StarvingScheduler(CentralScheduler):
     """An unfair adversary that starves a victim set whenever it can.
 
     While any non-victim node is enabled, only non-victims step (one at a
-    time, rotating); victims step only when they are the sole enabled nodes.
-    With ``victims=None`` the adversary starves whichever node has stepped
-    most recently (a LIFO-flavored unfairness).
-
-    When driven by the engine's incremental hooks, the non-victim subset is
-    mirrored in its own :class:`EnabledSet` (updated in O(log n) per delta)
-    instead of being re-filtered from scratch at every step.
+    time, uniformly at random); victims step only when they are the sole
+    enabled nodes.  With ``victims=None`` the adversary starves whichever
+    node has stepped most recently (a LIFO-flavored unfairness).
     """
 
     name = "starving"
@@ -305,58 +216,24 @@ class StarvingScheduler(Scheduler):
         self.victims = set(victims) if victims is not None else None
         self._rng = random.Random(seed)
         self._last_stepped: int | None = None
-        self._preferred: EnabledSet | None = None  # incremental mirror
 
-    # -- incremental hooks ----------------------------------------------
-
-    def reset(self, enabled: EnabledSet) -> None:
-        if self.victims is not None:
-            self._preferred = EnabledSet(
-                u for u in enabled if u not in self.victims)
-
-    def notify(self, added: Sequence[int], removed: Sequence[int]) -> None:
-        if self._preferred is None:
-            return
+    def pick(self, enabled: EnabledSet) -> int:
+        lst = enabled._list
         victims = self.victims
-        for u in added:
-            if u not in victims:
-                self._preferred.add(u)
-        for u in removed:
-            self._preferred.discard(u)
-
-    # -- selection -------------------------------------------------------
-
-    def select(self, enabled: Sequence[int]) -> list[int]:
-        if self.victims is not None:
-            choice = self._select_avoiding_victims(enabled)
-        else:
-            choice = self._select_avoiding_last(enabled)
-        self._last_stepped = choice
-        return [choice]
-
-    def _select_avoiding_victims(self, enabled: Sequence[int]) -> int:
-        if isinstance(enabled, EnabledSet) and self._preferred is not None:
-            preferred: Sequence[int] = self._preferred
-        else:  # compatibility path: caller drives select() directly
-            preferred = [u for u in enabled if u not in self.victims]
-        if preferred:
-            return self._rng.choice(preferred)
-        return self._rng.choice(_sorted_view(enabled))
-
-    def _select_avoiding_last(self, enabled: Sequence[int]) -> int:
         last = self._last_stepped
-        if isinstance(enabled, EnabledSet):
-            # Skip over ``last`` by index arithmetic instead of building the
-            # filtered list: random.choice(range(k)) consumes the RNG
-            # exactly like random.choice over a k-element list.
-            if last in enabled and len(enabled) > 1:
-                i = self._rng.choice(range(len(enabled) - 1))
-                skip = enabled.index(last)
-                return enabled[i] if i < skip else enabled[i + 1]
-            return self._rng.choice(enabled)
-        pool = list(enabled)
-        preferred = [u for u in pool if u != last]
-        return self._rng.choice(preferred or pool)
+        if victims is not None:
+            preferred = [u for u in lst if u not in victims]
+            v = self._rng.choice(preferred or lst)
+        elif last in enabled and len(lst) > 1:
+            # skip over ``last`` by index arithmetic instead of building
+            # the filtered list: random.choice(range(k)) consumes the RNG
+            # exactly like random.choice over a k-element list
+            i = self._rng.choice(range(len(lst) - 1))
+            v = lst[i] if i < enabled.index(last) else lst[i + 1]
+        else:
+            v = self._rng.choice(lst)
+        self._last_stepped = v
+        return v
 
 
 #: Factories for "run it under every daemon" tests: name -> seed -> Scheduler.

@@ -51,6 +51,21 @@ def _build_topo(spec: str):
         raise SystemExit(f"error: {exc}") from None
 
 
+def _plan(topo, k: int):
+    try:
+        return plan_partition(topo, k)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
+def _shard_counts(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SystemExit(f"error: --shards takes comma-separated "
+                         f"integers, got {text!r}") from None
+
+
 def _protocol_factory(name: str):
     if name not in PROTOCOLS:
         raise SystemExit(f"error: unknown protocol {name!r}; "
@@ -64,7 +79,7 @@ def _protocol_factory(name: str):
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     topo = _build_topo(args.topology)
-    plan = plan_partition(topo, args.k)
+    plan = _plan(topo, args.k)
     info = plan.describe()
     print(f"partition of {args.topology} into {plan.k} shards "
           f"({plan.method}):")
@@ -75,11 +90,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    counts = _shard_counts(args.shards)
     topo = _build_topo(args.topology)
-    counts = [int(x) for x in args.shards.split(",")]
+    # every count is checked before any run or worker starts
+    plans = {k: _plan(topo, k) for k in counts}
+    factories = {name: _protocol_factory(name)
+                 for name in args.protocol or ["sst"]}
     failures = 0
-    for proto_name in args.protocol or ["sst"]:
-        factory = _protocol_factory(proto_name)
+    for proto_name, factory in factories.items():
         ref = single_process_reference(topo, factory,
                                        init_seed=args.init_seed,
                                        max_rounds=args.max_rounds)
@@ -87,7 +105,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"rounds={ref[0]} moves={ref[1]} silent={ref[2]} "
               f"digest={ref[3]}")
         for k in counts:
-            with ShardedSimulator(topo, factory, plan_partition(topo, k),
+            with ShardedSimulator(topo, factory, plans[k],
                                   init_seed=args.init_seed) as sharded:
                 res = sharded.run(max_rounds=args.max_rounds)
             got = (res.rounds, res.moves, res.silent, res.fingerprint)

@@ -24,11 +24,14 @@ The engine maintains a live :class:`~repro.runtime.scheduler.EnabledSet`
 plus a *dirty set* of nodes whose cached proposals a write (or a fault)
 invalidated.  Applying a batch of writes only dirties the write
 neighborhoods; the next scheduler step re-proposes exactly the dirty nodes
-and feeds the resulting adds/removes to the daemon through
-:meth:`Scheduler.notify`.  A scheduler step therefore costs O(deg) proposal
-recomputations per applied write instead of the O(n) full rescan the
-previous engine performed before every ``select`` — the difference between
-O(n·M) and O(Δ·M) Python work for an M-move central-daemon execution.
+and updates the enabled set in place, so the daemon's next
+:meth:`Scheduler.select` reads it as it stands.  A scheduler step
+therefore costs O(deg) proposal recomputations per applied write instead
+of the O(n) full rescan the previous engine performed before every
+``select`` — the difference between O(n·M) and O(Δ·M) Python work for an
+M-move central-daemon execution.  Single-mover steps (every central
+daemon's, and any one-node selection) are applied inline by the fused
+loop of :meth:`Simulator.run_round`.
 Large batches (synchronous rounds, mass faults) skip the per-write
 bookkeeping entirely and raise a single *all-dirty* flag instead: one
 refresh pass over the whole network replaces thousands of set inserts.
@@ -203,15 +206,9 @@ class Simulator:
         # and re-proposing a clean node reproduces its cached proposal.
         self._bulk_dirty = max(4, net.n // 4)
         self._pending: set[int] | None = None  # the active round's pending set
-        self._sched_synced = False
         # protocols declaring exact deltas skip the engine's no-op filter
         self._exact_deltas = bool(getattr(protocol, "exact_deltas", False))
         self._index = self.schema.index
-        # the base-class Scheduler.notify is a no-op; skip the call frame
-        # entirely unless the daemon actually overrides it
-        self._notify = (self.scheduler.notify
-                        if type(self.scheduler).notify is not Scheduler.notify
-                        else None)
         # write-path contracts (Protocol.settles_after_move /
         # fast_write_impact): movers that provably land disabled retire
         # from the enabled set at apply time, and a compiled impact filter
@@ -264,7 +261,6 @@ class Simulator:
         config = self.config
         proposal = self._proposal
         dirty = self._dirty
-        notify = self._notify
         effective = None if self._exact_deltas else _effective
         # engine-owned EnabledSet internals, updated in place (the
         # method-call indirection is measurable at this call rate)
@@ -272,9 +268,9 @@ class Simulator:
         elist = self._enabled._list
 
         def repropose(items: Sequence[int]) -> None:
-            """Re-propose ``items`` in order; feed the enabled-set deltas
-            to the round's pending set and the scheduler."""
-            added: list[int] = []
+            """Re-propose ``items`` in order, updating the enabled set and
+            pruning nodes that became disabled from the round's pending
+            set."""
             removed: list[int] = []
             i = 0
             try:
@@ -290,7 +286,6 @@ class Simulator:
                         if v not in eset:
                             eset.add(v)
                             insort(elist, v)
-                            added.append(v)
                     else:
                         proposal[v] = None
                         if v in eset:
@@ -300,16 +295,13 @@ class Simulator:
             except BaseException:
                 # a raising rule must not desynchronize the engine: the
                 # node that failed and everything unprocessed stay dirty,
-                # while the transitions already made are delivered below
-                # so mirror-keeping daemons stay coherent
+                # while the transitions already made still prune the
+                # pending set below
                 dirty.update(items[i:])
                 raise
             finally:
                 if removed and self._pending is not None:
                     self._pending.difference_update(removed)
-                if ((added or removed) and notify is not None
-                        and self._sched_synced):
-                    notify(added, removed)
 
         self._repropose = repropose
 
@@ -318,9 +310,8 @@ class Simulator:
 
         Cost is O(|dirty|) transition evaluations — O(deg) per write applied
         since the last refresh, or one O(n) pass when a bulk batch raised
-        the all-dirty flag.  The kernel feeds the resulting enabled-set
-        deltas to the scheduler's incremental hooks and prunes the active
-        round's pending set.
+        the all-dirty flag.  The kernel updates the enabled set and prunes
+        the active round's pending set.
         """
         if self._dirty_all:
             self._dirty_all = False
@@ -330,9 +321,6 @@ class Simulator:
             items = sorted(self._dirty)
             self._dirty.clear()
             self._repropose(items)
-        if not self._sched_synced:
-            self.scheduler.reset(self._enabled)
-            self._sched_synced = True
 
     def enabled_nodes(self) -> list[int]:
         """All currently enabled nodes, ascending."""
@@ -472,8 +460,6 @@ class Simulator:
                     self.stat_settle_retired += len(retired)
                     if self._pending is not None:
                         self._pending.difference_update(retired)
-                    if self._sched_synced and self._notify is not None:
-                        self._notify((), retired)
         self.moves += len(writes)
         # read the invariant live: callers may legitimately attach one
         # after construction
@@ -492,10 +478,8 @@ class Simulator:
         self._refresh()
         if not self._enabled:
             return False
-        # fused single-mover stepping is off for mirror-keeping daemons
-        # (their notify contract is the general path's)
         self._round_loop(max_moves, self.scheduler.select, self._refresh,
-                         self._notify is None)
+                         True)
         return True
 
     def _round_loop(self, max_moves: int | None, select, refresh,
@@ -534,10 +518,10 @@ class Simulator:
             # latched for the round (reassigning them mid-round from an
             # invariant callback is not a supported pattern)
             invariant = self.invariant
-            # single-selection daemons expose ``pick`` (same distribution,
-            # same RNG stream as select); it returns a member of the
-            # enabled set by construction, so the fused path skips the
-            # list-of-one round trip and the membership re-check
+            # central daemons state their choice as ``pick`` (``select``
+            # is that node alone); it returns a member of the enabled set
+            # by construction, so the fused path skips the list-of-one
+            # round trip and the membership re-check
             pick = getattr(self.scheduler, "pick", None)
         try:
             while pending:
@@ -606,9 +590,9 @@ class Simulator:
         recorder is attached (see ``__init__``).  Runs :meth:`_round_loop`
         with counting ``select``/``refresh`` wrappers and unfused, so every
         move goes through :meth:`_apply_batch`, whose settle retirements
-        the row counts.  Single-selection daemons' ``pick`` draws from the
-        same RNG stream as ``select``, so an observed run replays the
-        unobserved moves in the same order.
+        the row counts.  A central daemon's ``select`` is its ``pick``
+        alone, so an observed run replays the unobserved moves in the same
+        order.
         """
         self._refresh()
         enabled_start = len(self._enabled)

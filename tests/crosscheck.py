@@ -14,8 +14,8 @@ evaluation:
 The engine proposes through one slot rule per binding, the one the
 protocol's ``fast_step_slots`` compiles, so the second assertion pins
 that rule to the referee at every selection.
-The wrapper forwards the incremental ``reset``/``notify`` hooks, so
-mirror-keeping daemons stay exercised too.
+The wrapper has only ``select``, so the engine applies its single-node
+selections through the same fused loop as an unwrapped daemon's.
 """
 
 from repro.runtime import EnabledSet, Scheduler, Simulator
@@ -32,12 +32,6 @@ class CrossCheckingScheduler(Scheduler):
         self.sim: Simulator | None = None
         self.checks = 0
         self._referee = None
-
-    def reset(self, enabled: EnabledSet) -> None:
-        self.inner.reset(enabled)
-
-    def notify(self, added, removed) -> None:
-        self.inner.notify(added, removed)
 
     def select(self, enabled):
         sim = self.sim

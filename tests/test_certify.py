@@ -562,7 +562,25 @@ class TestModelChecker:
         res = check_certifier(CERTIFIERS[task], n=4, seed=1,
                               corruption_draws=1, max_states=200_000)
         assert res.summary() == (
-            f"OK: {states} states, {transitions} transitions, 1 silent")
+            f"OK: {states} states, {transitions} transitions, 1 silent, "
+            f"starts covered {res.starts}/{res.starts}")
+
+    def test_sst_expands_every_start(self):
+        res = check_certifier(CERTIFIERS["sst"], n=4, seed=1,
+                              corruption_draws=1, max_states=200_000)
+        assert res.ok
+        assert (res.starts_expanded, res.starts) == (11, 11)
+        assert res.summary().endswith("starts covered 11/11")
+
+    def test_truncation_reports_unexpanded_starts(self):
+        cert = get_certifier("sst")
+        net = cert.build_network(4, seed=1)
+        proto = cert.protocol()
+        starts = [random_configuration(net, proto, seed=s) for s in (1, 2)]
+        res = explore(net, proto, [*starts, starts[0]], max_states=1)
+        assert res.truncated
+        assert (res.starts_expanded, res.starts) == (1, 2)
+        assert res.summary().endswith("starts covered 1/2")
 
     def test_guided_bfs_bounded_exploration_is_clean(self):
         res = check_certifier(CERTIFIERS["guided-bfs"], n=4,
@@ -702,7 +720,8 @@ class TestModelCheckerFoundRegressions:
         assert res.cycle is None, "livelock regression"
         assert not res.illegal_silent
         assert res.summary() == (
-            "OK: 7050 states, 44151 transitions, 1 silent")
+            "OK: 7050 states, 44151 transitions, 1 silent, "
+            "starts covered 1/1")
 
     def _mst_stale_digest_state(self):
         """The second PR-4 guided-mst livelock witness: node 14 defected

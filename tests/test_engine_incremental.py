@@ -11,9 +11,10 @@ Three pillars:
   (rounds, moves, final configuration) triples recorded with the
   pre-refactor full-rescan engine, pinning down that the rewrite changed
   the complexity of stepping, not the semantics.
-* **Scheduler path equivalence**: a daemon driven through the incremental
-  reset/notify hooks must pick exactly what a fresh instance picks from
-  plain sorted lists (the ``select(enabled)`` compatibility path).
+* **Scheduler path equivalence**: a central daemon's ``select`` must
+  return exactly the node a fresh instance's ``pick`` returns, over the
+  same churned enabled set (the fused loop calls ``pick``, every other
+  path ``select``).
 """
 
 import hashlib
@@ -34,6 +35,7 @@ from repro.core.tasks import (
 from repro.graphs import random_connected_graph
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
+    CentralScheduler,
     ComposedProtocol,
     EnabledSet,
     Simulator,
@@ -106,6 +108,21 @@ class TestIncrementalEqualsRescan:
         if silent:
             assert sched.checks > 0  # the cross-check actually ran
 
+    def test_refereed_single_movers_run_fused(self):
+        """The referee wraps a daemon without turning the fused
+        single-mover loop off: every refereed move is applied inline, so
+        none retires through the cold path's settle bookkeeping."""
+        net = random_connected_graph(24, seed=31)
+        proto = SpanningTreeProtocol()
+        cfg = random_configuration(net, proto, seed=32)
+        sched = CrossCheckingScheduler(
+            ALL_SCHEDULER_FACTORIES["central-random"](33))
+        sim = Simulator(net, proto, sched, config=cfg)
+        sched.sim = sim
+        assert sim.run(max_rounds=50_000).silent
+        assert sched.checks == sim.moves > 0
+        assert sim.stat_settle_retired == 0
+
 
 # (rounds, moves, sha256[:16] of the canonical final configuration).
 # The sst rows are the values recorded with the pre-refactor engine (full
@@ -154,33 +171,39 @@ class TestGoldenDeterminism:
             f"{key}: seeded execution diverged from the pre-refactor engine")
 
 
+#: the daemons that state their choice as ``pick``
+CENTRAL = sorted(name for name, factory in ALL_SCHEDULER_FACTORIES.items()
+                 if isinstance(factory(0), CentralScheduler))
+
+
 class TestSchedulerPathEquivalence:
-    """Incremental reset/notify-driven selection == plain-list selection."""
+    """A central daemon's ``select`` stream == its ``pick`` stream."""
 
     def _churn(self, factory, steps=150, seed=77):
         """Drive two instances of the same daemon through an identical
-        random churn of the enabled set: one via EnabledSet + hooks, one
-        via plain sorted lists."""
+        random churn of the enabled set: one via ``select``, one via
+        ``pick``."""
         rng = random.Random(seed)
         universe = list(range(1, 48))
         current = set(rng.sample(universe, 14))
-        inc, plain = factory(5), factory(5)
-        es = EnabledSet(current)
-        inc.reset(es)
+        via_select, via_pick = factory(5), factory(5)
         for _ in range(steps):
-            assert inc.select(es) == plain.select(sorted(current))
+            es = EnabledSet(current)
+            chosen = via_pick.pick(es)
+            assert chosen in es
+            assert via_select.select(es) == [chosen]
             adds = [v for v in rng.sample(universe, 3) if v not in current]
             removable = sorted(current - set(adds))
             removes = rng.sample(removable, min(2, max(0, len(removable) - 1)))
-            for v in adds:
-                current.add(v)
-                es.add(v)
-            for v in removes:
-                current.remove(v)
-                es.discard(v)
-            inc.notify(adds, removes)
+            current.update(adds)
+            current.difference_update(removes)
 
-    @pytest.mark.parametrize("name", sorted(ALL_SCHEDULER_FACTORIES))
+    def test_the_central_daemons(self):
+        assert CENTRAL == ["central-max-id", "central-min-id",
+                           "central-random", "central-round-robin",
+                           "starving"]
+
+    @pytest.mark.parametrize("name", CENTRAL)
     def test_all_daemons(self, name):
         self._churn(ALL_SCHEDULER_FACTORIES[name])
 
@@ -198,20 +221,11 @@ class TestEnabledSet:
         assert len(es) == 3
         assert es.index(5) == 1
 
-    def test_add_discard_idempotent(self):
-        es = EnabledSet()
-        assert es.add(4) and not es.add(4)
-        assert es.add(2)
-        assert list(es) == [2, 4]
-        assert es.discard(4) and not es.discard(4)
-        assert list(es) == [2]
-        assert not es.discard(99)
-
-    def test_clear_and_bool(self):
-        es = EnabledSet([1])
+    def test_duplicates_collapse_and_bool(self):
+        es = EnabledSet([4, 2, 4])
+        assert list(es) == [2, 4] and len(es) == 2
         assert es
-        es.clear()
-        assert not es and len(es) == 0
+        assert not EnabledSet() and len(EnabledSet()) == 0
 
     def test_index_of_missing_raises(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from repro.runtime import (
     CentralRandomScheduler,
     CentralRoundRobinScheduler,
     DistributedRandomScheduler,
+    EnabledSet,
     Protocol,
     RegisterSpec,
     Scheduler,
@@ -282,8 +283,8 @@ class TestSimulatorBasics:
 class TestRefreshExceptionSafety:
     def test_raising_step_does_not_desynchronize(self):
         """A slot rule that raises mid-refresh must leave the engine
-        consistent: processed transitions reach the scheduler's mirror,
-        the failing node stays dirty, and a repaired run still converges
+        consistent: processed transitions reach the enabled set, the
+        failing node stays dirty, and a repaired run still converges
         with the incremental enabled set equal to a full rescan."""
 
         class Fragile(MaxIdFlood):
@@ -304,9 +305,9 @@ class TestRefreshExceptionSafety:
         with pytest.raises(RuntimeError, match="boom"):
             sim.enabled_nodes()
         # node 1's transition was applied before the raise: it must have
-        # reached the starving daemon's non-victim mirror, and the failing
-        # node must still be dirty (to be re-proposed after repair)
-        assert 1 in sched._preferred
+        # reached the enabled set, and the failing node must still be
+        # dirty (to be re-proposed after repair)
+        assert 1 in sim._enabled
         assert 3 in sim._dirty
         # repair the poisoned register; everything must reconverge
         sim.overwrite(3, {"hops": 0})
@@ -401,30 +402,31 @@ class TestSchedulers:
         assert proto.is_legal(net, sim.config), name
 
     def test_synchronous_selects_all(self):
-        assert SynchronousScheduler().select([1, 2, 3]) == [1, 2, 3]
+        assert SynchronousScheduler().select(EnabledSet([1, 2, 3])) == [1, 2, 3]
 
     def test_central_random_selects_one(self):
         s = CentralRandomScheduler(seed=0)
         for _ in range(20):
-            assert len(s.select([1, 2, 3])) == 1
+            assert len(s.select(EnabledSet([1, 2, 3]))) == 1
 
     def test_round_robin_rotates(self):
         s = CentralRoundRobinScheduler()
-        picks = [s.select([1, 2, 3])[0] for _ in range(6)]
+        picks = [s.select(EnabledSet([1, 2, 3]))[0] for _ in range(6)]
         assert picks == [1, 2, 3, 1, 2, 3]
 
     def test_distributed_random_nonempty(self):
         s = DistributedRandomScheduler(p=0.1, seed=0)
         for _ in range(50):
-            chosen = s.select([1, 2, 3])
+            chosen = s.select(EnabledSet([1, 2, 3]))
             assert chosen
             assert set(chosen) <= {1, 2, 3}
 
     def test_starving_avoids_victims_when_possible(self):
         s = StarvingScheduler(victims={1}, seed=0)
         for _ in range(20):
-            assert s.select([1, 2, 3])[0] != 1
-        assert s.select([1]) == [1]  # must pick a victim if only victims enabled
+            assert s.select(EnabledSet([1, 2, 3]))[0] != 1
+        # must pick a victim if only victims are enabled
+        assert s.select(EnabledSet([1])) == [1]
 
     def test_distributed_random_validates_p(self):
         with pytest.raises(ValueError):
@@ -436,7 +438,7 @@ class TestSchedulers:
         random enabled node after ``max_redraws`` empty draws."""
         s = DistributedRandomScheduler(p=1e-12, seed=0, max_redraws=8)
         for _ in range(10):
-            chosen = s.select([4, 7, 9])
+            chosen = s.select(EnabledSet([4, 7, 9]))
             assert len(chosen) == 1
             assert chosen[0] in {4, 7, 9}
 

@@ -179,6 +179,25 @@ def test_topology_spec_refuses_malformed_parameters(spec, message):
         build_topology_spec(spec)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "implicit-grid:rows=4,cols=4", "0"],
+     "error: shard count must be >= 1, got 0"),
+    (["plan", "implicit-grid:rows=4,cols=4", "17"],
+     "error: cannot cut 16 nodes into 17 shards"),
+    (["verify", "--shards", "2,x"],
+     "error: --shards takes comma-separated integers, got '2,x'"),
+    (["verify", "--topology", "random:n=48,seed=17", "--shards", "2,49"],
+     "error: cannot cut 48 nodes into 49 shards"),
+], ids=["plan-zero", "plan-too-many", "verify-not-an-integer",
+        "verify-too-many"])
+def test_cli_refuses_a_bad_shard_count(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["shard", *argv])
+    assert exc.value.code == message
+    # refused before any run: nothing reached stdout
+    assert capsys.readouterr().out == ""
+
+
 def test_topology_spec_refuses_an_unknown_name_listing_both_families():
     with pytest.raises(ValueError, match="unknown topology 'torus'") as exc:
         build_topology_spec("torus:n=16")
