@@ -32,7 +32,7 @@ import sys
 from repro.analysis import format_table
 from repro.certify.schemes import CERTIFIERS, single_register_corruptions
 
-__all__ = ["register_certify", "main"]
+__all__ = ["register_certify"]
 
 
 def _tasks(args: argparse.Namespace) -> list[str]:
@@ -178,18 +178,3 @@ def register_certify(subparsers) -> None:
                            "violations need confirmation against real "
                            "semantics)")
     p_mc.set_defaults(fn=_cmd_modelcheck)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro certify",
-        description="local certification subsystem")
-    sub = parser.add_subparsers(dest="command", required=True)
-    register_certify(sub)
-    args = parser.parse_args(["certify"] + (argv if argv is not None
-                                            else sys.argv[1:]))
-    return args.fn(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -45,10 +45,6 @@ class SpanningTreeProtocol(Protocol):
     """Min-identity leader election with a BFS spanning tree, silent."""
 
     name = "sst"
-    #: every returned field differs from the register (the delta dicts
-    #: below are built by comparing against ``own`` first), so the engine
-    #: skips its no-op filter
-    exact_deltas = True
     #: applying a proposal always lands the register on the rule's own
     #: fixpoint for the unchanged neighborhood: case A writes the stable
     #: root claim ``(me, NONE, 0)`` (best is still ``(me, 0)``), case B

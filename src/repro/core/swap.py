@@ -83,9 +83,6 @@ class MalleableTreeProtocol(Protocol):
     """Tree maintenance + the Section IV switch, as one guarded-rule layer."""
 
     name = "malleable-tree"
-    #: the rule filters every field against the current register before
-    #: returning, so the engine's no-op scan is redundant
-    exact_deltas = True
 
     def __init__(self) -> None:
         # per-network constant cache (see repro.core.sst): n_bound is an

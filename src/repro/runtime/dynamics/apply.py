@@ -15,23 +15,24 @@ Two layers:
   partition tolerance is future work), and ``n_bound`` exhaustion are
   refused with a clear :class:`EventError`.
 
-* :func:`apply_event` — the engine rebinding: mutates a live
-  :class:`~repro.runtime.simulator.Simulator` onto the revision.
-  Surviving nodes keep their register rows *by identity* (the engine's
-  rows-mutated-in-place contract), joiners get bottom or spec-sampled
-  states, the slot rule is recompiled with the neighbor rows of the
-  touched nodes rebuilt, the protocol's interrupt section runs at the
-  touched nodes, and exactly the event's write-neighborhood is marked
-  dirty — so the incremental :class:`~repro.runtime.scheduler.EnabledSet`
-  stays coherent, provable on demand against
-  :meth:`Simulator.rescan_enabled` (``check=True``, the event-boundary
-  proof obligation the dynamics tests run everywhere).
+* :func:`apply_event` — drives a live
+  :class:`~repro.runtime.simulator.Simulator` onto the revision through
+  :meth:`Simulator.rebind`, which owns the engine bookkeeping:
+  surviving nodes keep their register rows *by identity*, crashed rows
+  are dropped, joiners get bottom or spec-sampled states, the neighbor
+  rows of the touched nodes are rebuilt, and exactly the touched nodes
+  are marked dirty.  The protocol's interrupt section then runs at the
+  touched nodes through :meth:`Simulator.write`, which dirties the
+  closed neighborhood of every node it changes — so the incremental
+  :class:`~repro.runtime.scheduler.EnabledSet` stays coherent, provable
+  on demand against :meth:`Simulator.rescan_enabled` (``check=True``,
+  the event-boundary proof obligation the dynamics tests run
+  everywhere).
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -195,106 +196,50 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     proof obligation — and a mismatch raises RuntimeError.
 
     Refuses sharded simulators (ValueError) and mid-round application
-    (RuntimeError): an event lands between rounds, never inside one.
+    (RuntimeError, from :meth:`Simulator.rebind`): an event lands
+    between rounds, never inside one.  A register layout that changes
+    across the revision is an :class:`EventError`.
     """
     if not isinstance(sim, Simulator):
         _refuse_non_simulator(sim)
-    if sim._pending is not None:
-        raise RuntimeError(
-            "cannot apply a topology event mid-round: the active round's "
-            "pending set was computed against the old topology.  Apply "
-            "events between run_round() calls.")
 
     old_net = sim.net
     protocol = sim.protocol
     new_net = revise(old_net, event)
     touched = _touched(event, old_net)
-
-    rows = sim._state
-    config = sim.config
-    proposal = sim._proposal
-    enabled = sim._enabled
-
-    # ---- state carry-forward -----------------------------------------
-    if isinstance(event, NodeCrash):
-        v = event.node
-        del rows[v]
-        del config[v]
-        del sim._nbr_rows[v]
-        proposal.pop(v, None)
-        sim._dirty.discard(v)
-        if v in enabled._set:
-            enabled._set.remove(v)
-            del enabled._list[bisect_left(enabled._list, v)]
-
-    # ---- schema / plane rebinding ------------------------------------
-    new_spec = protocol.register_spec(new_net)
-    new_schema = new_spec.schema()
-    if tuple(new_schema.names) != tuple(sim.schema.names):
-        raise EventError(
-            f"{event}: register layout changed across the revision "
-            f"({list(sim.schema.names)} -> {list(new_schema.names)}); "
-            f"the dynamics engine carries rows forward positionally")
-    sim.net = new_net
-    sim.spec = new_spec
-    sim.schema = new_schema
-    sim._index = new_schema.index
-
+    removed = (event.node,) if isinstance(event, NodeCrash) else ()
+    joiners = None
     if isinstance(event, (NodeJoin, NodeRecover)):
-        v = event.node
+        spec = protocol.register_spec(new_net)
         if event.init == "sampled":
             sampler = rng if rng is not None else sim.rng
-            state = new_spec.corrupt_state(new_net, v, sampler)
+            state = spec.corrupt_state(new_net, event.node, sampler)
         else:
-            state = new_spec.default_state(new_net, v)
-        rows[v] = [state[name] for name in new_schema.names]
-        config[v] = new_schema.view(rows[v])
+            state = spec.default_state(new_net, event.node)
+        joiners = {event.node: state}
 
-    sim._all_nodes = list(new_net.nodes)
-    sim._bulk_dirty = max(4, new_net.n // 4)
-
-    # recompile the scalar rule path for the new binding, rebuilding the
-    # neighbor rows of the touched nodes only.  Survivor rows are the
-    # same list objects, so the rebuilt rows alias live state exactly as
-    # construction did.
-    sim._bind_rules(touched)
-
-    # ---- protocol lifecycle hook -------------------------------------
-    invalidate_all = bool(protocol.on_topology_event(old_net, new_net,
-                                                     event))
+    # protocols holding per-network caches flush them here; True means
+    # every cached proposal is invalid, not just the touched ones
+    invalidate = bool(protocol.on_topology_event(old_net, new_net, event))
+    try:
+        sim.rebind(new_net, touched, removed=removed, joiners=joiners,
+                   invalidate=invalidate)
+    except ValueError as exc:
+        raise EventError(f"{event}: {exc}") from None
 
     # ---- interrupt section (super-stabilization) ---------------------
     interrupt_writes = 0
-    dirty = set(touched)
-    irule = protocol.interrupt_step(new_schema)
+    irule = protocol.interrupt_step(sim.schema)
     if irule is not None:
+        rows, config = sim.rows, sim.config
         for v in touched:
             delta = irule(new_net, config, v, rows[v], event)
-            if not delta:
-                continue
-            row = rows[v]
-            wrote = False
-            for s, val in delta.items():
-                if row[s] != val:
-                    row[s] = val
-                    wrote = True
-            if wrote:
+            if delta and sim.write(v, delta):
                 interrupt_writes += 1
-                dirty.update(new_net.neighbors(v))
-
-    # ---- dirty-set accounting + proof obligation ---------------------
-    if invalidate_all:
-        sim._dirty_all = True
-        sim._dirty.clear()
-    else:
-        sim._dirty.update(dirty)
-    # stale cached proposals of vanished nodes can never be selected
-    # (the enabled set no longer contains them); drop crashed entries
-    # above, keep survivors — refresh re-proposes exactly the dirty ones.
 
     enabled_after = len(sim.enabled_set())  # settles via _refresh
     if check:
-        incremental = list(sim._enabled)
+        incremental = sim.enabled_nodes()
         rescan = sim.rescan_enabled()
         if incremental != rescan:
             raise RuntimeError(

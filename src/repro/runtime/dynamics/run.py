@@ -82,7 +82,7 @@ class _LocalVerdicts:
         self.cert = cert
         self.sim = sim
         self.bounds = _bounds(sim.net)
-        self.rows = {v: row[:] for v, row in sim._state.items()}
+        self.rows = {v: row[:] for v, row in sim.rows.items()}
         self.stale = set(sim.net.nodes)
         self.rejecting: set[int] = set()
 
@@ -109,7 +109,7 @@ class _LocalVerdicts:
         net = self.sim.net
         rows = self.rows
         stale = self.stale
-        for v, row in self.sim._state.items():
+        for v, row in self.sim.rows.items():
             if rows.get(v) != row:
                 rows[v] = row[:]
                 stale.add(v)

@@ -51,12 +51,13 @@ def effective_delta(rule, net: Network, config,
 
     ``config`` maps every node to its :class:`SlotState` view; the rule
     runs on the node's row and on neighbor rows read afresh from
-    ``net``.  Rules may return updates that restate current values;
-    enabledness is defined on the effective write (register differs from
-    what delta would store), so those no-op slots are filtered out here.
-    Returns ``None`` when the node is not enabled.  The from-scratch
-    evaluation behind :meth:`Simulator.rescan_enabled` and the model
-    checker.
+    ``net``.  Enabledness is defined on the effective write (register
+    differs from what delta would store), so slots that restate current
+    values are filtered out here.  Returns ``None`` when the node is not
+    enabled.  The from-scratch evaluation behind
+    :meth:`Simulator.rescan_enabled` and the model checker: the engine
+    trusts rules to return effective deltas, and this definition is what
+    catches one that does not.
     """
     own = config[node].row
     delta = rule(net, config, node, own,
@@ -89,8 +90,12 @@ class Protocol(ABC):
         e.g. parent lookups; raw rows via ``config[u].row``), ``own`` is
         the node's raw slot row, and ``nbr_rows`` is the ascending
         ``(neighbor, raw_row)`` pair sequence.  The returned delta is
-        keyed by **slot index**.  The compiled rule is the protocol's
-        only statement of delta, and every evaluator runs it.
+        keyed by **slot index** and *effective*: every slot it names
+        differs from ``own``, so the engine reads a non-empty delta as
+        "enabled" with no further filtering (a rule that restates a
+        value diverges from :func:`effective_delta`, which the rescan
+        and the model checker evaluate).  The compiled rule is the
+        protocol's only statement of delta, and every evaluator runs it.
 
         Inside a :class:`ComposedProtocol` the composition passes each
         layer a *patched* ``own`` row carrying the updates of the layers
@@ -114,13 +119,6 @@ class Protocol(ABC):
     #: this False, and :class:`~repro.runtime.sharding.ShardedSimulator`
     #: refuses them at construction.
     shardable: bool = True
-
-    #: Set to True when the protocol's compiled rule only ever
-    #: returns *effective* writes — every returned field differs from the
-    #: register's current value.  The engine then skips its per-proposal
-    #: no-op filter.  Leave False (the default) when in doubt: returning a
-    #: restating field with True silently corrupts enabledness.
-    exact_deltas: bool = False
 
     #: Set to True when a node that has just applied its *own* proposed
     #: delta is guaranteed disabled until some neighbor's register next
@@ -197,11 +195,12 @@ class Protocol(ABC):
                           event: object) -> bool:
         """Lifecycle hook: a topology event replaced ``old_net``.
 
-        Invoked by the dynamics engine after it binds the revised
-        network but before re-proposing.  Protocols holding per-network
+        Invoked by the dynamics engine once the event is validated,
+        before it rebinds the simulator onto ``new_net``
+        (:meth:`Simulator.rebind`).  Protocols holding per-network
         caches (oracle memos keyed under the old topology) flush them
         here.  Returns True when the flush invalidates *every* cached
-        proposal (the engine then raises the all-dirty flag instead of
+        proposal (the rebind then raises the all-dirty flag instead of
         dirtying only the event's write-neighborhood).  Like
         :meth:`fast_write_impact`, this is an engine-side hook, not a
         rule entrypoint: it produces no deltas.  Default: keep nothing,
@@ -237,8 +236,7 @@ class Protocol(ABC):
     def rule_contract(self) -> dict[str, object]:
         """Machine-readable summary of this protocol's rule surface.
 
-        Reports the declared contracts (:attr:`exact_deltas`,
-        :attr:`shardable`) plus which of :data:`RULE_ENTRYPOINTS`
+        Reports the declared contract (:attr:`shardable`) plus which of :data:`RULE_ENTRYPOINTS`
         this class actually implements (i.e. overrides away from the
         :class:`Protocol` defaults).  ``repro.statics`` drives its
         analysis off this — the analyzer never guesses at the surface —
@@ -258,7 +256,6 @@ class Protocol(ABC):
         return {
             "protocol": self.name,
             "class": f"{cls.__module__}.{cls.__qualname__}",
-            "exact_deltas": self.exact_deltas,
             "shardable": self.shardable,
             "entrypoints": entrypoints,
             "observers": observers,
@@ -308,7 +305,9 @@ class ComposedProtocol(Protocol):
         node's register patched with the updates of the layers below it,
         while neighbor registers are read as they currently are.  The
         patch lands on a private copy of the row (``own.copy()``), never
-        on the live register (statics W-series).
+        on the live register (statics W-series).  A layer may restore a
+        value a lower layer changed; such slots are dropped, so the
+        composed delta is effective like every leaf rule's.
         """
         rules = [layer.fast_step_slots(schema) for layer in self.layers]
 
@@ -324,6 +323,12 @@ class ComposedProtocol(Protocol):
                     updates.update(delta)
                     for i, val in delta.items():
                         cur[i] = val
+            if updates is None:
+                return None
+            for i, val in updates.items():
+                if own[i] == val:
+                    return {i: val for i, val in updates.items()
+                            if own[i] != val} or None
             return updates
 
         return composed

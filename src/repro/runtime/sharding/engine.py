@@ -6,17 +6,18 @@ plus their 1-hop halo — and the :class:`ShardedSimulator` drives them
 through lock-step synchronous rounds:
 
 1. **halo ingest** — rows shipped by neighbor shards at the previous
-   round edge are written over the local halo registers;
-2. **refresh** — the all-dirty flag is raised (halo writes plus last
-   round's own writes invalidate everything near a frontier) and the
-   incremental engine re-proposes;
+   round edge are written over the local halo registers with
+   :meth:`Simulator.write`, which dirties the closed neighborhood of
+   every halo row that changed;
+2. **refresh** — the incremental engine re-proposes exactly the nodes
+   those writes and last round's own step dirtied;
 3. **enabled-mask reconciliation** — the shard keeps only the enabled
    nodes it *owns*.  Halo nodes evaluate over incomplete neighborhoods,
    so their proposals are structurally garbage; ownership filtering is
    what makes the union of per-shard masks equal the global enabled set;
 4. **apply** — the owned selection steps simultaneously off the
-   pre-round configuration (:meth:`Simulator._apply_batch`'s
-   gather-then-write), which is precisely the synchronous daemon;
+   pre-round configuration (:meth:`Simulator.step`), which is precisely
+   the synchronous daemon;
 5. **boundary exchange** — rows of owned frontier nodes that moved are
    routed to every shard holding them as halo.
 
@@ -112,7 +113,7 @@ def config_fingerprint(schema, rows: Mapping[int, object], nodes) -> int:
 
 def simulator_fingerprint(sim: Simulator) -> int:
     """The whole-network fingerprint of a live single-process simulator."""
-    return config_fingerprint(sim.schema, sim._state, sim.net.nodes)
+    return config_fingerprint(sim.schema, sim.rows, sim.net.nodes)
 
 
 def _node_rng(seed: int, node: int) -> random.Random:
@@ -188,7 +189,7 @@ class ShardWorker:
 
     def initial_frontier(self) -> dict[int, dict[int, list]]:
         """Owned frontier rows for every destination shard (pre-round 0)."""
-        rows = self.sim._state
+        rows = self.sim.rows
         out: dict[int, dict[int, list]] = {}
         for v, dests in self.routes.items():
             row = list(rows[v])
@@ -200,19 +201,15 @@ class ShardWorker:
               ) -> tuple[int, dict[int, dict[int, list]]]:
         """One synchronous round edge; returns (moves, outgoing rows)."""
         sim = self.sim
-        rows = sim._state
-        if halo_updates:
-            for v, row in halo_updates.items():
-                rows[v][:] = row
-        # everything near a frontier may have changed
-        sim._dirty_all = True
-        sim._refresh()
+        write = sim.write
+        for v, row in halo_updates.items():
+            write(v, dict(enumerate(row)))
         owned = self._owned_set
-        enabled_owned = [v for v in sim._enabled._list if v in owned]
+        enabled_owned = [v for v in sim.enabled_set() if v in owned]
         if not enabled_owned:
             return 0, {}
-        sim._apply_batch(enabled_owned)
-        sim._dirty_all = True
+        sim.step(enabled_owned)
+        rows = sim.rows
         out: dict[int, dict[int, list]] = {}
         routes = self.routes
         for v in enabled_owned:
@@ -225,13 +222,13 @@ class ShardWorker:
 
     def fingerprint(self) -> int:
         """This shard's partial configuration digest (owned nodes only)."""
-        return config_fingerprint(self.sim.schema, self.sim._state,
+        return config_fingerprint(self.sim.schema, self.sim.rows,
                                   self.owned)
 
     def collect(self) -> dict[int, dict[str, object]]:
         """The owned slice of the configuration, name-keyed (small n)."""
         names = self.sim.schema.names
-        rows = self.sim._state
+        rows = self.sim.rows
         return {v: dict(zip(names, rows[v])) for v in self.owned}
 
 

@@ -39,6 +39,23 @@ refresh pass over the whole network replaces thousands of set inserts.
 no caches (the same rule over freshly gathered neighbor rows), for
 cross-checking the incremental state in tests.
 
+Driving the engine from outside
+-------------------------------
+
+The engine is the only owner of its caches (proposals, the enabled set,
+the dirty set, the neighbor row table).  Callers read registers through
+``Simulator.rows`` (or the ``config`` views) and change the execution
+through three methods, which keep those caches coherent:
+
+* :meth:`Simulator.step` — one daemon step of the given nodes
+  (:meth:`Simulator.run_steps` loops over it; sharded workers apply
+  their owned enabled nodes with it);
+* :meth:`Simulator.write` — the one external register write (fault
+  injection, interrupt sections, shard halo rows); it dirties the
+  closed neighborhood of a node whose register changed;
+* :meth:`Simulator.rebind` — moves the engine onto a revised network
+  between rounds (topology events, :mod:`repro.runtime.dynamics`).
+
 Slot-indexed state
 ------------------
 
@@ -70,24 +87,6 @@ from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 __all__ = ["Simulator", "RunResult", "random_configuration"]
 
 Config = dict[int, Mapping[str, object]]
-
-
-def _effective(own: list, delta: dict[int, object]) -> dict[int, object] | None:
-    """The slots of ``delta`` that change the row ``own``, or None.
-
-    Enabledness is defined on effective writes, so proposals that restate
-    current values are filtered here.  A new dict is allocated only when
-    the delta mixes no-op and effective slots.
-    """
-    eff = 0
-    for s, val in delta.items():
-        if own[s] != val:
-            eff += 1
-    if eff == 0:
-        return None
-    if eff != len(delta):
-        return {s: val for s, val in delta.items() if own[s] != val}
-    return delta
 
 
 @dataclass(slots=True)
@@ -176,7 +175,10 @@ class Simulator:
                 raise ValueError(
                     f"node {v} register missing fields {sorted(missing)}"
                 ) from None
-        self._state = rows
+        #: the live slot rows, one list per node, mutated in place and
+        #: never replaced.  Read-only outside the engine: registers change
+        #: through :meth:`step` and :meth:`write`.
+        self.rows = rows
         view = self.schema.view
         self.config: dict[int, object] = {v: view(rows[v]) for v in net.nodes}
         self.invariant = invariant
@@ -197,25 +199,15 @@ class Simulator:
         self._enabled = EnabledSet()
         self._dirty: set[int] = set()
         self._dirty_all = True
-        self._all_nodes: list[int] = sorted(net.nodes)
-        # batch-aware bookkeeping: a write batch at least this large
-        # (a synchronous round, a mass fault) raises the all-dirty flag
-        # instead of performing per-write neighborhood set inserts — one
-        # refresh pass per round replaces the per-batch bookkeeping.
-        # Purely an accounting choice: refresh re-proposes a superset,
-        # and re-proposing a clean node reproduces its cached proposal.
-        self._bulk_dirty = max(4, net.n // 4)
         self._pending: set[int] | None = None  # the active round's pending set
-        # protocols declaring exact deltas skip the engine's no-op filter
-        self._exact_deltas = bool(getattr(protocol, "exact_deltas", False))
-        self._index = self.schema.index
         # write-path contracts (Protocol.settles_after_move /
         # fast_write_impact): movers that provably land disabled retire
         # from the enabled set at apply time, and a compiled impact filter
         # narrows which neighbors a write re-dirties.  Both are soundness
         # claims about the rule itself.
         self._settles = bool(getattr(protocol, "settles_after_move", False))
-        self._bind_rules()
+        self._nbr_rows: dict[int, tuple] = {}
+        self._bind(net, net.nodes)
         # telemetry seam: hook selection happens HERE, once, at setup.
         # With no recorder the engine runs the exact pre-telemetry byte
         # path — no per-move branch anywhere below; with one, the
@@ -230,30 +222,34 @@ class Simulator:
     # proposals and enabledness
     # ------------------------------------------------------------------
 
-    def _bind_rules(self, changed: Iterable[int] | None = None) -> None:
-        """Compile the scalar rule path for the current binding.
+    def _bind(self, net: Network, changed: Iterable[int]) -> None:
+        """Bind the engine to ``net`` under the current schema.
 
-        Runs at construction and again when the dynamics engine rebinds
-        ``net``/``schema`` after a topology event.  Resolves the slot
-        rule (:meth:`Protocol.fast_step_slots`), the per-node
-        neighbor row table, the write-impact filter, and
-        :attr:`_repropose` — the one per-node re-proposal kernel, bound
-        here once so the hot paths pay one call per refresh or per fused
-        move, not one per node.
+        Runs at construction and again in :meth:`rebind`.  Derives what
+        the engine keeps per network (the bulk-batch threshold and the
+        neighbor row table), resolves the slot rule
+        (:meth:`Protocol.fast_step_slots`) and the write-impact filter,
+        and binds :attr:`_repropose` — the one per-node re-proposal
+        kernel, bound here once so the hot paths pay one call per
+        refresh or per fused move, not one per node.
 
-        ``changed`` names the nodes whose neighborhood an event changed:
-        only their neighbor rows are rebuilt (the caller drops a vanished
-        node's entry).  ``None`` builds the whole table.
+        Only the neighbor rows of ``changed`` are rebuilt: the nodes
+        whose neighborhood is new (every node at construction).
         """
-        protocol, net, schema = self.protocol, self.net, self.schema
-        rows = self._state
+        self.net = net
+        protocol, schema = self.protocol, self.schema
+        # batch-aware bookkeeping: a write batch at least this large
+        # (a synchronous round, a mass fault) raises the all-dirty flag
+        # instead of performing per-write neighborhood set inserts — one
+        # refresh pass per round replaces the per-batch bookkeeping.
+        # Purely an accounting choice: refresh re-proposes a superset,
+        # and re-proposing a clean node reproduces its cached proposal.
+        self._bulk_dirty = max(4, net.n // 4)
+        rows = self.rows
         rule = protocol.fast_step_slots(schema)
         self._slot_rule = rule
         # slot rows are mutated in place (never replaced) by _apply_batch
-        # and overwrite, so these references stay valid for the binding
-        if changed is None:
-            self._nbr_rows = {}
-            changed = net.nodes
+        # and write, so these references stay valid for the binding
         nbr_rows = self._nbr_rows
         for v in changed:
             nbr_rows[v] = tuple((u, rows[u]) for u in net.neighbors(v))
@@ -261,7 +257,6 @@ class Simulator:
         config = self.config
         proposal = self._proposal
         dirty = self._dirty
-        effective = None if self._exact_deltas else _effective
         # engine-owned EnabledSet internals, updated in place (the
         # method-call indirection is measurable at this call rate)
         eset = self._enabled._set
@@ -275,12 +270,10 @@ class Simulator:
             i = 0
             try:
                 for i, v in enumerate(items):
-                    # deltas are slot-keyed, so everything downstream
+                    # deltas are slot-keyed and effective (every slot
+                    # changes the row), so everything downstream
                     # (_apply_batch, the fused move) is index-only
-                    own = rows[v]
-                    delta = rule(net, config, v, own, nbr_rows[v])
-                    if delta and effective is not None:
-                        delta = effective(own, delta)
+                    delta = rule(net, config, v, rows[v], nbr_rows[v])
                     if delta:
                         proposal[v] = delta
                         if v not in eset:
@@ -316,7 +309,7 @@ class Simulator:
         if self._dirty_all:
             self._dirty_all = False
             self._dirty.clear()
-            self._repropose(self._all_nodes)
+            self._repropose(self.net.nodes)
         elif self._dirty:
             items = sorted(self._dirty)
             self._dirty.clear()
@@ -379,13 +372,12 @@ class Simulator:
                 f"{sorted(stray)} (enabled: {list(self._enabled)})")
 
     def _apply_batch(self, nodes: Sequence[int]) -> None:
-        """Apply the cached proposals of ``nodes`` simultaneously."""
-        # gather first: every write must be based on the pre-step state.
-        # Settle the incremental state once up front (a no-op on the
-        # run_round/run_steps paths, which refresh before selecting), so
-        # the gather below is a plain proposal-table read per node.
-        if self._dirty_all or self._dirty:
-            self._refresh()
+        """Apply the cached proposals of ``nodes`` simultaneously.
+
+        Callers settle the incremental state first (both callers refresh
+        before selecting), so the gather is a plain proposal-table read.
+        """
+        # gather first: every write must be based on the pre-step state
         proposal = self._proposal
         dirty = self._dirty
         if len(nodes) == 1:  # central-daemon fast path
@@ -398,7 +390,7 @@ class Simulator:
                 delta = proposal[v]
                 if delta is not None:
                     writes.append((v, delta))
-        rows = self._state
+        rows = self.rows
         bulk = len(writes) >= self._bulk_dirty
         impact = None if bulk else self._write_impact
         olds = [] if impact is not None else None
@@ -509,7 +501,7 @@ class Simulator:
         if fuse:
             net = self.net
             config = self.config
-            rows = self._state
+            rows = self.rows
             proposal = self._proposal
             adjacency = net.adjacency
             impact = self._write_impact
@@ -621,14 +613,26 @@ class Simulator:
             dirty_peak=counts[1], settled=self.stat_settle_retired - settled)
         return True
 
+    def step(self, nodes: Sequence[int]) -> None:
+        """One daemon step: ``nodes`` step simultaneously.
+
+        Settles the incremental state, enforces the daemon contract
+        (non-empty, duplicate-free, every node enabled; RuntimeError
+        otherwise), then applies the nodes' proposals, each computed
+        off the pre-step configuration.  Does not advance the round
+        counter.
+        """
+        self._refresh()
+        self._validate_selection(nodes)
+        self._apply_batch(nodes)
+
     def run_steps(self, max_moves: int) -> int:
         """Execute daemon steps until silence or ``max_moves`` moves.
 
-        Sub-round granularity for callers that need a *move* budget on
-        protocols whose rounds are huge (a pinned workload with only a
-        move budget runs this way, see :mod:`repro.obs.workloads`).  Does not advance the round
-        counter — rounds are a property of complete-round executions.
-        The budget is checked between daemon steps, so a multi-node
+        Sub-round granularity for callers that need a *move* budget
+        rather than a round budget.  Does not advance the round counter
+        — rounds are a property of complete-round executions.  The
+        budget is checked between daemon steps, so a multi-node
         selection may overshoot it by at most one batch.
 
         Returns the number of moves applied.
@@ -636,14 +640,8 @@ class Simulator:
         if max_moves < 1:
             raise ValueError(f"max_moves must be >= 1, got {max_moves}")
         start = self.moves
-        while self.moves - start < max_moves:
-            self._refresh()
-            if not self._enabled:
-                break
-            chosen = self.scheduler.select(self._enabled)
-            if len(chosen) != 1 or chosen[0] not in self._enabled._set:
-                self._validate_selection(chosen)
-            self._apply_batch(chosen)
+        while self.moves - start < max_moves and not self.is_silent():
+            self.step(self.scheduler.select(self._enabled))
         return self.moves - start
 
     def run(
@@ -701,26 +699,95 @@ class Simulator:
         return self.moves == before
 
     # ------------------------------------------------------------------
-    # fault injection entry point
+    # external writes and topology rebinding
     # ------------------------------------------------------------------
 
-    def overwrite(self, node: int, updates: Mapping[str, object]) -> None:
-        """Adversarially overwrite parts of one node's register.
+    def write(self, node: int, slot_delta: Mapping[int, object]) -> bool:
+        """Write slot values into one node's register outside a step.
 
-        Updates are name-keyed (the boundary shape) and written through
-        the schema into the node's slot row.  Feeds the dirty set, so the
-        incremental enabled set stays coherent across injected faults.
+        The one external write path: fault injection (:meth:`overwrite`),
+        the dynamics engine's interrupt section and the shard workers'
+        halo rows all land here.  Marks the node's closed neighborhood
+        dirty when a value changed, so the incremental enabled set stays
+        coherent; returns whether one did.
         """
-        row = self._state.get(node)
+        row = self.rows.get(node)
         if row is None:
             raise KeyError(
                 f"unknown node {node!r}: not a node of this network "
                 f"(n={self.net.n})")
-        index = self._index
+        changed = False
+        for s, val in slot_delta.items():
+            if row[s] != val:
+                row[s] = val
+                changed = True
+        if changed:
+            self._dirty.add(node)
+            self._dirty.update(self.net.neighbors(node))
+        return changed
+
+    def overwrite(self, node: int, updates: Mapping[str, object]) -> None:
+        """Adversarially overwrite parts of one node's register.
+
+        Updates are name-keyed (the boundary shape), translated to
+        slots through the schema and written with :meth:`write`.
+        """
+        index = self.schema.index
         unknown = set(updates) - set(index)
         if unknown:
             raise KeyError(f"unknown fields: {sorted(unknown)}")
-        for name, val in updates.items():
-            row[index[name]] = val
-        self._dirty.add(node)
-        self._dirty.update(self.net.neighbors(node))
+        self.write(node, {index[name]: val for name, val in updates.items()})
+
+    def rebind(self, net: Network, touched: Sequence[int], *,
+               removed: Iterable[int] = (),
+               joiners: Mapping[int, Mapping[str, object]] | None = None,
+               invalidate: bool = False) -> None:
+        """Move the engine onto ``net``, a revision of its network.
+
+        Surviving nodes keep their register rows by identity.  The
+        ``removed`` nodes (absent from ``net``) lose their rows, views,
+        neighbor rows, proposals and dirty- and enabled-set entries;
+        each of the ``joiners`` (new in ``net``) gets a row encoded from
+        its name-keyed register.  ``touched`` names the nodes whose
+        neighborhood changed, joiners included: their neighbor rows are
+        rebuilt and they are marked dirty, or, with ``invalidate``,
+        every cached proposal is.
+
+        Raises RuntimeError mid-round (the active round's pending set
+        was computed against the old network) and ValueError when the
+        protocol's register layout on ``net`` differs (rows carry
+        forward positionally); either way the engine is left as it was.
+        """
+        if self._pending is not None:
+            raise RuntimeError(
+                "cannot rebind mid-round: the active round's pending set "
+                "was computed against the old network.  Rebind between "
+                "run_round() calls.")
+        spec = self.protocol.register_spec(net)
+        schema = spec.schema()
+        if tuple(schema.names) != tuple(self.schema.names):
+            raise ValueError(
+                f"register layout changed across the revision "
+                f"({list(self.schema.names)} -> {list(schema.names)}); "
+                f"rows are carried forward positionally")
+        rows, config = self.rows, self.config
+        eset, elist = self._enabled._set, self._enabled._list
+        for v in removed:
+            del rows[v], config[v], self._nbr_rows[v]
+            self._proposal.pop(v, None)
+            self._dirty.discard(v)
+            if v in eset:
+                eset.remove(v)
+                del elist[bisect_left(elist, v)]
+        self.spec, self.schema = spec, schema
+        if joiners:
+            names = schema.names
+            for v, state in joiners.items():
+                rows[v] = [state[name] for name in names]
+                config[v] = schema.view(rows[v])
+        self._bind(net, touched)
+        if invalidate:
+            self._dirty_all = True
+            self._dirty.clear()
+        else:
+            self._dirty.update(touched)

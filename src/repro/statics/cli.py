@@ -23,19 +23,7 @@ from repro.statics.analyzer import analyze_registry, finalize
 from repro.statics.report import build_report, render_ascii
 from repro.statics.rules import RULE_CATALOG
 
-__all__ = ["main", "register_statics"]
-
-
-def add_check_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--protocol", action="append", metavar="NAME",
-                        help="restrict to one registry protocol "
-                             "(repeatable; default: all)")
-    parser.add_argument("--format", choices=("ascii", "json"),
-                        default="ascii",
-                        help="stdout rendering (default: ascii)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="also write the JSON report to PATH "
-                             "(the CI artifact)")
+__all__ = ["register_statics"]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -83,26 +71,16 @@ def register_statics(subparsers) -> None:
 
     p_check = ssub.add_parser(
         "check", help="analyze the protocol registry; exit 1 on findings")
-    add_check_options(p_check)
+    p_check.add_argument("--protocol", action="append", metavar="NAME",
+                         help="restrict to one registry protocol "
+                              "(repeatable; default: all)")
+    p_check.add_argument("--format", choices=("ascii", "json"),
+                         default="ascii",
+                         help="stdout rendering (default: ascii)")
+    p_check.add_argument("--out", metavar="PATH",
+                         help="also write the JSON report to PATH "
+                              "(the CI artifact)")
     p_check.set_defaults(fn=_cmd_check)
 
     p_rules = ssub.add_parser("rules", help="print the rule catalog")
     p_rules.set_defaults(fn=_cmd_rules)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro statics",
-        description="static rule-surface analysis of registered protocols")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    p_check = sub.add_parser("check")
-    add_check_options(p_check)
-    p_check.set_defaults(fn=_cmd_check)
-    p_rules = sub.add_parser("rules")
-    p_rules.set_defaults(fn=_cmd_rules)
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

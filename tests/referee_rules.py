@@ -113,7 +113,8 @@ def step_to_slots(step, schema):
 
     ``step`` runs over a NodeView whose own-register entry is the
     (possibly composition-patched) slot row the rule is handed; its
-    name-keyed delta is re-keyed to slot indices.
+    name-keyed delta is re-keyed to slot indices, keeping only the slots
+    that change ``own`` (a slot rule's delta is effective).
     """
     index = schema.index
 
@@ -122,7 +123,8 @@ def step_to_slots(step, schema):
                               patched_config(schema, config, node, own)))
         if not delta:
             return None
-        return {index[k]: v for k, v in delta.items()}
+        return {i: v for i, v in ((index[k], v) for k, v in delta.items())
+                if own[i] != v} or None
 
     return rule
 

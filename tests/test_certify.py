@@ -340,11 +340,10 @@ def _oracle_state(proto):
 
 
 class TestEngineFastPaths:
-    def test_slot_rule_and_exact_deltas_declared(self):
+    def test_slot_rule_declared(self):
         for proto in (AdHocBFSProtocol(), MalleableTreeProtocol()):
             assert (type(proto).fast_step_slots
                     is not Protocol.fast_step_slots)
-            assert proto.exact_deltas is True
         # every guided layer compiles its own rule
         net = random_connected_graph(8, seed=1, weighted=True)
         for factory in (guided_bfs_protocol, guided_mst_protocol,
@@ -419,7 +418,7 @@ class TestEngineFastPaths:
             task._issued = (key, issued)
             if path == "slot":
                 delta = sim._slot_rule(net, sim.config, root,
-                                       sim._state[root], sim._nbr_rows[root])
+                                       sim.rows[root], sim._nbr_rows[root])
                 delta = {sim.schema.names[i]: val
                          for i, val in delta.items()}
             else:

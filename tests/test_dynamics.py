@@ -833,7 +833,7 @@ def _crashable(net, v):
 def _assert_nbr_rows_fresh(sim):
     """The incrementally rebound neighbor-row table equals a from-scratch
     one, and every entry aliases the live register row."""
-    rows = sim._state
+    rows = sim.rows
     assert sim._nbr_rows == {
         v: tuple((u, rows[u]) for u in sim.net.neighbors(v))
         for v in sim.net.nodes}

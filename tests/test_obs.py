@@ -108,7 +108,7 @@ def test_observed_run_is_bit_identical_to_unobserved(tmp_path):
     plain = _run_to_silence(_acceptance_sim())
     traced = _record(tmp_path / "t.jsonl")
     assert (traced.moves, traced.rounds) == (plain.moves, plain.rounds)
-    assert traced._state == plain._state
+    assert traced.rows == plain.rows
 
 
 # ----------------------------------------------------------------------

@@ -637,3 +637,31 @@ def test_engine_runs_without_numpy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_only_the_engine_touches_simulator_internals():
+    """No ``src`` module but ``runtime/simulator.py`` reads or writes a
+    ``_``-prefixed attribute of a simulator (a ``sim`` name or a
+    ``.sim`` attribute): callers drive the engine through ``rows``,
+    ``step``, ``write`` and ``rebind``, so its caches have one owner."""
+    import ast
+
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    engine = root / "runtime" / "simulator.py"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == engine:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")):
+                continue
+            base = node.value
+            if ((isinstance(base, ast.Name) and base.id == "sim")
+                    or (isinstance(base, ast.Attribute)
+                        and base.attr == "sim")):
+                found.append(f"{path.relative_to(root)}:{node.lineno} "
+                             f".{node.attr}")
+    assert found == []

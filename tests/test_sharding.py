@@ -55,7 +55,7 @@ from repro.runtime.sharding import (
     simulator_fingerprint,
     single_process_reference,
 )
-from repro.runtime.sharding.engine import _FP_MOD
+from repro.runtime.sharding.engine import _FP_MOD, ShardContext, ShardWorker
 from repro.runtime.simulator import Simulator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -292,7 +292,72 @@ def test_collect_config_matches_reference():
     assert set(merged) == set(net.nodes)
     names = sim.schema.names
     for v in net.nodes:
-        assert merged[v] == dict(zip(names, sim._state[v]))
+        assert merged[v] == dict(zip(names, sim.rows[v]))
+
+
+@pytest.mark.parametrize("proto", ["sst", "guided-bfs"])
+def test_worker_enabled_sets_equal_a_rescan_every_round(proto):
+    """Two in-process shard workers, exchanging halo rows, run to
+    silence.  A worker re-proposes only what its halo writes and its own
+    step dirtied, so at every step its owned enabled nodes must equal
+    the owned part of a from-scratch rescan of its subgraph: checked
+    right after the halo ingest (the nodes it steps) and after the step."""
+    net = _random_net(40, seed=5)
+    factory = _factory(proto)
+    plan = plan_partition(net, 2)
+    owner = plan.owner_of()
+    workers = []
+    for i, owned in enumerate(plan.shards):
+        routes = {}
+        for v in owned:
+            dests = sorted({owner[u] for u in net.neighbors(v)} - {i})
+            if dests:
+                routes[v] = tuple(dests)
+        workers.append(ShardWorker(ShardContext(
+            shard_id=i, owned=owned, topo=net, protocol_factory=factory,
+            routes=routes, init_seed=3)))
+
+    def owned_rescan(worker):
+        return [v for v in worker.sim.rescan_enabled()
+                if v in worker.owned]
+
+    stepped = []
+    for worker in workers:
+        sim = worker.sim
+
+        def checked_step(nodes, _worker=worker, _step=sim.step):
+            assert list(nodes) == owned_rescan(_worker)
+            stepped.append(len(nodes))
+            _step(nodes)
+
+        sim.step = checked_step
+
+    inbox = [{} for _ in workers]
+
+    def route(outs):
+        for out in outs:
+            for dest, updates in out.items():
+                inbox[dest].update(updates)
+
+    route([w.initial_frontier() for w in workers])
+    rounds = moves = 0
+    while True:
+        halo, inbox = inbox, [{} for _ in workers]
+        results = [w.round(halo[i]) for i, w in enumerate(workers)]
+        for worker in workers:
+            enabled = [v for v in worker.sim.enabled_nodes()
+                       if v in worker.owned]
+            assert enabled == owned_rescan(worker)
+        count = sum(c for c, _ in results)
+        if not count:
+            break
+        rounds += 1
+        moves += count
+        route([out for _, out in results])
+    assert sum(stepped) == moves
+    total = sum(w.fingerprint() for w in workers) % _FP_MOD
+    ref = single_process_reference(net, factory, init_seed=3)
+    assert (rounds, moves, True, f"{total:032x}") == ref
 
 
 # ----------------------------------------------------------------------

@@ -194,7 +194,7 @@ class TestSlotViewEqualsDictView:
                 assert view[name] is view.row[i]
         # ... and the engine's raw rows alias the views (zero-copy)
         for v in net.nodes:
-            assert sim.config[v].row is sim._state[v]
+            assert sim.config[v].row is sim.rows[v]
 
     def test_views_track_execution(self):
         net = random_connected_graph(12, seed=3)
@@ -214,7 +214,7 @@ class TestSlotViewEqualsDictView:
         victim = max(net.nodes)
         sim.overwrite(victim, {"d": 99, "par": NONE})
         assert sim.config[victim]["d"] == 99
-        assert sim._state[victim][sim.schema.slot("d")] == 99
+        assert sim.rows[victim][sim.schema.slot("d")] == 99
         assert sim.enabled_nodes() == sim.rescan_enabled()
 
 
